@@ -7,18 +7,24 @@ The order is W(F_q)[pi] subject to
 for x in W(F_q), truncated at pi-adic precision N.  Valuations take values in
 (1/s)Z, with val(p) = 1 and val(pi) = 1/s.
 
-Elements are stored canonically as their Teichmuller pi-digit expansion
+Elements are stored as their s slot coefficients
 
-    a = sum_{j<N} pi^j <beta_j>,   beta_j in F_q,
+    a = sum_{k<s} pi^k c_k,   c_k in W(F_q) reduced mod p^{m_k},
+    m_k = ceil((N - k)/s),
 
-i.e. as a plain tuple of N field-element ints.  Addition and multiplication
-convert to the coefficient form sum_{k<s} pi^k c_k with c_k in W_m(F_q)
-(where carries are ordinary Witt-ring arithmetic) and re-digitize:
+i.e. as a tuple of s Witt elements.  Slot k carries the pi-levels
+k, k + s, k + 2s, ... below N, so the reduction is exactly the truncation
+mod pi^N and the form is canonical: tuples compare canonically.  Ring
+operations work on slots,
 
     (sum pi^i a_i)(sum pi^j b_j) = sum pi^{i+j} a_i^{tau^j} b_j,
 
-with pi^s folded into the central factor p.  The digit expansion of any
-element is unique, so tuples compare canonically.
+with pi^s folded into the central factor p.  Teichmuller pi-digits
+
+    a = sum_{j<N} pi^j <beta_j>,   beta_j in F_q,
+
+are produced only at the edges: digits, from_digits, val, residue and
+element_to_json.
 """
 
 from __future__ import annotations
@@ -26,118 +32,112 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ..errors import InternalCheckFailed
 from .fields import FieldSpec, field_make
 from .witt import WittElt, WittRing, witt_make
 
-RamDigits = tuple[int, ...]
+RamElt = tuple[WittElt, ...]
 
 
 class RamifiedOrder:
     """Context for O mod pi^N arithmetic at slope r/s."""
 
-    __slots__ = ("field", "r", "s", "N", "witt", "lam")
+    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods")
 
     def __init__(self, field: FieldSpec, r: int, N: int):
         self.field = field
         self.r = r
-        self.s = field.s
+        self.s = s = field.s
         self.N = N
-        self.lam = Fraction(r, self.s)
-        # carries out of level N never reach back below it, one extra Witt
-        # digit is enough headroom
-        self.witt = witt_make(field, -(-N // self.s) + 1)
+        self.lam = Fraction(r, s)
+        # slot k holds levels k + s*t < N: m_k Witt digits, modulus p^{m_k}
+        self.mods = tuple(field.p ** max(0, -(-(N - k) // s)) for k in range(s))
+        self.witt = witt_make(field, -(-N // s))
+
+    def _reduce(self, coeffs) -> RamElt:
+        return tuple(tuple(c % mod for c in vec)
+                     for vec, mod in zip(coeffs, self.mods))
 
     # -- constructors ------------------------------------------------------
 
-    def zero(self) -> RamDigits:
-        return (0,) * self.N
+    def zero(self) -> RamElt:
+        return (self.witt.zero(),) * self.s
 
-    def one(self) -> RamDigits:
-        return (1,) + (0,) * (self.N - 1)
+    def one(self) -> RamElt:
+        return self.from_witt(self.witt.one())
 
-    def teich_term(self, j: int, beta: int) -> RamDigits:
+    def teich_term(self, j: int, beta: int) -> RamElt:
         """pi^j <beta> as an element."""
         if not 0 <= j < self.N:
             raise ValueError(f"pi-exponent {j} outside precision {self.N}")
-        digs = [0] * self.N
-        digs[j] = beta
-        return tuple(digs)
+        w, s = self.witt, self.s
+        coeffs = list(self.zero())
+        coeffs[j % s] = w.scalar_mul(self.field.p ** (j // s), w.teichmuller(beta))
+        return self._reduce(coeffs)
 
-    def uniformizer(self) -> RamDigits:
+    def uniformizer(self) -> RamElt:
         return self.teich_term(1, 1)
 
-    def from_digits(self, digs) -> RamDigits:
+    def from_digits(self, digs) -> RamElt:
+        """The element sum_j pi^j <digs[j]>, digits beyond N dropped."""
         digs = list(digs)[: self.N]
-        digs += [0] * (self.N - len(digs))
-        return tuple(digs)
+        return self._reduce(self.witt.from_digits(digs[k::self.s])
+                            for k in range(self.s))
 
-    def from_witt(self, a: WittElt) -> RamDigits:
-        """Embed W(F_q): the p-digit at level t becomes the pi-digit at t*s."""
-        digs = [0] * self.N
-        for t, d in enumerate(self.witt.digits(a)):
-            if t * self.s < self.N:
-                digs[t * self.s] = d
-        return tuple(digs)
+    def from_witt(self, a: WittElt) -> RamElt:
+        """Embed W(F_q): a lands in slot 0."""
+        return self._reduce((a,) + self.zero()[1:])
 
-    def from_int(self, n: int) -> RamDigits:
+    def from_int(self, n: int) -> RamElt:
         return self.from_witt(self.witt.from_int(n))
 
-    # -- representation changes -------------------------------------------
+    # -- edges: digits and residue ------------------------------------------
 
-    def _to_coeffs(self, a: RamDigits) -> list[WittElt]:
-        w, s = self.witt, self.s
-        out = [w.zero()] * s
-        for j, beta in enumerate(a):
-            if beta:
-                k, t = j % s, j // s
-                out[k] = w.add(out[k], w.scalar_mul(
-                    self.field.p ** t, w.teichmuller(beta)))
-        return out
-
-    def _from_coeffs(self, coeffs: list[WittElt]) -> RamDigits:
-        w, s = self.witt, self.s
+    def digits(self, a: RamElt) -> tuple[int, ...]:
+        """Teichmuller pi-digits (beta_0, ..., beta_{N-1}) of a."""
         digs = [0] * self.N
-        for k, c in enumerate(coeffs):
-            for t, d in enumerate(w.digits(c)):
-                j = k + s * t
-                if j < self.N:
-                    digs[j] = d
+        for k, c in enumerate(a):
+            for t, d in enumerate(self.witt.digits(c)):
+                if k + self.s * t < self.N:
+                    digs[k + self.s * t] = d
         return tuple(digs)
+
+    def residue(self, a: RamElt) -> int:
+        """The level-0 digit: the image of a in F_q."""
+        return self.witt.residue(a[0])
 
     # -- ring operations ---------------------------------------------------
 
-    def add(self, a: RamDigits, b: RamDigits) -> RamDigits:
-        w = self.witt
-        ca, cb = self._to_coeffs(a), self._to_coeffs(b)
-        return self._from_coeffs([w.add(x, y) for x, y in zip(ca, cb)])
+    def add(self, a: RamElt, b: RamElt) -> RamElt:
+        return tuple(tuple((x + y) % mod for x, y in zip(u, v))
+                     for u, v, mod in zip(a, b, self.mods))
 
-    def neg(self, a: RamDigits) -> RamDigits:
-        return self._from_coeffs([self.witt.neg(c) for c in self._to_coeffs(a)])
+    def neg(self, a: RamElt) -> RamElt:
+        return tuple(tuple(-x % mod for x in u) for u, mod in zip(a, self.mods))
 
-    def sub(self, a: RamDigits, b: RamDigits) -> RamDigits:
-        w = self.witt
-        ca, cb = self._to_coeffs(a), self._to_coeffs(b)
-        return self._from_coeffs([w.sub(x, y) for x, y in zip(ca, cb)])
+    def sub(self, a: RamElt, b: RamElt) -> RamElt:
+        return tuple(tuple((x - y) % mod for x, y in zip(u, v))
+                     for u, v, mod in zip(a, b, self.mods))
 
-    def mul(self, a: RamDigits, b: RamDigits) -> RamDigits:
+    def mul(self, a: RamElt, b: RamElt) -> RamElt:
         w, s, r, p = self.witt, self.s, self.r, self.field.p
-        ca, cb = self._to_coeffs(a), self._to_coeffs(b)
-        out = [w.zero()] * s
-        for j, bj in enumerate(cb):
-            if bj == w.zero():
+        out = [[0] * s for _ in range(s)]
+        for j, bj in enumerate(b):
+            if not any(bj):
                 continue
-            for i, ai in enumerate(ca):
-                if ai == w.zero():
+            for i, ai in enumerate(a):
+                if not any(ai):
                     continue
                 term = w.mul(w.sigma(ai, r * j), bj)
-                k, carry = (i + j) % s, (i + j) // s
-                if carry:
-                    term = w.scalar_mul(p ** carry, term)
-                out[k] = w.add(out[k], term)
-        return self._from_coeffs(out)
+                scale = p ** ((i + j) // s)
+                acc = out[(i + j) % s]
+                for t, x in enumerate(term):
+                    acc[t] += scale * x
+        return self._reduce(out)
 
-    def pow(self, a: RamDigits, e: int) -> RamDigits:
-        assert e >= 0
+    def pow(self, a: RamElt, e: int) -> RamElt:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}; use inv")
         result = self.one()
         base = a
         while e:
@@ -147,33 +147,37 @@ class RamifiedOrder:
             e >>= 1
         return result
 
-    def is_unit(self, a: RamDigits) -> bool:
-        return a[0] != 0
+    def is_unit(self, a: RamElt) -> bool:
+        return self.residue(a) != 0
 
-    def inv(self, a: RamDigits) -> RamDigits:
-        if a[0] == 0:
+    def inv(self, a: RamElt) -> RamElt:
+        res = self.residue(a)
+        if res == 0:
             v = self.val(a)
             raise ZeroDivisionError(
                 f"not a unit: valuation {v} > 0" if v is not None
                 else "not a unit: zero at this precision")
-        y = self.teich_term(0, self.field.inv(a[0]))
+        one = self.one()
+        y = self.teich_term(0, self.field.inv(res))
         two = self.from_int(2)
+        # each Newton step doubles the pi-adic accuracy of y
         for _ in range(self.N.bit_length() + 2):
             e = self.mul(a, y)
-            if e == self.one():
+            if e == one:
                 break
             y = self.mul(y, self.sub(two, e))
-        assert self.mul(a, y) == self.one()
+        if self.mul(a, y) != one:
+            raise InternalCheckFailed(f"Newton inverse did not converge in {self!r}")
         return y
 
-    def commutator(self, a: RamDigits, b: RamDigits) -> RamDigits:
+    def commutator(self, a: RamElt, b: RamElt) -> RamElt:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
 
     # -- valuation ---------------------------------------------------------
 
-    def val(self, a: RamDigits) -> Fraction | None:
+    def val(self, a: RamElt) -> Fraction | None:
         """pi-adic valuation in (1/s)Z; None for 0 at this precision."""
-        for j, beta in enumerate(a):
+        for j, beta in enumerate(self.digits(a)):
             if beta:
                 return Fraction(j, self.s)
         return None
@@ -188,8 +192,8 @@ class RamifiedOrder:
             "precision": self.N,
         }
 
-    def element_to_json(self, a: RamDigits) -> dict:
-        return {"digits": list(a)}
+    def element_to_json(self, a: RamElt) -> dict:
+        return {"digits": list(self.digits(a))}
 
     def __repr__(self) -> str:
         return f"RamifiedOrder(lam={self.r}/{self.s}, q={self.field.q}, N={self.N})"

@@ -9,7 +9,8 @@ Subcommands:
     plot                                        SVG of the lattice region
 
 Exit codes: 0 success, 2 precondition violation, 3 a certificate or
-verification came back negative, 4 malformed input.
+verification came back negative or an internal check failed, 4 malformed
+input.
 
 JSON output is canonical (sorted keys, fixed separators, no timestamps):
 an invocation repeated with the same flags produces identical bytes.
@@ -35,7 +36,7 @@ from .arith.fields import field_make
 from .arith.ramified import order_over
 from .arith.witt import witt_for
 from .display import deformation, display_polygon, split_display, strata
-from .errors import CliParseError, PreconditionError
+from .errors import CliParseError, InternalCheckFailed, PreconditionError
 from .monodromy import (as_reducible, as_reducible_oracle,
                         largeness_certificate, monodromy_equation)
 from .polygon import adjoin, attainable, compare, np_make, symmetric_adjoin
@@ -519,6 +520,9 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"slopelab: precondition violated: {err}", file=sys.stderr)
         return 2
+    except InternalCheckFailed as err:
+        print(f"slopelab: internal check failed: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 PreconditionError covers every "the inputs do not satisfy the contract"
 rejection, including guard-budget overruns; the CLI maps it to exit code 2.
-CliParseError covers malformed command-line input (exit code 4).  Failed
-verifications are not exceptions: they come back as structured reports.
+CliParseError covers malformed command-line input (exit code 4).
+InternalCheckFailed is raised when a check that carries a proof fails
+(exit code 3); it is an explicit raise, so `python -O` cannot remove it.
+Failed verifications are not exceptions: they come back as structured
+reports.
 """
 
 
@@ -20,4 +23,8 @@ class GuardExceeded(PreconditionError):
 
 
 class CliParseError(SlopelabError):
+    pass
+
+
+class InternalCheckFailed(SlopelabError):
     pass

@@ -10,11 +10,15 @@ p-th-power congruence
 and decides by exhaustive closure whether lifts covering a chosen set of
 graded pieces generate all of G/G_n.
 
-Closure enumeration has two independent paths: a direct one multiplying
-canonical order elements, and a compiled one that precomputes, for each
-generator, per-slot contribution tables over the coefficient ring; both
-agree on small cases and the compiled one handles quotients near the
-size guard.
+Elements are RamifiedOrder slot tuples; graded classes and congruences
+read Teichmuller digits only through the order's edge functions
+(residue, digits).
+
+Generation is decided by the compiled closure: on the order context
+O mod pi^n, each generator compiles to per-slot contribution tables read
+off the order's own product.  The direct closure (UnitQuotient,
+closure_direct) multiplies order elements one at a time; it is the
+independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith.fields import FieldSpec, field_make
 from .arith.ramified import RamifiedOrder, order_over
-from .arith.witt import witt_make
-from .errors import GuardExceeded, PreconditionError
+from .errors import GuardExceeded, InternalCheckFailed, PreconditionError
 
 
 # -- graded pieces --------------------------------------------------------
@@ -42,10 +46,11 @@ def graded_class(ctx: RamifiedOrder, u, i: int) -> int:
     if i < 0 or i >= ctx.N:
         raise PreconditionError(f"level {i} outside truncation {ctx.N}")
     if i == 0:
-        if u[0] == 0:
+        res = ctx.residue(u)
+        if res == 0:
             raise PreconditionError("not a unit")
-        return u[0]
-    digs = ctx.sub(u, ctx.one())
+        return res
+    digs = ctx.digits(ctx.sub(u, ctx.one()))
     if any(digs[:i]):
         raise PreconditionError(f"element is not in level {i} of the filtration")
     return digs[i]
@@ -68,10 +73,14 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     got = graded_class(ctx, comm, n + 1) if comm != ctx.one() else 0
     expect = K.sub(K.mul(K.frobenius(x, (ctx.r * n) % ctx.s), y),
                    K.mul(K.frobenius(y, ctx.r % ctx.s), x))
-    assert got == expect, (x, y, n, got, expect)
+    if got != expect:
+        raise InternalCheckFailed(
+            f"commutator class at depth {n} of x={x}, y={y} is {got}, "
+            f"closed form gives {expect}")
     return got
 
 
+@lru_cache(maxsize=256)
 def commutator_span(field: FieldSpec, r: int, n: int) -> frozenset:
     """The value set {x^{tau^n} y - y^tau x}; equals F_q when s does not
     divide n+1."""
@@ -97,7 +106,7 @@ def pth_power_check(ctx: RamifiedOrder, alpha: int, beta, n: int) -> bool:
     u = ctx.add(u, ctx.mul(ctx.teich_term(n * s + 1, 1), beta))
     w = ctx.pow(u, p)
     target = ctx.add(ctx.one(), ctx.teich_term(level, alpha))
-    diff = ctx.sub(w, target)
+    diff = ctx.digits(ctx.sub(w, target))
     return not any(diff[: level + 1])
 
 
@@ -113,7 +122,7 @@ def p2_power_report(s: int, n: int = 1, seed: int = 0) -> dict:
     for alpha in K.elements():
         u = ctx.add(ctx.one(), ctx.teich_term(n * s, alpha))
         w = ctx.pow(u, 2)
-        digs = ctx.sub(w, ctx.one())
+        digs = ctx.digits(ctx.sub(w, ctx.one()))
         level = (n + 1) * s
         observed = digs[level]
         square_law = K.add(alpha, K.mul(alpha, alpha))
@@ -159,7 +168,7 @@ class UnitQuotient:
                 yield (b0,) + rest
 
     def canonical(self, u) -> tuple:
-        return tuple(u[: self.n])
+        return self.ctx.digits(u)[: self.n]
 
     def lift(self, digs: tuple):
         return self.ctx.from_digits(digs)
@@ -212,36 +221,26 @@ def closure_direct(quot: UnitQuotient, gens) -> int:
 class CompiledQuotient:
     """G/G_n with per-generator contribution tables.
 
-    An element is a tuple of s slot values, slot j holding a coefficient
-    vector over Z/p^{m_j}, m_j = ceil((n-j)/s), packed into one int with
-    headroom so that accumulation is plain integer addition.  Right
-    multiplication by a fixed generator is slot-linear, so each generator
-    compiles to tables mapping a slot's dense index to its packed
-    contribution in each output slot.
+    A state is a tuple of s dense indices, one per slot of the order
+    context O mod pi^n: slot j is a coefficient vector over Z/p^{m_j},
+    packed into one int with headroom so that accumulation is plain
+    integer addition.  Right multiplication by a fixed generator g is
+    additive, so g compiles to tables mapping each slot's dense index to
+    the packed slots of (that single-slot element) * g.
     """
 
-    def __init__(self, field: FieldSpec, r: int, n: int):
-        self.field = field
-        self.r = r
-        self.s = s = field.s
-        self.n = n
-        self.m = [max(0, -(-(n - j) // s)) for j in range(s)]
-        self.m0 = self.m[0]
-        self.W = witt_make(field, self.m0)
-        self.P = field.p ** self.m0
-        self.B = self.P * 32          # headroom: < 32 summands per slot
-        assert 3 * s + 1 < 32
-        # dense index <-> canonical coefficient vector per slot
-        self.slot_vectors = []
-        self.slot_index = []
-        for j in range(s):
-            vecs = list(itertools.product(range(field.p ** self.m[j]),
-                                          repeat=s))
-            self.slot_vectors.append(vecs)
-            self.slot_index.append({self._pack(v): k
-                                    for k, v in enumerate(vecs)})
-        self.identity = self._state_from_slots(
-            {0: self.W.one()})
+    def __init__(self, ctx: RamifiedOrder):
+        self.ctx = ctx
+        self.s = s = ctx.s
+        self.mods = ctx.mods
+        # a packed slot sums at most s contributions, each below p^{m_0}
+        self.B = s * self.mods[0]
+        self.slot_vectors = [list(itertools.product(range(mod), repeat=s))
+                             for mod in self.mods]
+        self.slot_index = [{self._pack(v): k for k, v in enumerate(vecs)}
+                           for vecs in self.slot_vectors]
+        self.identity = tuple(index[self._pack(c)]
+                              for index, c in zip(self.slot_index, ctx.one()))
 
     def _pack(self, vec) -> int:
         acc = 0
@@ -249,96 +248,42 @@ class CompiledQuotient:
             acc = acc * self.B + c
         return acc
 
-    def _unpack(self, packed: int) -> tuple:
+    def compile_generator(self, g) -> list:
+        """Per input slot i, the list of (output slot k, contribution
+        table) for the output slots that right multiplication by g
+        reaches from slot i."""
+        ctx, zero = self.ctx, self.ctx.zero()
         out = []
-        for _ in range(self.s):
-            packed, c = divmod(packed, self.B)
-            out.append(c)
-        return tuple(out)
-
-    def _elt_vec(self, w) -> tuple:
-        return tuple(w)
-
-    def _vec_elt(self, vec) -> tuple:
-        return tuple(c % self.P for c in vec)
-
-    def _state_from_slots(self, slots: dict) -> tuple:
-        out = []
-        for j in range(self.s):
-            w = slots.get(j)
-            vec = self._elt_vec(w) if w is not None else (0,) * self.s
-            vec = tuple(c % (self.field.p ** self.m[j]) for c in vec)
-            out.append(self.slot_index[j][self._pack(vec)])
-        return tuple(out)
-
-    def compile_generator(self, slots: dict) -> list:
-        """slots: j -> WittElt at master precision.  Returns, per input
-        slot i, the list of (output slot k, contribution table)."""
-        W, s, r = self.W, self.s, self.r
-        out = []
-        for i in range(s):
-            blocks = []
-            by_k: dict[int, list] = {}
-            for j, vj in slots.items():
-                if vj is None:
-                    continue
-                k = (i + j) % s
-                eps = (i + j) // s
-                by_k.setdefault(k, []).append((j, eps, vj))
-            for k, parts in sorted(by_k.items()):
-                tab = []
-                for vec in self.slot_vectors[i]:
-                    a = self._vec_elt(vec)
-                    acc = W.zero()
-                    for j, eps, vj in parts:
-                        term = W.mul(W.sigma(a, (r * j) % s), vj)
-                        if eps:
-                            term = W.scalar_mul(self.field.p ** eps, term)
-                        acc = W.add(acc, term)
-                    tab.append(self._pack(self._elt_vec(acc)))
-                blocks.append((k, tab))
-            out.append(blocks)
+        for i, vecs in enumerate(self.slot_vectors):
+            prods = [ctx.mul(zero[:i] + (v,) + zero[i + 1:], g) for v in vecs]
+            out.append([(k, [self._pack(prod[k]) for prod in prods])
+                        for k in range(self.s)
+                        if any(any(prod[k]) for prod in prods)])
         return out
 
     def mul_by(self, state: tuple, contrib: list) -> tuple:
+        B = self.B
         acc = [0] * self.s
-        for i in range(self.s):
-            di = state[i]
+        for i, di in enumerate(state):
             for k, tab in contrib[i]:
                 acc[k] += tab[di]
         out = []
-        for k in range(self.s):
-            vec = self._unpack(acc[k])
-            mod = self.field.p ** self.m[k]
-            vec = tuple((c % self.P) % mod for c in vec)
-            out.append(self.slot_index[k][self._pack(vec)])
+        for k, packed in enumerate(acc):
+            mod, key, place = self.mods[k], 0, 1
+            for _ in range(self.s):
+                packed, c = divmod(packed, B)
+                key += (c % mod) * place
+                place *= B
+            out.append(self.slot_index[k][key])
         return tuple(out)
-
-    def generator_slots(self, kind, *args) -> dict:
-        """Slot description of the standard generators at master
-        precision: ("teich", a) or ("one_plus", i, b)."""
-        W = self.W
-        if kind == "teich":
-            return {0: W.teichmuller(args[0])}
-        i, b = args
-        j, t = i % self.s, i // self.s
-        term = W.scalar_mul(self.field.p ** t, W.teichmuller(b))
-        slots = {0: W.one()}
-        slots[j] = W.add(slots.get(j, W.zero()), term)
-        return slots
 
 
 def closure_compiled(field: FieldSpec, r: int, n: int, covered,
                      guard: int) -> int:
-    cq = CompiledQuotient(field, r, n)
-    specs = []
-    for i in sorted(covered):
-        if i == 0:
-            specs.append(("teich", field.generator()))
-        else:
-            for k in range(field.s):
-                specs.append(("one_plus", i, field.p ** k))
-    contribs = [cq.compile_generator(cq.generator_slots(*sp)) for sp in specs]
+    ctx = order_over(field, r, n)
+    cq = CompiledQuotient(ctx)
+    contribs = [cq.compile_generator(g)
+                for g in standard_generators(ctx, covered)]
     ident = cq.identity
     seen = {ident}
     frontier = [ident]
@@ -357,12 +302,12 @@ def closure_compiled(field: FieldSpec, r: int, n: int, covered,
 
 
 def generation_check(ctx: RamifiedOrder, n: int, covered,
-                     guard: int = 10 ** 7, method: str = "compiled") -> bool:
-    return generation_report(ctx, n, covered, guard, method)["generates"]
+                     guard: int = 10 ** 7) -> bool:
+    return generation_report(ctx, n, covered, guard)["generates"]
 
 
 def generation_report(ctx: RamifiedOrder, n: int, covered,
-                      guard: int = 10 ** 7, method: str = "compiled") -> dict:
+                      guard: int = 10 ** 7) -> dict:
     """Closure enumeration of the subgroup generated by lifts covering
     the chosen graded pieces, compared against |G/G_n|."""
     if n < 1:
@@ -374,13 +319,7 @@ def generation_report(ctx: RamifiedOrder, n: int, covered,
     total = (K.q - 1) * K.q ** (n - 1)
     if total > guard:
         raise GuardExceeded(f"|G/G_n| = {total} exceeds guard {guard}")
-    if method == "compiled":
-        size = closure_compiled(K, ctx.r, n, covered, guard)
-    elif method == "direct":
-        quot = UnitQuotient(ctx if ctx.N >= n else order_over(K, ctx.r, n), n)
-        size = closure_direct(quot, standard_generators(quot.ctx, covered))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    size = closure_compiled(K, ctx.r, n, covered, guard)
     return {
         "q": K.q,
         "lambda": f"{ctx.r}/{ctx.s}",

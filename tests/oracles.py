@@ -150,3 +150,55 @@ def splitting_degree_by_factoring(K, f):
         if len(g) > 1:
             return m
     raise AssertionError("no root in any extension up to the degree")
+
+
+# -- the ramified order in digit form ---------------------------------------
+#
+# The order W(F_q)[pi], pi^s = p, x pi = pi x^{sigma^r}, mod pi^N, computed
+# the way the digit-form implementation did: Teichmuller pi-digit tuples
+# in, through s coefficients in W_{ceil(N/s)+1}(F_q), digit tuples out.
+# Only WittRing's public API is used.
+
+
+def _ramified_witt(field, N):
+    from slopelab.arith.witt import witt_make
+    return witt_make(field, -(-N // field.s) + 1)
+
+
+def _digits_to_coeffs(field, N, digs):
+    w, s = _ramified_witt(field, N), field.s
+    out = [w.zero()] * s
+    for j, beta in enumerate(digs):
+        if beta:
+            k, t = j % s, j // s
+            out[k] = w.add(out[k], w.scalar_mul(field.p ** t, w.teichmuller(beta)))
+    return out
+
+
+def _coeffs_to_digits(field, N, coeffs):
+    w, s = _ramified_witt(field, N), field.s
+    digs = [0] * N
+    for k, c in enumerate(coeffs):
+        for t, d in enumerate(w.digits(c)):
+            if k + s * t < N:
+                digs[k + s * t] = d
+    return tuple(digs)
+
+
+def ramified_digit_add(field, r, N, a, b):
+    w = _ramified_witt(field, N)
+    ca, cb = _digits_to_coeffs(field, N, a), _digits_to_coeffs(field, N, b)
+    return _coeffs_to_digits(field, N, [w.add(x, y) for x, y in zip(ca, cb)])
+
+
+def ramified_digit_mul(field, r, N, a, b):
+    """(sum pi^i a_i)(sum pi^j b_j) = sum pi^{i+j} a_i^{sigma^{rj}} b_j."""
+    w, s, p = _ramified_witt(field, N), field.s, field.p
+    ca, cb = _digits_to_coeffs(field, N, a), _digits_to_coeffs(field, N, b)
+    out = [w.zero()] * s
+    for j, bj in enumerate(cb):
+        for i, ai in enumerate(ca):
+            term = w.mul(w.sigma(ai, r * j), bj)
+            term = w.scalar_mul(p ** ((i + j) // s), term)
+            out[(i + j) % s] = w.add(out[(i + j) % s], term)
+    return _coeffs_to_digits(field, N, out)

@@ -110,10 +110,16 @@ def test_commutator_of_units_is_unit():
 def test_digit_form_is_canonical():
     O = order_make(1, 2, 2)
     digs = (1, 3, 0, 2, 1, 0, 0, 3)
-    assert O.from_digits(digs) == digs
-    # operations always return full length tuples of field elements
-    out = O.mul(O.from_digits(digs), O.from_digits(digs))
+    assert O.digits(O.from_digits(digs)) == digs
+    # the digit edge always returns full length tuples of field elements
+    out = O.digits(O.mul(O.from_digits(digs), O.from_digits(digs)))
     assert len(out) == O.N and all(0 <= d < O.field.q for d in out)
+
+
+def test_negative_power_raises():
+    O = order_make(1, 2, 2)
+    with pytest.raises(ValueError):
+        O.pow(O.one(), -1)
 
 
 def test_slope_preconditions():

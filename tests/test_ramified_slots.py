@@ -1,0 +1,99 @@
+"""The slot form of the ramified order against the digit-form reference,
+and property tests for the ring laws it must satisfy."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import ramified_digit_add, ramified_digit_mul
+from slopelab.arith import order_make
+
+# (r, s, p, N): p = 2, r > 1, N not a multiple of s, and N < s (slots
+# whose modulus is 1) are all covered
+SHAPES = [(1, 2, 2, 5), (1, 3, 2, 7), (2, 3, 3, 5), (1, 2, 5, 4),
+          (3, 4, 2, 3), (2, 5, 2, 4), (1, 3, 3, 6)]
+ORDERS = [order_make(r, s, p, N=N) for r, s, p, N in SHAPES]
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+def random_digits(O, rng):
+    return tuple(rng.randrange(O.field.q) for _ in range(O.N))
+
+
+def test_slot_arithmetic_matches_digit_form_reference():
+    rng = random.Random(21)
+    for O in ORDERS:
+        K, r, N = O.field, O.r, O.N
+        for _ in range(25):
+            a, b = random_digits(O, rng), random_digits(O, rng)
+            x, y = O.from_digits(a), O.from_digits(b)
+            assert O.digits(O.add(x, y)) == ramified_digit_add(K, r, N, a, b)
+            assert O.digits(O.mul(x, y)) == ramified_digit_mul(K, r, N, a, b)
+
+
+@st.composite
+def order_with(draw, count):
+    O = draw(st.sampled_from(ORDERS))
+    digits = st.lists(st.integers(0, O.field.q - 1),
+                      min_size=O.N, max_size=O.N)
+    return O, [O.from_digits(draw(digits)) for _ in range(count)]
+
+
+@PROPERTY
+@given(order_with(3))
+def test_ring_axioms(case):
+    O, (a, b, c) = case
+    assert O.add(a, b) == O.add(b, a)
+    assert O.add(O.add(a, b), c) == O.add(a, O.add(b, c))
+    assert O.add(a, O.neg(a)) == O.zero()
+    assert O.sub(a, b) == O.add(a, O.neg(b))
+    assert O.mul(O.mul(a, b), c) == O.mul(a, O.mul(b, c))
+    assert O.mul(a, O.add(b, c)) == O.add(O.mul(a, b), O.mul(a, c))
+    assert O.mul(O.add(b, c), a) == O.add(O.mul(b, a), O.mul(c, a))
+    assert O.mul(a, O.one()) == a == O.mul(O.one(), a)
+    assert O.mul(a, O.zero()) == O.zero() == O.mul(O.zero(), a)
+
+
+@PROPERTY
+@given(order_with(1))
+def test_units_invert(case):
+    O, (a,) = case
+    if O.is_unit(a):
+        assert O.mul(a, O.inv(a)) == O.one() == O.mul(O.inv(a), a)
+
+
+@PROPERTY
+@given(order_with(0), st.data())
+def test_twist_rule(case, data):
+    # x * pi = pi * x^tau for x in W(F_q), tau = sigma^r
+    O, _ = case
+    W = O.witt
+    digs = data.draw(st.lists(st.integers(0, O.field.q - 1),
+                              min_size=W.m, max_size=W.m))
+    x = W.from_digits(digs)
+    pi = O.uniformizer()
+    assert O.mul(O.from_witt(x), pi) == O.mul(pi, O.from_witt(W.sigma(x, O.r)))
+
+
+@PROPERTY
+@given(order_with(1))
+def test_uniformizer_to_the_s_is_p(case):
+    O, (a,) = case
+    p = O.from_int(O.field.p)
+    assert O.pow(O.uniformizer(), O.s) == p
+    assert O.mul(p, a) == O.mul(a, p)
+
+
+@PROPERTY
+@given(order_with(2), st.data())
+def test_digits_round_trip(case, data):
+    # products too: equal digits must mean equal stored slots
+    O, (a, b) = case
+    for x in (a, O.mul(a, b), O.sub(a, b)):
+        assert O.from_digits(O.digits(x)) == x
+    digs = tuple(data.draw(st.lists(st.integers(0, O.field.q - 1),
+                                    min_size=O.N, max_size=O.N)))
+    assert O.digits(O.from_digits(digs)) == digs

@@ -127,12 +127,28 @@ def test_quotient_order_and_canonical_forms():
 
 
 def test_generation_direct_equals_compiled():
-    ctx = ctx9(3)
-    for covered, want in (({0, 1}, 648), ({0}, 8)):
-        direct = generation_report(ctx, 3, covered, method="direct")
-        compiled = generation_report(ctx, 3, covered, method="compiled")
-        assert direct["order"] == compiled["order"] == want
-        assert direct["generates"] == compiled["generates"] == (want == 648)
+    # the direct closure multiplies order elements one at a time; the
+    # library's compiled closure must find the same subgroup order
+    F8, F27 = field_make(2, 3), field_make(3, 3)
+    cases = [(F9, 1, 3, {0, 1}, 648), (F9, 1, 3, {0}, 8),
+             (F8, 1, 1, {0}, 7), (F8, 1, 2, {0, 1}, 56),
+             (F8, 1, 3, {0, 1}, 448), (F8, 1, 3, {0, 2}, 56),
+             (F8, 1, 3, {1, 2}, 64),
+             (F27, 2, 2, {0, 1}, 702), (F27, 2, 2, {0}, 26)]
+    for K, r, n, covered, want in cases:
+        ctx = order_over(K, r, n)
+        direct = closure_direct(UnitQuotient(ctx, n),
+                                standard_generators(ctx, covered))
+        rep = generation_report(ctx, n, covered)
+        assert rep["order"] == direct == want, (K.q, r, n, covered)
+        assert rep["generates"] == (direct == (K.q - 1) * K.q ** (n - 1))
+
+
+def test_generation_large_residue_field_within_headroom():
+    # s = 11: a packed slot sums at most s contributions, so the packing
+    # headroom grows with s instead of capping it
+    rep = generation_report(order_over(field_make(2, 11), 1, 2), 1, [0])
+    assert rep["order"] == 2047 and rep["generates"]
 
 
 def test_residue_cover_alone_stalls_beyond_depth_one():
