@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..errors import InternalCheckFailed
 from .fields import FieldSpec, field_make
 
 WittElt = tuple[int, ...]
@@ -94,7 +95,8 @@ class WittRing:
         return tuple(prod[:s])
 
     def pow(self, a: WittElt, e: int) -> WittElt:
-        assert e >= 0
+        if e < 0:
+            raise ValueError(f"negative exponent {e}; use inv")
         result = self.one()
         base = a
         while e:
@@ -120,7 +122,8 @@ class WittRing:
             if e == self.one():
                 break
             y = self.mul(y, self.sub(two, e))
-        assert self.mul(a, y) == self.one()
+        if self.mul(a, y) != self.one():
+            raise InternalCheckFailed(f"Newton inverse did not converge in {self!r}")
         return y
 
     # -- residue field, Teichmuller lifts, digits -------------------------
@@ -143,7 +146,9 @@ class WittRing:
                 if nxt == t:
                     break
                 t = nxt
-            assert self.pow(t, self.field.q) == t, "Teichmuller iteration diverged"
+            if self.pow(t, self.field.q) != t:
+                raise InternalCheckFailed(
+                    f"Teichmuller iteration for {a} diverged in {self!r}")
         self._teich_cache[a] = t
         return t
 
@@ -156,7 +161,9 @@ class WittRing:
             d = self.residue(cur)
             out.append(d)
             diff = self.sub(cur, self.teichmuller(d))
-            assert all(c % p == 0 for c in diff)
+            if any(c % p for c in diff):
+                raise InternalCheckFailed(
+                    f"<{d}> does not reduce to residue {d} in {self!r}")
             cur = tuple(c // p for c in diff)
         return tuple(out)
 
@@ -241,7 +248,7 @@ def _canonical_modulus(field: FieldSpec, m: int) -> tuple[int, ...]:
     Bootstrap: in the ring defined by the naive integer lift of the modulus,
     push the generator to its Teichmuller representative by iterating the
     q-power map, then expand prod_i (x - t^{p^i}) over the conjugates.  The
-    coefficients are scalars (symmetric under sigma), which we assert.
+    coefficients are scalars (symmetric under sigma), which is checked.
     """
     s, pm = field.s, field.p ** m
     naive = tuple(c % pm for c in field.modulus)
@@ -252,7 +259,8 @@ def _canonical_modulus(field: FieldSpec, m: int) -> tuple[int, ...]:
         if nxt == t:
             break
         t = nxt
-    assert pre.pow(t, field.q) == t
+    if pre.pow(t, field.q) != t:
+        raise InternalCheckFailed(f"Teichmuller generator diverged in {pre!r}")
     # poly with WittElt coefficients, little-endian; starts as the constant 1
     poly: list[WittElt] = [pre.one()]
     conj = t
@@ -265,9 +273,11 @@ def _canonical_modulus(field: FieldSpec, m: int) -> tuple[int, ...]:
         conj = pre.pow(conj, field.p)
     out = []
     for c in poly:
-        assert all(x == 0 for x in c[1:]), "modulus coefficient not a scalar"
+        if any(c[1:]):
+            raise InternalCheckFailed(f"lifted modulus coefficient {c} is not a scalar")
         out.append(c[0])
-    assert len(out) == s + 1 and out[-1] == 1
+    if len(out) != s + 1 or out[-1] != 1:
+        raise InternalCheckFailed(f"lifted modulus {out} is not monic of degree {s}")
     return tuple(out)
 
 
@@ -281,10 +291,13 @@ def witt_make(field: FieldSpec, m: int) -> WittRing:
     else:
         modulus = _canonical_modulus(field, m)
         p = field.p
-        assert tuple(c % p for c in modulus) == field.modulus
+        if tuple(c % p for c in modulus) != field.modulus:
+            raise InternalCheckFailed(
+                f"lifted modulus {modulus} does not reduce to {field.modulus}")
         ring = WittRing(field, m, modulus)
         # the generator itself is Teichmuller in the canonical presentation
-        assert ring.pow(ring.generator(), field.q) == ring.generator()
+        if ring.pow(ring.generator(), field.q) != ring.generator():
+            raise InternalCheckFailed(f"generator of {ring!r} is not Teichmuller")
     return ring
 
 

@@ -7,18 +7,20 @@ p-th-power congruence
 
     (1 + pi^{ns}<a> + pi^{ns+1} b)^p  ==  1 + pi^{(n+1)s}<a>   (mod higher)
 
-and decides by exhaustive closure whether lifts covering a chosen set of
-graded pieces generate all of G/G_n.
+and decides whether lifts covering a chosen set of graded pieces generate
+all of G/G_n.
 
 Elements are RamifiedOrder slot tuples; graded classes and congruences
 read Teichmuller digits only through the order's edge functions
 (residue, digits).
 
-Generation is decided by the compiled closure: on the order context
-O mod pi^n, each generator compiles to per-slot contribution tables read
-off the order's own product.  The direct closure (UnitQuotient,
-closure_direct) multiplies order elements one at a time; it is the
-independent reference the tests compare against.
+Generation is decided by a filtered echelon on the order context
+O mod pi^n (closure_compiled): an induced polycyclic sequence for
+H cap G_1, one F_p echelon of leading classes per level, so no element of
+the quotient is listed and |H| comes out as |<t>| * p^(sum of ranks).
+The direct closure (UnitQuotient, closure_direct) lists every element of
+H, multiplying order elements one at a time; it is the independent
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -218,87 +220,61 @@ def closure_direct(quot: UnitQuotient, gens) -> int:
     return len(seen)
 
 
-class CompiledQuotient:
-    """G/G_n with per-generator contribution tables.
-
-    A state is a tuple of s dense indices, one per slot of the order
-    context O mod pi^n: slot j is a coefficient vector over Z/p^{m_j},
-    packed into one int with headroom so that accumulation is plain
-    integer addition.  Right multiplication by a fixed generator g is
-    additive, so g compiles to tables mapping each slot's dense index to
-    the packed slots of (that single-slot element) * g.
-    """
-
-    def __init__(self, ctx: RamifiedOrder):
-        self.ctx = ctx
-        self.s = s = ctx.s
-        self.mods = ctx.mods
-        # a packed slot sums at most s contributions, each below p^{m_0}
-        self.B = s * self.mods[0]
-        self.slot_vectors = [list(itertools.product(range(mod), repeat=s))
-                             for mod in self.mods]
-        self.slot_index = [{self._pack(v): k for k, v in enumerate(vecs)}
-                           for vecs in self.slot_vectors]
-        self.identity = tuple(index[self._pack(c)]
-                              for index, c in zip(self.slot_index, ctx.one()))
-
-    def _pack(self, vec) -> int:
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * self.B + c
-        return acc
-
-    def compile_generator(self, g) -> list:
-        """Per input slot i, the list of (output slot k, contribution
-        table) for the output slots that right multiplication by g
-        reaches from slot i."""
-        ctx, zero = self.ctx, self.ctx.zero()
-        out = []
-        for i, vecs in enumerate(self.slot_vectors):
-            prods = [ctx.mul(zero[:i] + (v,) + zero[i + 1:], g) for v in vecs]
-            out.append([(k, [self._pack(prod[k]) for prod in prods])
-                        for k in range(self.s)
-                        if any(any(prod[k]) for prod in prods)])
-        return out
-
-    def mul_by(self, state: tuple, contrib: list) -> tuple:
-        B = self.B
-        acc = [0] * self.s
-        for i, di in enumerate(state):
-            for k, tab in contrib[i]:
-                acc[k] += tab[di]
-        out = []
-        for k, packed in enumerate(acc):
-            mod, key, place = self.mods[k], 0, 1
-            for _ in range(self.s):
-                packed, c = divmod(packed, B)
-                key += (c % mod) * place
-                place *= B
-            out.append(self.slot_index[k][key])
-        return tuple(out)
+def _leading(ctx: RamifiedOrder, u):
+    """((level, coordinate), coefficient) of the leading F_p-coordinate of
+    u's class: level i is the first nonzero digit of u - 1, read as a
+    vector in F_p^s.  (None, 0) when u = 1."""
+    for i, d in enumerate(ctx.digits(ctx.sub(u, ctx.one()))):
+        if d:
+            j, c = next((j, c) for j, c in enumerate(ctx.field.coeffs(d)) if c)
+            return (i, j), c
+    return None, 0
 
 
 def closure_compiled(field: FieldSpec, r: int, n: int, covered,
                      guard: int) -> int:
+    """|H| for H the subgroup of G/G_n generated by
+    standard_generators(covered), without listing its elements.
+
+    Builds an induced polycyclic sequence for H cap G_1: an F_p echelon of
+    leading classes on every level, closed under p-th powers, commutators
+    and conjugation by the Teichmuller generator t.  Then
+    |H| = |<t>| * p^(echelon size); docs/certificates.md has the proof.
+    Raises GuardExceeded iff |H| > guard.
+    """
     ctx = order_over(field, r, n)
-    cq = CompiledQuotient(ctx)
-    contribs = [cq.compile_generator(g)
-                for g in standard_generators(ctx, covered)]
-    ident = cq.identity
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for contrib in contribs:
-                v = cq.mul_by(u, contrib)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-        if len(seen) > guard:
-            raise GuardExceeded(f"closure exceeded guard {guard}")
-    return len(seen)
+    p, one = field.p, ctx.one()
+    gens = standard_generators(ctx, covered)
+    t = gens.pop(0) if 0 in covered else None
+    if t is not None:
+        if ctx.residue(t) != field.generator() or ctx.pow(t, field.q - 1) != one:
+            raise InternalCheckFailed(
+                f"level-0 generator of {ctx!r} does not have order q - 1")
+        t_inv = ctx.inv(t)
+    echelon = {}    # (level, pivot coordinate) -> (pivot coefficient, inverse)
+    found = []      # (element, inverse) in the order they joined the echelon
+    queue = gens
+    while queue:
+        u = queue.pop()
+        key, c = _leading(ctx, u)
+        while key in echelon:
+            lead, b_inv = echelon[key]
+            u = ctx.mul(u, ctx.pow(b_inv, c * pow(lead, -1, p) % p))
+            key, c = _leading(ctx, u)
+        if key is None:
+            continue
+        u_inv = ctx.inv(u)
+        echelon[key] = (c, u_inv)
+        queue.append(ctx.pow(u, p))
+        queue.extend(ctx.mul(ctx.mul(u, f), ctx.mul(u_inv, f_inv))
+                     for f, f_inv in found)
+        if t is not None:
+            queue.append(ctx.mul(ctx.mul(t, u), t_inv))
+        found.append((u, u_inv))
+    size = (field.q - 1 if t is not None else 1) * p ** len(echelon)
+    if size > guard:
+        raise GuardExceeded(f"closure exceeded guard {guard}")
+    return size
 
 
 def generation_check(ctx: RamifiedOrder, n: int, covered,
@@ -308,8 +284,8 @@ def generation_check(ctx: RamifiedOrder, n: int, covered,
 
 def generation_report(ctx: RamifiedOrder, n: int, covered,
                       guard: int = 10 ** 7) -> dict:
-    """Closure enumeration of the subgroup generated by lifts covering
-    the chosen graded pieces, compared against |G/G_n|."""
+    """Order of the subgroup generated by lifts covering the chosen
+    graded pieces, compared against |G/G_n|."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     K = ctx.field

@@ -189,14 +189,23 @@ def test_format_svg_outside_plot_is_rejected(capsys):
     assert main(["np", "compare", "1/2x6", "1/2x6", "--format", "svg"]) == 4
 
 
-def test_units_verify_is_identical_under_optimize():
+def _assert_identical_under_optimize(*args):
     # every self-check raises explicitly, so python -O cannot drop one
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["-m", "slopelab.cli", "units", "verify", "--p", "2", "--s", "3",
-            "--n", "2", "--format", "json"]
+    argv = ["-m", "slopelab.cli", *args, "--format", "json"]
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv],
                                        env=env, capture_output=True, timeout=300)
                         for flags in ([], ["-O"]))
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout and plain.stdout == optimized.stdout
+
+
+def test_units_verify_is_identical_under_optimize():
+    _assert_identical_under_optimize("units", "verify", "--p", "2", "--s", "3",
+                                     "--n", "2")
+
+
+def test_certify_is_identical_under_optimize():
+    _assert_identical_under_optimize("certify", "--base", "ss6", "--lambda",
+                                     "1/3", "--p", "2", "--guard", "100000")

@@ -1,5 +1,7 @@
 """Graded unit filtration, power congruences, and generation checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -117,6 +119,16 @@ def test_p2_deeper_levels_pass():
         assert pth_power_check(ctx, alpha, ctx.zero(), 2)
 
 
+def test_p2_lifts_covering_0_1_s_still_generate():
+    # the depth-one square anomaly does not stop lifts covering {0, 1, s}
+    # from generating at p = 2, to depth 2s and to depth s + 1 at s = 5
+    for s, r, n in ((3, 1, 6), (4, 1, 8), (5, 1, 6), (5, 2, 6)):
+        ctx = order_over(field_make(2, s), r, n)
+        rep = generation_report(ctx, n, [0, 1, s], guard=10 ** 10)
+        assert rep["generates"], (s, r, n)
+        assert rep["order"] == (2 ** s - 1) * 2 ** (s * (n - 1))
+
+
 def test_quotient_order_and_canonical_forms():
     quot = quotient_make(Fraction(1, 2), 3, 3)
     assert quot.order == 648
@@ -126,9 +138,11 @@ def test_quotient_order_and_canonical_forms():
     assert quot.canonical(quot.lift(u)) == u
 
 
-def test_generation_direct_equals_compiled():
-    # the direct closure multiplies order elements one at a time; the
-    # library's compiled closure must find the same subgroup order
+def test_generation_echelon_equals_direct():
+    # the direct closure multiplies order elements one at a time and lists
+    # every state; the library's echelon lists none and must find the same
+    # subgroup order: first on frozen cases, then on every covered set of
+    # size <= 3 (with and without piece 0) of every small quotient
     F8, F27 = field_make(2, 3), field_make(3, 3)
     cases = [(F9, 1, 3, {0, 1}, 648), (F9, 1, 3, {0}, 8),
              (F8, 1, 1, {0}, 7), (F8, 1, 2, {0, 1}, 56),
@@ -142,11 +156,28 @@ def test_generation_direct_equals_compiled():
         rep = generation_report(ctx, n, covered)
         assert rep["order"] == direct == want, (K.q, r, n, covered)
         assert rep["generates"] == (direct == (K.q - 1) * K.q ** (n - 1))
+    swept = 0
+    for p, s in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+                 (3, 5), (5, 2), (5, 3), (5, 4)):
+        K = field_make(p, s)
+        for r in (r for r in range(1, s) if math.gcd(r, s) == 1):
+            n = 1
+            while (K.q - 1) * K.q ** (n - 1) <= 800:
+                ctx = order_over(K, r, n)
+                for size in range(4):
+                    for covered in itertools.combinations(range(n), size):
+                        direct = closure_direct(
+                            UnitQuotient(ctx, n),
+                            standard_generators(ctx, covered))
+                        rep = generation_report(ctx, n, covered)
+                        assert rep["order"] == direct, (p, s, r, n, covered)
+                        swept += 1
+                n += 1
+    assert swept == 155
 
 
-def test_generation_large_residue_field_within_headroom():
-    # s = 11: a packed slot sums at most s contributions, so the packing
-    # headroom grows with s instead of capping it
+def test_generation_depth_one_over_f2048():
+    # s = 11: the residue generator alone fills G/G_1 = F_2048^x
     rep = generation_report(order_over(field_make(2, 11), 1, 2), 1, [0])
     assert rep["order"] == 2047 and rep["generates"]
 

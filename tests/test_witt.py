@@ -3,6 +3,9 @@ import random
 import pytest
 
 from slopelab.arith import field_make, witt_for, witt_make
+from slopelab.arith.fields import FieldSpec
+from slopelab.arith.witt import WittRing
+from slopelab.errors import InternalCheckFailed
 
 
 def test_digits_of_two_in_length_two_over_f2():
@@ -122,3 +125,48 @@ def test_precision_tower_consistency():
         s3 = W3.digits(W3.mul(x3, x3))
         s2 = W2.digits(W2.mul(x2, x2))
         assert s3[:2] == s2
+
+
+# Each proof check below raises explicitly, so python -O keeps it.  A ring
+# built on a modulus that is not the canonical Teichmuller lift (or a field
+# spec on a reducible polynomial) is the only way to reach them.
+
+
+def test_pow_rejects_negative_exponent():
+    W = witt_for(2, 2, 2)
+    with pytest.raises(ValueError):
+        W.pow(W.one(), -1)
+
+
+def test_inverse_check_raises_on_foreign_modulus():
+    # x^3 + x^2 + 1 is irreducible but is not the modulus of F_8, so the
+    # field's residue inverse is no inverse in this ring
+    F8 = field_make(2, 3)
+    W = WittRing(F8, 3, (1, 0, 1, 1))
+    with pytest.raises(InternalCheckFailed):
+        W.inv((0, 1, 0))
+
+
+def test_teichmuller_check_raises_when_iteration_cycles():
+    # mod x^3 + 1 = (x + 1)(x^2 + x + 1), z -> z^8 swaps omega and omega^2
+    W = WittRing(field_make(2, 3), 2, (1, 0, 0, 1))
+    with pytest.raises(InternalCheckFailed):
+        W.teichmuller(2)
+
+
+def test_digits_check_raises_when_lift_loses_residue():
+    # mod x^2 the lift of x iterates to 0, whose residue is not x
+    W = WittRing(field_make(2, 2), 2, (0, 0, 1))
+    with pytest.raises(InternalCheckFailed):
+        W.digits((0, 1))
+
+
+@pytest.mark.parametrize("p, modulus, why", [
+    (2, (1, 0, 0, 1), "Teichmuller generator diverged"),
+    (2, (0, 1, 1), "not a scalar"),
+    (2, (0, 0, 1), "not Teichmuller"),
+])
+def test_canonical_modulus_checks_raise_on_reducible_field(p, modulus, why):
+    field = FieldSpec(p, len(modulus) - 1, modulus)
+    with pytest.raises(InternalCheckFailed, match=why):
+        witt_make(field, 2)
