@@ -18,15 +18,18 @@ seed = 0 gives the lexicographically least choice.  The count of monic
 irreducibles is computed exactly (Mobius inversion), so the seed wraps around
 deterministically.
 
-Multiplication, inversion, powers and Frobenius go through exp/log tables with
-respect to a fixed multiplicative generator; building the tables is O(q) once
-per context and every subsequent operation is O(1).
+Every operation is O(1) through exp/log tables for a fixed generator g, built
+once per context in O(q).  Addition uses Zech logarithms Z(k) = log(1 + g^k):
+a + b = g^(log a + Z(log b - log a)) for nonzero a, b, and the sum is 0 where
+Z is undefined (g^k = -1).  Negation shifts log a by log(-1) = log(p - 1).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+from ..errors import InternalCheckFailed
 
 
 def _is_prime(n: int) -> bool:
@@ -118,7 +121,8 @@ def poly_mul(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
 
 def poly_rem(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
     """Remainder of f modulo g (g nonzero)."""
-    assert g, "division by zero polynomial"
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
     f = list(f)
     dg = len(g) - 1
     inv_lead = K.inv(g[-1])
@@ -184,7 +188,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "s", "q", "modulus", "seed",
-        "_exp", "_log", "_gen", "_add_table", "_frob_mult",
+        "_exp", "_log", "_zech", "_log_minus_one", "_gen", "_frob_mult",
     )
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], seed: int = 0):
@@ -193,11 +197,7 @@ class FieldSpec:
         self.q = p ** s
         self.modulus = modulus  # length s+1, monic, entries in [0, p)
         self.seed = seed
-        self._add_table: list[int] | None = None
         self._build_tables()
-        if self.q <= 1024:
-            q = self.q
-            self._add_table = [self.add(a, b) for a in range(q) for b in range(q)]
 
     # -- encoding ----------------------------------------------------------
 
@@ -224,28 +224,21 @@ class FieldSpec:
     # -- additive structure ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self._add_table
-        if t is not None:
-            return t[a * self.q + b]
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.s):
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * mult
-            mult *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        q1 = self.q - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % q1]
+        if z is None:
+            return 0
+        return self._exp[(la + z) % q1]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.s):
-            a, r = divmod(a, p)
-            out += (-r % p) * mult
-            mult *= p
-        return out
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log_minus_one) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -270,41 +263,36 @@ class FieldSpec:
                     prod[k - s + i] = (prod[k - s + i] - c * self.modulus[i]) % p
         return self.encode(prod[:s])
 
+    def _pow_raw(self, a: int, e: int) -> int:
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul_raw(acc, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return acc
+
     def _build_tables(self) -> None:
-        q = self.q
-        if q == 2:
-            self._gen, self._exp, self._log = 1, [1], [None, 0]
-            self._frob_mult = [1]
-            return
-        factors = list(_factor(q - 1))
-        gen = None
-        for g in range(2, q):
-            ok = True
-            for t in factors:
-                # g is a generator iff g^{(q-1)/t} != 1 for every prime t | q-1
-                acc = 1
-                e = (q - 1) // t
-                base = g
-                while e:
-                    if e & 1:
-                        acc = self._mul_raw(acc, base)
-                    base = self._mul_raw(base, base)
-                    e >>= 1
-                if acc == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = g
-                break
-        assert gen is not None, "cyclic group must have a generator"
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
+        q, p, q1 = self.q, self.p, self.q - 1
+        # g generates iff g^(q-1) = 1 and g^((q-1)/t) != 1 for each prime t | q-1
+        # (g = 1 only for q = 2).  Such a unit of order q - 1 exists iff every
+        # nonzero residue is a unit, that is iff the modulus is irreducible.
+        gen = next((g for g in range(1, q) if self._pow_raw(g, q1) == 1
+                    and all(self._pow_raw(g, q1 // t) != 1 for t in _factor(q1))),
+                   None)
+        if gen is None:
+            raise ValueError(f"{list(self.modulus)} is not irreducible over F_{p}")
+        exp = [1] * q1
+        for i in range(1, q1):
             exp[i] = self._mul_raw(exp[i - 1], gen)
         log: list[int | None] = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
         self._gen, self._exp, self._log = gen, exp, log
-        self._frob_mult = [pow(self.p, k, q - 1) for k in range(self.s)]
+        # 1 + v changes only the constant digit of v; log[0] is None
+        self._zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+        self._log_minus_one = log[p - 1]
+        self._frob_mult = [pow(p, k, q1) for k in range(self.s)]
 
     def generator(self) -> int:
         """A fixed generator of the multiplicative group."""
@@ -371,7 +359,8 @@ class FieldSpec:
             if poly_eval(self, modulus, a) == 0:
                 root = a
                 break
-        assert root is not None, "modulus must split in the extension"
+        if root is None:
+            raise InternalCheckFailed(f"{modulus} has no root in F_{self.q}")
         table = [0] * sub.q
         for a in sub.elements():
             img = 0
@@ -429,4 +418,4 @@ def field_make(p: int, s: int, seed: int = 0) -> FieldSpec:
             if seen == idx:
                 return FieldSpec(p, s, tuple(f), seed)
             seen += 1
-    raise AssertionError("irreducible count and enumeration disagree")
+    raise InternalCheckFailed("irreducible count and enumeration disagree")

@@ -182,7 +182,8 @@ class SymCoeffOps:
         """
         ring = ring or self.ring
         if embed is None:
-            assert ring is self.ring
+            if ring is not self.ring:
+                raise ValueError(f"specializing into foreign {ring!r} needs embed")
             out = a.base
         else:
             out = embed(a.base)

@@ -312,6 +312,7 @@ def witt_embed(src: WittRing, dst: WittRing, a: WittElt) -> WittElt:
     since the carry laws are universal polynomials over the prime field.
     Requires dst at least as long as src to lose nothing.
     """
-    assert dst.m >= src.m
+    if dst.m < src.m:
+        raise ValueError(f"cannot embed length {src.m} into length {dst.m}")
     table = dst.field.embed_from(src.field)
     return dst.from_digits([table[d] for d in src.digits(a)])

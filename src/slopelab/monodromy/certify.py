@@ -26,7 +26,7 @@ from .. import unitgroup
 from ..arith.fields import field_make
 from ..arith.ramified import order_over
 from ..display import DeformationSpec, display_polygon, normal_form_check
-from ..errors import GuardExceeded, PreconditionError
+from ..errors import GuardExceeded, InternalCheckFailed, PreconditionError
 from .artinschreier import additive_make
 from .equations import first_witt_equation, graded_equations, monodromy_equation
 from .slab import CertificateInapplicable, no_solution_certificate, slab_make
@@ -76,7 +76,8 @@ def _graded_leg(spec: DeformationSpec, eq, graded, ell: int,
         return {"piece": ell, "status": "failed",
                 "evidence": {"error": f"stratum P({ell}) is empty"}}
     geq = graded[ell - 1]
-    assert geq.level == ell
+    if geq.level != ell:
+        raise InternalCheckFailed(f"graded equation {ell} has level {geq.level}")
     frob = additive_make(field, {s: 1, 0: field.neg(1)})
     feedback = []
     for (x0, y0) in points:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from ..arith.fields import field_make
 from ..arith.twisted import SymCoeff, TwistedPoly
 from ..display import DeformationSpec, display_polygon
-from ..errors import PreconditionError
+from ..errors import InternalCheckFailed, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -234,8 +234,9 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
     p = field.p
     pair = (p ** h - p ** (h - s), p ** (h - d - r))
     factored = (p ** (h - s), p ** s - 1)
-    assert pair[0] == factored[0] * factored[1]
-    assert anchor.twist % field.s == (h - d - r) % field.s
+    if (pair[0] != factored[0] * factored[1]
+            or anchor.twist % field.s != (h - d - r) % field.s):
+        raise InternalCheckFailed(f"anchor twist {anchor.twist} does not fit {pair}")
 
     q = field.q
     group_order = q - 1
@@ -255,7 +256,8 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
             if ext.pow(w, dd * cofactor) == 1:
                 deg = dd
                 break
-        assert deg is not None and group_order % deg == 0
+        if deg is None or group_order % deg:
+            raise InternalCheckFailed(f"no splitting degree for sample {u}")
         if deg == group_order:
             attained = True
         out.append((u, deg))
@@ -328,7 +330,8 @@ def graded_equations(spec: DeformationSpec,
                         "const", t.value, 0, t.sign))
                 else:
                     y = (j + r * x) // s
-                    assert s * y - r * x == j
+                    if s * y - r * x != j:
+                        raise InternalCheckFailed(f"symbol at x = {x} off level {j}")
                     terms.append(GradedTerm(
                         j, x, p ** (h - x) - p ** h, ell - j, p ** (h - x),
                         "symbol", t.value, p ** (h - d - y), t.sign))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InternalCheckFailed, PreconditionError
 
 
 class NonConvex(PreconditionError):
@@ -261,10 +261,10 @@ def attainable(np0: NewtonPolygon, lam) -> AttainabilityWitness | None:
         if not lam <= chord <= 1:
             return None
     nu = np_from_points(list(np0.breakpoints()) + [(vx, vy)])
-    assert nu.endpoint == (h, e)
-    assert nu.width_of_slope(lam) == s
-    assert [sg for sg in nu.segments if sg[0] < lam] == \
-        [sg for sg in np0.segments if sg[0] < lam]
+    if (nu.endpoint != (h, e) or nu.width_of_slope(lam) != s
+            or [sg for sg in nu.segments if sg[0] < lam]
+            != [sg for sg in np0.segments if sg[0] < lam]):
+        raise InternalCheckFailed(f"{nu} does not adjoin {lam} once to {np0}")
     return AttainabilityWitness(lam, (s, r), (vx, vy), nu)
 
 
@@ -302,7 +302,8 @@ def symmetric_adjoin(np: NewtonPolygon, lam) -> NewtonPolygon:
         raise PointUnreachable(f"width {s} pair does not fit under endpoint {(h, g)}")
     mirror = involution_point(g, (s, r))
     out = np_from_points(list(np.breakpoints()) + [(s, r), mirror])
-    assert is_symmetric(out)
+    if not is_symmetric(out):
+        raise InternalCheckFailed(f"adjoining {lam} to {np} broke symmetry: {out}")
     return out
 
 

@@ -152,6 +152,32 @@ def splitting_degree_by_factoring(K, f):
     raise AssertionError("no root in any extension up to the degree")
 
 
+# -- finite field addition, digit by digit ---------------------------------
+
+# An element of F_{p^s} is the int sum c_i p^i of its coefficients, so
+# addition and negation act on each base-p digit mod p, with no carries.
+# This needs neither the modulus nor any table.
+
+
+def field_digit_add(p, s, a, b):
+    out, mult = 0, 1
+    for _ in range(s):
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        out += (ra + rb) % p * mult
+        mult *= p
+    return out
+
+
+def field_digit_neg(p, s, a):
+    out, mult = 0, 1
+    for _ in range(s):
+        a, r = divmod(a, p)
+        out += -r % p * mult
+        mult *= p
+    return out
+
+
 # -- the ramified order in digit form ---------------------------------------
 #
 # The order W(F_q)[pi], pi^s = p, x pi = pi x^{sigma^r}, mod pi^N, computed

@@ -1,9 +1,13 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from slopelab.arith import field_make
-from slopelab.arith.fields import poly_eval, poly_gcd
+from slopelab.arith.fields import FieldSpec, _irreducible, poly_eval, poly_gcd, poly_rem
+from slopelab.errors import InternalCheckFailed
+
+from oracles import field_digit_add, field_digit_neg
 
 
 def test_modulus_is_irreducible_small():
@@ -17,8 +21,9 @@ def test_modulus_is_irreducible_small():
             assert F.pow(a, F.q) == a
 
 
-def test_field_axioms_exhaustive_q4_q9():
-    for p, s in [(2, 2), (3, 2)]:
+def test_field_axioms_exhaustive_up_to_q9():
+    # F_2 has the degenerate Zech table [None]: 1 + g^0 = 0
+    for p, s in [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]:
         F = field_make(p, s)
         els = F.elements()
         for a in els:
@@ -92,12 +97,49 @@ def test_seed_selects_distinct_moduli():
 
 
 def test_add_matches_digitwise_carryless():
-    F = field_make(3, 2)
-    for a in F.elements():
-        for b in F.elements():
-            da, db = F.coeffs(a), F.coeffs(b)
-            manual = F.encode([(x + y) % 3 for x, y in zip(da, db)])
-            assert F.add(a, b) == manual
+    def check(F, pairs):
+        p, s = F.p, F.s
+        for a, b in pairs:
+            assert F.add(a, b) == field_digit_add(p, s, a, b)
+            assert F.neg(b) == field_digit_neg(p, s, b)
+            assert F.sub(a, b) == field_digit_add(p, s, a, field_digit_neg(p, s, b))
+
+    for p, s in [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]:
+        F = field_make(p, s)
+        check(F, [(a, b) for a in F.elements() for b in F.elements()])
+    rng = random.Random(5)
+    for p, s in [(2, 11), (3, 7)]:
+        F = field_make(p, s)
+        check(F, [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)])
+
+
+def test_reducible_modulus_is_rejected():
+    # x^3 + 1 = (x + 1)(x^2 + x + 1) over F_2: x passes the prime-divisor
+    # test for q - 1 = 7 but has order 3, so x^7 != 1
+    with pytest.raises(ValueError, match="not irreducible"):
+        FieldSpec(2, 3, (1, 0, 0, 1))
+    # all 121 monic moduli of these degrees: the check is exactly irreducibility
+    for p, s in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]:
+        for enc in range(p ** s):
+            modulus = tuple(enc // p ** i % p for i in range(s)) + (1,)
+            try:
+                FieldSpec(p, s, modulus)
+                built = True
+            except ValueError:
+                built = False
+            assert built == _irreducible(p, list(modulus)), modulus
+
+
+def test_poly_rem_by_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError):
+        poly_rem(field_make(3, 1), [1, 2], [])
+
+
+def test_embed_from_raises_when_modulus_has_no_root():
+    # a stand-in for F_3 presented by x^2 + 1, which has no root in F_3
+    sub = SimpleNamespace(p=3, s=1, q=3, modulus=(1, 0, 1))
+    with pytest.raises(InternalCheckFailed, match="no root"):
+        field_make(3, 1).embed_from(sub)
 
 
 def test_poly_gcd_basics():

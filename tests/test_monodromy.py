@@ -12,7 +12,7 @@ from slopelab.arith.fields import field_make
 from slopelab.arith.twisted import TwistedPoly, WittCoeffOps
 from slopelab.display import (charpoly, charpoly_polygon, deformation,
                               display_normal, split_display)
-from slopelab.errors import PreconditionError
+from slopelab.errors import InternalCheckFailed, PreconditionError
 from slopelab.monodromy.certify import largeness_certificate
 from slopelab.monodromy.equations import (EqTerm, MonodromyEquation,
                                           demazure_slope, first_witt_equation,
@@ -197,6 +197,14 @@ def test_first_witt_degenerate_exponents():
         first_witt_equation(eq, field=field_make(3, 3))
 
 
+def test_first_witt_rejects_anchor_with_wrong_twist():
+    # slope 1/2 with h - d - r = 1 needs an anchor twisted by sigma^1 mod 2
+    eq = MonodromyEquation(4, 2, Fraction(1, 2),
+                           {2: (EqTerm("symbol", 0, "u(2,1)", 0),)})
+    with pytest.raises(InternalCheckFailed, match="anchor twist"):
+        first_witt_equation(eq, field=field_make(3, 2))
+
+
 # -- graded tower ---------------------------------------------------------
 
 
@@ -218,6 +226,15 @@ def test_graded_running_instance():
     lvl3 = eqs[2].terms
     assert any(t.kind == "symbol" and t.value == "u(3,2)" for t in lvl3)
     assert any(t.kind == "const" and t.x == 6 and t.value == 1 for t in lvl3)
+
+
+def test_graded_rejects_symbol_off_its_level():
+    # at slope 1/3 a symbol at x = 1 sits on a level j = 3y - 1, never j = 1
+    _, _, spec = running_instance()
+    eq = MonodromyEquation(6, 3, Fraction(1, 3),
+                           {1: (EqTerm("symbol", 1, "u(1,0)", 0),)})
+    with pytest.raises(InternalCheckFailed, match="off level 1"):
+        graded_equations(spec, eq)
 
 
 def test_graded_references_only_earlier_unknowns():

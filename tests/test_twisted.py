@@ -92,3 +92,12 @@ def test_symbolic_in_twisted_product_with_unit_scalars():
     prod = TwistedPoly(ops, {2: ops.one()}).mul(TwistedPoly(ops, {0: u}))
     (term,) = prod.coeff(2).terms
     assert term.twist == 2
+
+
+def test_specialize_into_foreign_ring_needs_embed():
+    W = witt_for(3, 2, 3)
+    ops = SymCoeffOps(W)
+    u = ops.symbol("u")
+    assert ops.specialize(u, {"u": 1}) == W.one()
+    with pytest.raises(ValueError, match="needs embed"):
+        ops.specialize(u, {"u": 1}, ring=witt_for(3, 4, 3))

@@ -1,11 +1,13 @@
 import random
+from collections import namedtuple
 
 import pytest
 
 from slopelab.arith import field_make, witt_for, witt_make
-from slopelab.arith.fields import FieldSpec
-from slopelab.arith.witt import WittRing
+from slopelab.arith.witt import WittRing, witt_embed
 from slopelab.errors import InternalCheckFailed
+
+ReducibleField = namedtuple("ReducibleField", "p s q modulus")
 
 
 def test_digits_of_two_in_length_two_over_f2():
@@ -167,6 +169,15 @@ def test_digits_check_raises_when_lift_loses_residue():
     (2, (0, 0, 1), "not Teichmuller"),
 ])
 def test_canonical_modulus_checks_raise_on_reducible_field(p, modulus, why):
-    field = FieldSpec(p, len(modulus) - 1, modulus)
+    # FieldSpec rejects these moduli, so the Witt checks get a stand-in with
+    # the only field attributes they read
+    s = len(modulus) - 1
+    field = ReducibleField(p, s, p ** s, modulus)
     with pytest.raises(InternalCheckFailed, match=why):
         witt_make(field, 2)
+
+
+def test_witt_embed_rejects_shorter_target():
+    src, dst = witt_for(2, 2, 3), witt_for(2, 4, 2)
+    with pytest.raises(ValueError, match="cannot embed"):
+        witt_embed(src, dst, src.one())
