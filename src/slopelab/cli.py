@@ -36,7 +36,8 @@ from .arith.fields import field_make
 from .arith.ramified import order_over
 from .arith.witt import witt_for
 from .display import deformation, display_polygon, split_display, strata
-from .errors import CliParseError, InternalCheckFailed, PreconditionError
+from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
+                     PreconditionError, SolutionFound)
 from .monodromy import (as_reducible, as_reducible_oracle,
                         largeness_certificate, monodromy_equation)
 from .polygon import adjoin, attainable, compare, np_make, symmetric_adjoin
@@ -273,6 +274,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 def cmd_as(cfg: RunConfig, args) -> int:
     p, s = parse_field_name(args.field)
+    if p ** s > cfg.guard:
+        raise GuardExceeded(f"F_{p ** s} exceeds guard {cfg.guard}")
     K = field_make(p, s, cfg.seed)
     if args.all:
         values = list(K.elements())
@@ -522,6 +525,9 @@ def main(argv=None) -> int:
         return 2
     except InternalCheckFailed as err:
         print(f"slopelab: internal check failed: {err}", file=sys.stderr)
+        return 3
+    except SolutionFound as err:
+        print(f"slopelab: no certificate: {err}", file=sys.stderr)
         return 3
 
 

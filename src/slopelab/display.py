@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly, WittCoeffOps
 from .arith.witt import WittElt, WittRing, witt_embed
-from .errors import PreconditionError
+from .errors import InternalCheckFailed, PreconditionError
 from .polygon import (
     NewtonPolygon,
     adjoin,
@@ -467,7 +467,7 @@ def pol_strata(g: int, np0: NewtonPolygon, lam) -> PolarizedStrata:
     for pt in active:
         img = inv_np(g, pt)
         if img in region and not (img[1] >= np_star.value_at(img[0])):
-            raise AssertionError(f"involution broke the active set at {pt}")
+            raise InternalCheckFailed(f"involution broke the active set at {pt}")
     layers: dict[int, set] = {}
     for x, y in active:
         layers.setdefault(s * y - r * x, set()).add((x, y))

@@ -5,6 +5,8 @@ rejection, including guard-budget overruns; the CLI maps it to exit code 2.
 CliParseError covers malformed command-line input (exit code 4).
 InternalCheckFailed is raised when a check that carries a proof fails
 (exit code 3); it is an explicit raise, so `python -O` cannot remove it.
+SolutionFound is raised when a no-solution search meets a genuine
+solution, so no certificate exists (exit code 3).
 Failed verifications are not exceptions: they come back as structured
 reports.
 """
@@ -27,4 +29,8 @@ class CliParseError(SlopelabError):
 
 
 class InternalCheckFailed(SlopelabError):
+    pass
+
+
+class SolutionFound(SlopelabError):
     pass

@@ -2,7 +2,7 @@
 
 from .artinschreier import (AdditivePolynomial, additive_from_dense,
                             additive_make, as_reducible, as_reducible_oracle,
-                            enumerate_subgroups, span, subgroup_polynomial)
+                            enumerate_subgroups, subgroup_polynomial)
 from .certify import largeness_certificate
 from .equations import (DemazureData, EqTerm, FirstWittData, GradedEquation,
                         GradedTerm, MonodromyEquation, demazure_slope,
@@ -14,7 +14,7 @@ from .slab import (CertificateInapplicable, LaurentSlab, laurent_projector,
 
 __all__ = [
     "AdditivePolynomial", "additive_from_dense", "additive_make",
-    "as_reducible", "as_reducible_oracle", "enumerate_subgroups", "span",
+    "as_reducible", "as_reducible_oracle", "enumerate_subgroups",
     "subgroup_polynomial", "largeness_certificate", "DemazureData", "EqTerm",
     "FirstWittData", "GradedEquation", "GradedTerm", "MonodromyEquation",
     "demazure_slope", "first_witt_equation", "graded_equations",

@@ -6,17 +6,23 @@ degree and any proper factorization is governed by the additive subgroups
 of F_q: the polynomial is reducible over K exactly when A = f_G(a) for
 some a in K and some nonzero subgroup G, where f_G = prod_{g in G}(X - g).
 
-Everything here is finite and exhaustive; the factoring-based check in
-`as_reducible_oracle` shares no code with the subgroup criterion.
+f_G is F_p-linear on K with kernel G, so the criterion is linear algebra:
+for each G, A is tested for membership in the image of f_G, spanned by
+f_G(x^i) for i < s, and a preimage a0 gives every solution a0 + G.  The
+factoring-based check in `as_reducible_oracle` shares no code with the
+subgroup criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from ..arith import fields
 from ..arith.fields import FieldSpec
-from ..errors import PreconditionError
+from ..arith.linalg import Echelon, combine, rref_bases
+from ..errors import InternalCheckFailed, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -83,40 +89,21 @@ def additive_from_dense(field: FieldSpec, dense: list[int]) -> AdditivePolynomia
     return additive_make(field, out)
 
 
-def span(field: FieldSpec, gens) -> frozenset:
-    """Additive closure of a generator set: the F_p-span."""
-    seen = {0}
-    for g in gens:
-        if g in seen:
-            continue
-        mult = [0]
-        acc = 0
-        for _ in range(field.p - 1):
-            acc = field.add(acc, g)
-            mult.append(acc)
-        seen = {field.add(a, m) for a in seen for m in mult}
-    return frozenset(seen)
-
-
 def enumerate_subgroups(field: FieldSpec, ambient=None) -> list[frozenset]:
     """All additive subgroups of `ambient` (default: the whole field),
-    grown one generator at a time and deduplicated."""
+    sorted by (size, elements): one per reduced row-echelon basis over a
+    basis of the F_p-span of `ambient`."""
     if ambient is None:
-        ambient = frozenset(field.elements())
-    levels = [{frozenset({0})}]
-    while True:
-        cur = levels[-1]
-        nxt = set()
-        for G in cur:
-            for v in ambient:
-                if v not in G:
-                    nxt.add(span(field, list(G) + [v]))
-        if not nxt:
-            break
-        levels.append(nxt)
-    out = sorted({g for lev in levels for g in lev},
-                 key=lambda G: (len(G), sorted(G)))
-    return out
+        ambient = field.elements()
+    p = field.p
+    basis_of = Echelon(p)
+    basis = [v for v in map(field.coeffs, ambient) if basis_of.insert(v)]
+    out = []
+    for rows in rref_bases(p, len(basis)):
+        gens = [combine(p, row, basis) for row in rows]
+        out.append(frozenset(field.encode(combine(p, c, gens))
+                             for c in product(range(p), repeat=len(gens))))
+    return sorted(out, key=lambda G: (len(G), sorted(G)))
 
 
 def subgroup_polynomial(field: FieldSpec, G) -> AdditivePolynomial:
@@ -146,20 +133,44 @@ def _check_subfield(K: FieldSpec, q: int) -> FieldSpec:
     return t
 
 
+@lru_cache(maxsize=64)
+def _image_table(K: FieldSpec, q: int) -> tuple:
+    """(G, f_G, echelon of f_G(x^i) for i < s) for each nontrivial
+    subgroup G of the copy of F_q in K, in `enumerate_subgroups` order.
+    x^i has code p^i, so a membership combination c is the code of a
+    preimage."""
+    table = []
+    for G in enumerate_subgroups(K, K.subfield_elements(q)):
+        if len(G) == 1:
+            continue
+        f = subgroup_polynomial(K, G)
+        image = Echelon(K.p)
+        for i in range(K.s):
+            image.insert(K.coeffs(f.eval(K.p ** i)))
+        table.append((G, f, image))
+    return tuple(table)
+
+
 def as_reducible(K: FieldSpec, q: int, A: int):
     """Subgroup-image criterion for reducibility of X^q - X - A over K.
 
     Returns (True, (G, a)) with a witness f_G(a) = A, or (False, None).
+    G is the first subgroup in `enumerate_subgroups` order whose f_G hits
+    A, and a is the least code among the preimages a0 + G.
     """
     _check_subfield(K, q)
-    copy = frozenset(K.subfield_elements(q))
-    for G in enumerate_subgroups(K, copy):
-        if len(G) == 1:
+    if not 0 <= A < K.q:
+        raise ValueError(f"{A} is not a field element code")
+    target = K.coeffs(A)
+    for G, f, image in _image_table(K, q):
+        c = image.member(target)
+        if c is None:
             continue
-        f = subgroup_polynomial(K, G)
-        for a in K.elements():
-            if f.eval(a) == A:
-                return True, (G, a)
+        a0 = K.encode(c)
+        a = min(K.add(a0, g) for g in G)
+        if f.eval(a) != A:
+            raise InternalCheckFailed(f"f_G({a}) != {A} for G = {sorted(G)}")
+        return True, (G, a)
     return False, None
 
 
@@ -179,4 +190,4 @@ def as_reducible_oracle(K: FieldSpec, q: int, A: int) -> bool:
         g = fields.poly_gcd(K, diff, f)
         if len(g) > 1:
             return m < q
-    raise AssertionError("no factor degree found up to q")
+    raise InternalCheckFailed("no factor degree found up to q")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ..arith.fields import FieldSpec
-from ..errors import GuardExceeded, PreconditionError
+from ..errors import GuardExceeded, PreconditionError, SolutionFound
 
 
 class CertificateInapplicable(PreconditionError):
@@ -168,8 +168,9 @@ def _w_poly_of_additive(F, x_poly: dict, p: int) -> dict:
 def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
                             guard: int = 10 ** 6) -> dict:
     """Certify that F(x) = A + B has no solution in the ambient Laurent
-    field.  Raises CertificateInapplicable when the shape is wrong and
-    GuardExceeded when the bounded search would be too large; a returned
+    field.  Raises CertificateInapplicable when the shape is wrong,
+    GuardExceeded when the bounded search would be too large and
+    SolutionFound when the search meets a genuine solution; a returned
     report always means the non-existence claim is established.
     """
     K = F.field
@@ -228,7 +229,7 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
         x_poly = {k: c for k, c in enumerate(coeffs) if c != 0}
         checked += 1
         if _w_poly_of_additive(F, x_poly, K.p) == target:
-            raise AssertionError(
+            raise SolutionFound(
                 f"projected equation has the solution {x_poly}; "
                 "no certificate exists")
     report["branch"] = "search"

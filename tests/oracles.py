@@ -152,6 +152,68 @@ def splitting_degree_by_factoring(K, f):
     raise AssertionError("no root in any extension up to the degree")
 
 
+# -- Artin-Schreier reducibility, exhaustively ------------------------------
+#
+# Subgroups are grown as Python sets and f_G(a) is evaluated as the product
+# prod_{g in G}(a - g) that defines it, so nothing here touches the linear
+# algebra of the library criterion.
+
+
+def _extend(field, G, g):
+    """G + F_p g for an additive subgroup G, as a set."""
+    mult = [0]
+    for _ in range(field.p - 1):
+        mult.append(field.add(mult[-1], g))
+    return frozenset(field.add(a, m) for a in G for m in mult)
+
+
+def span(field, gens):
+    """Additive closure of a generator set: the F_p-span."""
+    seen = frozenset({0})
+    for g in gens:
+        if g not in seen:
+            seen = _extend(field, seen, g)
+    return seen
+
+
+@lru_cache(maxsize=None)
+def additive_subgroups(field, ambient: tuple):
+    """All additive subgroups of the subgroup `ambient`, grown one
+    generator at a time and deduplicated, sorted by (size, elements)."""
+    levels = [{frozenset({0})}]
+    while True:
+        nxt = set()
+        for G in levels[-1]:
+            covered = set(G)
+            for v in ambient:
+                if v not in covered:
+                    H = _extend(field, G, v)
+                    nxt.add(H)
+                    covered |= H
+        if not nxt:
+            break
+        levels.append(nxt)
+    return sorted({G for lev in levels for G in lev},
+                  key=lambda G: (len(G), sorted(G)))
+
+
+def as_reducible_exhaustive(K, q, A):
+    """(True, (G, a)) for the first nontrivial subgroup G of the copy of
+    F_q in K, in sorted order, and the least a in K with
+    prod_{g in G}(a - g) = A; (False, None) if there is none."""
+    copy = tuple(a for a in K.elements() if K.pow(a, q) == a)
+    for G in additive_subgroups(K, copy):
+        if len(G) == 1:
+            continue
+        for a in K.elements():
+            value = 1
+            for g in G:
+                value = K.mul(value, K.sub(a, g))
+            if value == A:
+                return True, (G, a)
+    return False, None
+
+
 # -- finite field addition, digit by digit ---------------------------------
 
 # An element of F_{p^s} is the int sum c_i p^i of its coefficients, so

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from oracles import additive_subgroups, as_reducible_exhaustive, span
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
 from slopelab.errors import PreconditionError
 from slopelab.monodromy.artinschreier import (additive_from_dense,
                                               as_reducible,
                                               as_reducible_oracle,
-                                              enumerate_subgroups, span,
+                                              enumerate_subgroups,
                                               subgroup_polynomial)
 
 F2 = field_make(2, 1)
@@ -46,6 +47,23 @@ def test_subgroup_counts():
     assert len(enumerate_subgroups(F16)) == 67
 
 
+def gaussian_binomial(t, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (t - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def test_subgroup_count_is_a_sum_of_gaussian_binomials():
+    for p, t in ((2, 1), (2, 3), (2, 5), (3, 3), (3, 4), (5, 2), (7, 2)):
+        K = field_make(p, t)
+        subgroups = enumerate_subgroups(K)
+        assert len(subgroups) == len(set(subgroups)) == \
+            sum(gaussian_binomial(t, k, p) for k in range(t + 1)), (p, t)
+        assert subgroups == additive_subgroups(K, tuple(K.elements()))
+
+
 def test_non_subgroup_rejected():
     with pytest.raises(PreconditionError):
         subgroup_polynomial(F4, {0, 1, 2})    # not closed
@@ -54,6 +72,7 @@ def test_non_subgroup_rejected():
 
 
 def test_span_closure():
+    # the reference closure in tests/oracles.py
     assert span(F4, [1]) == frozenset({0, 1})
     assert span(F4, [1, 2]) == frozenset(F4.elements())
     assert span(F9, [1]) == frozenset({0, 1, 2})
@@ -124,6 +143,19 @@ def test_agreement_exhaustive():
                 (K.q, q, A)
 
 
+def test_linear_criterion_matches_exhaustive_witness():
+    # every A, every F_q inside K, |K| <= 81, three moduli per field; the
+    # exhaustive walk shares no code with the echelon
+    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+                 (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)):
+        for seed in range(3):
+            K = field_make(p, s, seed)
+            for t in (t for t in range(1, s + 1) if s % t == 0):
+                for A in K.elements():
+                    assert as_reducible(K, p ** t, A) == \
+                        as_reducible_exhaustive(K, p ** t, A), (K, t, A)
+
+
 def test_agreement_sampled_f27():
     K27 = field_make(3, 3)
     rng = random.Random(5)
@@ -137,3 +169,9 @@ def test_subfield_requirement():
         as_reducible(F8, 4, 1)                # F_4 not inside F_8
     with pytest.raises(PreconditionError):
         as_reducible_oracle(F9, 2, 1)         # wrong characteristic
+
+
+def test_criterion_rejects_a_non_element():
+    for A in (-1, 9):
+        with pytest.raises(ValueError):
+            as_reducible(F9, 3, A)

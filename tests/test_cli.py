@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import slopelab.cli as cli
 from slopelab.cli import main
+from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
 from slopelab.serialize import np_from_json
 
@@ -96,6 +98,14 @@ def test_certify_small_guard_is_honestly_inconclusive(capsys):
     assert "{closure} failed" in out
 
 
+def test_certify_solution_found_exits_3(capsys, monkeypatch):
+    def found(*args, **kwargs):
+        raise SolutionFound("projected equation has a solution")
+    monkeypatch.setattr(cli, "largeness_certificate", found)
+    assert main(["certify", "--base", "ss6", "--lambda", "1/3"]) == 3
+    assert "no certificate" in capsys.readouterr().err
+
+
 def test_certify_rejects_top_numerator(capsys):
     assert main(["certify", "--base", "ss6", "--lambda", "2/3"]) == 2
 
@@ -121,6 +131,21 @@ def test_as_needs_a_target(capsys):
 
 def test_as_rejects_non_subfield(capsys):
     assert main(["as", "test", "--q", "4", "--field", "F9", "--all"]) == 2
+
+
+def test_as_field_above_guard_exits_2_before_building_it(capsys, monkeypatch):
+    built, make = [], cli.field_make
+
+    def spy(*args):
+        built.append(args)
+        return make(*args)
+    monkeypatch.setattr(cli, "field_make", spy)
+    assert main(["as", "test", "--q", "9", "--field", "F729", "--all",
+                 "--guard", "728"]) == 2
+    assert built == []
+    assert main(["as", "test", "--q", "2", "--field", "F4", "--all",
+                 "--guard", "4"]) == 0
+    assert built == [(2, 2, 0)]
 
 
 def test_units_verify_text(capsys):
@@ -209,3 +234,8 @@ def test_units_verify_is_identical_under_optimize():
 def test_certify_is_identical_under_optimize():
     _assert_identical_under_optimize("certify", "--base", "ss6", "--lambda",
                                      "1/3", "--p", "2", "--guard", "100000")
+
+
+def test_as_is_identical_under_optimize():
+    _assert_identical_under_optimize("as", "test", "--q", "9", "--field",
+                                     "F81", "--all")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from slopelab.arith.fields import field_make
-from slopelab.errors import GuardExceeded, PreconditionError
+from slopelab.errors import GuardExceeded, PreconditionError, SolutionFound
 from slopelab.monodromy.artinschreier import additive_make
 from slopelab.monodromy.slab import (CertificateInapplicable, laurent_projector,
                                      no_solution_certificate, slab_add,
@@ -129,7 +129,7 @@ def test_certificate_detects_actual_solution():
     cube = additive_make(F3, {1: 1})
     A = slab_make(F3, 1, {((3,), -3): 1})
     B = slab_make(F3, 1, {})
-    with pytest.raises(AssertionError):
+    with pytest.raises(SolutionFound):
         no_solution_certificate(cube, A, B, 3, 3)
 
 
