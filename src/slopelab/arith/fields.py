@@ -18,10 +18,17 @@ seed = 0 gives the lexicographically least choice.  The count of monic
 irreducibles is computed exactly (Mobius inversion), so the seed wraps around
 deterministically.
 
+`field_modulus` picks that polynomial without building anything else.
+
 Every operation is O(1) through exp/log tables for a fixed generator g, built
 once per context in O(q).  Addition uses Zech logarithms Z(k) = log(1 + g^k):
 a + b = g^(log a + Z(log b - log a)) for nonzero a, b, and the sum is 0 where
 Z is undefined (g^k = -1).  Negation shifts log a by log(-1) = log(p - 1).
+
+Two kernels serve every ring of the package that needs them: `polymulmod`,
+the product in (Z/n)[x]/(monic modulus) on coefficient lists (the table
+bootstrap here, W_m(F_q) with n = p^m, and F_p[x]/(f) for fields too large
+to tabulate), and `power`, square-and-multiply over any multiplication.
 """
 
 from __future__ import annotations
@@ -30,17 +37,6 @@ import math
 from functools import lru_cache
 
 from ..errors import InternalCheckFailed
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -55,6 +51,22 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def base_p_digits(a: int, p: int, length: int) -> list[int]:
+    """The first `length` base-p digits of a, little-endian."""
+    return [a // p ** i % p for i in range(length)]
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, t) with q = p^t and p prime, or None if q is no prime power.
+
+    Trial division stops at sqrt(q), so callers bound q first."""
+    fac = _factor(q)
+    if len(fac) != 1:
+        return None
+    (p, t), = fac.items()
+    return p, t
 
 
 def _mobius(n: int) -> int:
@@ -76,9 +88,49 @@ def _count_monic_irreducibles(p: int, s: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over F_p (coefficient lists, little-endian).
-# Used for modulus selection and bootstrap multiplication; also reused by the
-# Artin-Schreier factoring oracle, which works over an arbitrary FieldSpec.
+# The two kernels: modular polynomial product and square-and-multiply.
+# ---------------------------------------------------------------------------
+
+
+def polymulmod(n: int, modulus, a, b) -> list[int]:
+    """a * b in (Z/n)[x]/(modulus), on little-endian coefficient lists.
+
+    modulus is monic of degree s >= 1 and a, b have at most s entries; the
+    result has exactly s entries in [0, n).  Reductions mod n are deferred
+    to the leading coefficient of each fold and to the final digits."""
+    s = len(modulus) - 1
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    for k in range(2 * s - 2, s - 1, -1):
+        c = prod[k] % n
+        if c:
+            for i in range(s):
+                prod[k - s + i] -= c * modulus[i]
+    return [c % n for c in prod[:s]]
+
+
+def power(mul, one, a, e: int):
+    """a^e by square-and-multiply over the multiplication mul."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}; use inv")
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Dense polynomial helpers over a FieldSpec (coefficient lists, little-endian).
+# Used for modulus selection; also reused by the Artin-Schreier factoring
+# oracle, which works over an arbitrary FieldSpec.
 # ---------------------------------------------------------------------------
 
 
@@ -146,14 +198,8 @@ def poly_gcd(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
 
 
 def poly_powmod(K: "FieldSpec", f: list[int], e: int, mod: list[int]) -> list[int]:
-    result = [1]
-    base = poly_rem(K, f, mod)
-    while e > 0:
-        if e & 1:
-            result = poly_rem(K, poly_mul(K, result, base), mod)
-        base = poly_rem(K, poly_mul(K, base, base), mod)
-        e >>= 1
-    return result
+    return power(lambda a, b: poly_rem(K, poly_mul(K, a, b), mod), [1],
+                 poly_rem(K, f, mod), e)
 
 
 def poly_eval(K: "FieldSpec", f: list[int], a: int) -> int:
@@ -203,11 +249,7 @@ class FieldSpec:
 
     def coeffs(self, a: int) -> list[int]:
         """Base-p digits of a, little-endian, length s."""
-        out = []
-        for _ in range(self.s):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
+        return base_p_digits(a, self.p, self.s)
 
     def encode(self, digits: list[int]) -> int:
         acc = 0
@@ -245,46 +287,28 @@ class FieldSpec:
 
     # -- multiplicative structure -----------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial multiplication mod (modulus, p); no tables."""
-        p, s = self.p, self.s
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce by the monic modulus
-        for k in range(2 * s - 2, s - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(s):
-                    prod[k - s + i] = (prod[k - s + i] - c * self.modulus[i]) % p
-        return self.encode(prod[:s])
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_raw(acc, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return acc
-
     def _build_tables(self) -> None:
         q, p, q1 = self.q, self.p, self.q - 1
+
+        def mul(a, b):
+            return polymulmod(p, self.modulus, a, b)
+
+        one = self.coeffs(1)
         # g generates iff g^(q-1) = 1 and g^((q-1)/t) != 1 for each prime t | q-1
         # (g = 1 only for q = 2).  Such a unit of order q - 1 exists iff every
         # nonzero residue is a unit, that is iff the modulus is irreducible.
-        gen = next((g for g in range(1, q) if self._pow_raw(g, q1) == 1
-                    and all(self._pow_raw(g, q1 // t) != 1 for t in _factor(q1))),
+        gen = next((g for g in range(1, q)
+                    if power(mul, one, self.coeffs(g), q1) == one
+                    and all(power(mul, one, self.coeffs(g), q1 // t) != one
+                            for t in _factor(q1))),
                    None)
         if gen is None:
             raise ValueError(f"{list(self.modulus)} is not irreducible over F_{p}")
         exp = [1] * q1
+        g, cur = self.coeffs(gen), one
         for i in range(1, q1):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
+            cur = mul(cur, g)
+            exp[i] = self.encode(cur)
         log: list[int | None] = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -337,11 +361,10 @@ class FieldSpec:
 
     def subfield_elements(self, q_sub: int) -> list[int]:
         """Elements of the unique subfield of size q_sub, if it exists."""
-        fac = _factor(q_sub)
-        if len(fac) != 1 or self.p not in fac:
+        pt = prime_power(q_sub)
+        if pt is None or pt[0] != self.p:
             raise ValueError(f"{q_sub} is not a power of p = {self.p}")
-        t = fac[self.p]
-        if self.s % t != 0:
+        if self.s % pt[1] != 0:
             raise ValueError(f"F_{q_sub} is not a subfield of F_{self.q}")
         return sorted(a for a in self.elements() if self.pow(a, q_sub) == a)
 
@@ -393,29 +416,31 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def field_make(p: int, s: int, seed: int = 0) -> FieldSpec:
-    """Deterministic field context for F_{p^s}.
-
-    seed selects among the monic irreducible moduli of degree s, in
-    lexicographic order of the coefficient tuple; it wraps mod the exact count.
-    """
-    if not _is_prime(p):
+def field_modulus(p: int, s: int, seed: int = 0) -> tuple[int, ...]:
+    """The modulus of F_{p^s}: the (seed mod count)-th monic irreducible of
+    degree s in lexicographic order of (c_0, ..., c_{s-1}); x for s = 1."""
+    if prime_power(p) != (p, 1):
         raise ValueError(f"p = {p} is not prime")
     if s < 1:
         raise ValueError("extension degree must be >= 1")
     if s == 1:
-        return FieldSpec(p, 1, (0, 1), seed)
+        return (0, 1)
     idx = seed % _count_monic_irreducibles(p, s)
     seen = 0
     for enc in range(p ** s):
-        f = []
-        e = enc
-        for _ in range(s):
-            e, r = divmod(e, p)
-            f.append(r)
-        f.append(1)
+        f = base_p_digits(enc, p, s) + [1]
         if _irreducible(p, f):
             if seen == idx:
-                return FieldSpec(p, s, tuple(f), seed)
+                return tuple(f)
             seen += 1
     raise InternalCheckFailed("irreducible count and enumeration disagree")
+
+
+@lru_cache(maxsize=None)
+def field_make(p: int, s: int, seed: int = 0) -> FieldSpec:
+    """Deterministic field context for F_{p^s}, on `field_modulus(p, s, seed)`.
+
+    seed selects among the monic irreducible moduli of degree s, in
+    lexicographic order of the coefficient tuple; it wraps mod the exact count.
+    """
+    return FieldSpec(p, s, field_modulus(p, s, seed), seed)

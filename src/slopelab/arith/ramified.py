@@ -32,9 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import InternalCheckFailed
-from .fields import FieldSpec, field_make
-from .witt import WittElt, WittRing, witt_make
+from .fields import FieldSpec, field_make, power
+from .witt import WittElt, WittRing, newton_inverse, witt_make
 
 RamElt = tuple[WittElt, ...]
 
@@ -136,16 +135,7 @@ class RamifiedOrder:
         return self._reduce(out)
 
     def pow(self, a: RamElt, e: int) -> RamElt:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}; use inv")
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(self.mul, self.one(), a, e)
 
     def is_unit(self, a: RamElt) -> bool:
         return self.residue(a) != 0
@@ -157,18 +147,8 @@ class RamifiedOrder:
             raise ZeroDivisionError(
                 f"not a unit: valuation {v} > 0" if v is not None
                 else "not a unit: zero at this precision")
-        one = self.one()
-        y = self.teich_term(0, self.field.inv(res))
-        two = self.from_int(2)
-        # each Newton step doubles the pi-adic accuracy of y
-        for _ in range(self.N.bit_length() + 2):
-            e = self.mul(a, y)
-            if e == one:
-                break
-            y = self.mul(y, self.sub(two, e))
-        if self.mul(a, y) != one:
-            raise InternalCheckFailed(f"Newton inverse did not converge in {self!r}")
-        return y
+        return newton_inverse(self, a, self.teich_term(0, self.field.inv(res)),
+                              self.N.bit_length() + 2)
 
     def commutator(self, a: RamElt, b: RamElt) -> RamElt:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))

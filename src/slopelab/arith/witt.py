@@ -24,9 +24,41 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..errors import InternalCheckFailed
-from .fields import FieldSpec, field_make
+from .fields import FieldSpec, field_make, polymulmod, power
 
 WittElt = tuple[int, ...]
+
+
+def newton_inverse(ring, a, y, steps: int):
+    """Lift y, an inverse of a modulo the maximal ideal, to the inverse of a.
+
+    ring is a WittRing or a RamifiedOrder.  Each step y <- y(2 - ay) doubles
+    the accuracy of y; after `steps` steps ay = 1 is checked explicitly."""
+    one, two = ring.one(), ring.from_int(2)
+    for _ in range(steps):
+        e = ring.mul(a, y)
+        if e == one:
+            return y
+        y = ring.mul(y, ring.sub(two, e))
+    if ring.mul(a, y) != one:
+        raise InternalCheckFailed(f"Newton inverse did not converge in {ring!r}")
+    return y
+
+
+def _q_power_fixed_point(ring: "WittRing", t: WittElt, what: str) -> WittElt:
+    """Iterate z -> z^q from t to its Teichmuller fixed point.
+
+    A lift of a unit is fixed after m steps; m + 2 steps are allowed and the
+    fixed point is checked explicitly, naming `what` if it is not reached."""
+    q = ring.field.q
+    for _ in range(ring.m + 2):
+        nxt = ring.pow(t, q)
+        if nxt == t:
+            return t
+        t = nxt
+    if ring.pow(t, q) != t:
+        raise InternalCheckFailed(f"{what} diverged in {ring!r}")
+    return t
 
 
 class WittRing:
@@ -77,34 +109,12 @@ class WittRing:
         return tuple((n * x) % pm for x in a)
 
     def mul(self, a: WittElt, b: WittElt) -> WittElt:
-        s, pm = self.field.s, self.pm
-        if s == 1:
-            return ((a[0] * b[0]) % pm,)
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % pm
-        for k in range(2 * s - 2, s - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(s):
-                    prod[k - s + i] = (prod[k - s + i] - c * self.modulus[i]) % pm
-        return tuple(prod[:s])
+        if self.field.s == 1:
+            return ((a[0] * b[0]) % self.pm,)
+        return tuple(polymulmod(self.pm, self.modulus, a, b))
 
     def pow(self, a: WittElt, e: int) -> WittElt:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}; use inv")
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(self.mul, self.one(), a, e)
 
     def is_unit(self, a: WittElt) -> bool:
         return self.residue(a) != 0
@@ -114,17 +124,8 @@ class WittRing:
         r = self.residue(a)
         if r == 0:
             raise ZeroDivisionError("not a unit in the Witt ring")
-        y = self.teichmuller(self.field.inv(r))
-        two = self.from_int(2)
-        # each step doubles the p-adic accuracy of y
-        for _ in range(max(1, self.m.bit_length() + 1)):
-            e = self.mul(a, y)
-            if e == self.one():
-                break
-            y = self.mul(y, self.sub(two, e))
-        if self.mul(a, y) != self.one():
-            raise InternalCheckFailed(f"Newton inverse did not converge in {self!r}")
-        return y
+        return newton_inverse(self, a, self.teichmuller(self.field.inv(r)),
+                              max(1, self.m.bit_length() + 1))
 
     # -- residue field, Teichmuller lifts, digits -------------------------
 
@@ -140,15 +141,8 @@ class WittRing:
         if a == 0:
             t = self.zero()
         else:
-            t = tuple(self.field.coeffs(a))  # naive lift
-            for _ in range(self.m + 2):
-                nxt = self.pow(t, self.field.q)
-                if nxt == t:
-                    break
-                t = nxt
-            if self.pow(t, self.field.q) != t:
-                raise InternalCheckFailed(
-                    f"Teichmuller iteration for {a} diverged in {self!r}")
+            t = _q_power_fixed_point(self, tuple(self.field.coeffs(a)),
+                                     f"Teichmuller iteration for {a}")
         self._teich_cache[a] = t
         return t
 
@@ -253,14 +247,7 @@ def _canonical_modulus(field: FieldSpec, m: int) -> tuple[int, ...]:
     s, pm = field.s, field.p ** m
     naive = tuple(c % pm for c in field.modulus)
     pre = WittRing(field, m, naive)
-    t = pre.generator()
-    for _ in range(m + 2):
-        nxt = pre.pow(t, field.q)
-        if nxt == t:
-            break
-        t = nxt
-    if pre.pow(t, field.q) != t:
-        raise InternalCheckFailed(f"Teichmuller generator diverged in {pre!r}")
+    t = _q_power_fixed_point(pre, pre.generator(), "Teichmuller generator")
     # poly with WittElt coefficients, little-endian; starts as the constant 1
     poly: list[WittElt] = [pre.one()]
     conj = t

@@ -32,13 +32,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith.fields import field_make
+from .arith.fields import field_make, prime_power
 from .arith.ramified import order_over
 from .arith.witt import witt_for
 from .display import deformation, display_polygon, split_display, strata
 from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
                      PreconditionError, SolutionFound)
-from .monodromy import (as_reducible, as_reducible_oracle,
+from .monodromy import (as_reducible, as_reducible_oracle, check_slope_shape,
                         largeness_certificate, monodromy_equation)
 from .polygon import adjoin, attainable, compare, np_make, symmetric_adjoin
 from .serialize import canonical_dumps, np_from_json
@@ -121,21 +121,15 @@ def parse_base(text: str) -> list:
     return pieces
 
 
-def parse_field_name(text: str):
+def parse_field_name(text: str) -> int:
+    """The size q named by "Fq"; `prime_power` decodes it once q is bounded."""
     m = re.match(r"^F(\d+)$", text.strip())
     if not m:
         raise CliParseError(f"{text!r} is not a field name like F9")
     q = int(m.group(1))
     if q < 2:
         raise CliParseError(f"field size {q} too small")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    s, qq = 0, 1
-    while qq < q:
-        qq *= p
-        s += 1
-    if qq != q:
-        raise CliParseError(f"{q} is not a prime power")
-    return p, s
+    return q
 
 
 def parse_covered(text: str) -> list:
@@ -247,16 +241,9 @@ def cmd_deform(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
-    lam = parse_fraction(args.lam)
-    s, r = lam.denominator, lam.numerator
     # screen the slope shape before the deformation rejects it for
     # a less specific reason
-    if s < 3:
-        raise PreconditionError(f"need denominator s >= 3, slope is {lam}")
-    if r == s - 1:
-        raise PreconditionError(
-            f"slope {lam} has numerator s-1; the certificate pattern "
-            "needs r <= s-2")
+    check_slope_shape(parse_fraction(args.lam))
     spec = _build_deformation(cfg, args)
     cert = largeness_certificate(spec, guard=cfg.guard, seed=cfg.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]
@@ -273,10 +260,13 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_as(cfg: RunConfig, args) -> int:
-    p, s = parse_field_name(args.field)
-    if p ** s > cfg.guard:
-        raise GuardExceeded(f"F_{p ** s} exceeds guard {cfg.guard}")
-    K = field_make(p, s, cfg.seed)
+    q = parse_field_name(args.field)
+    if q > cfg.guard:
+        raise GuardExceeded(f"F_{q} exceeds guard {cfg.guard}")
+    ps = prime_power(q)
+    if ps is None:
+        raise CliParseError(f"{q} is not a prime power")
+    K = field_make(*ps, cfg.seed)
     if args.all:
         values = list(K.elements())
     elif args.a is not None:

@@ -3,7 +3,7 @@
 from .artinschreier import (AdditivePolynomial, additive_from_dense,
                             additive_make, as_reducible, as_reducible_oracle,
                             enumerate_subgroups, subgroup_polynomial)
-from .certify import largeness_certificate
+from .certify import check_slope_shape, largeness_certificate
 from .equations import (DemazureData, EqTerm, FirstWittData, GradedEquation,
                         GradedTerm, MonodromyEquation, demazure_slope,
                         first_witt_equation, graded_equations,
@@ -15,10 +15,10 @@ from .slab import (CertificateInapplicable, LaurentSlab, laurent_projector,
 __all__ = [
     "AdditivePolynomial", "additive_from_dense", "additive_make",
     "as_reducible", "as_reducible_oracle", "enumerate_subgroups",
-    "subgroup_polynomial", "largeness_certificate", "DemazureData", "EqTerm",
-    "FirstWittData", "GradedEquation", "GradedTerm", "MonodromyEquation",
-    "demazure_slope", "first_witt_equation", "graded_equations",
-    "monodromy_equation", "CertificateInapplicable", "LaurentSlab",
-    "laurent_projector", "no_solution_certificate", "slab_add", "slab_make",
-    "slab_mul", "slab_pow_p", "slab_scale", "slab_to_w_poly",
+    "subgroup_polynomial", "check_slope_shape", "largeness_certificate",
+    "DemazureData", "EqTerm", "FirstWittData", "GradedEquation", "GradedTerm",
+    "MonodromyEquation", "demazure_slope", "first_witt_equation",
+    "graded_equations", "monodromy_equation", "CertificateInapplicable",
+    "LaurentSlab", "laurent_projector", "no_solution_certificate", "slab_add",
+    "slab_make", "slab_mul", "slab_pow_p", "slab_scale", "slab_to_w_poly",
 ]

@@ -121,16 +121,10 @@ def subgroup_polynomial(field: FieldSpec, G) -> AdditivePolynomial:
     return additive_from_dense(field, f)
 
 
-def _check_subfield(K: FieldSpec, q: int) -> FieldSpec:
-    p = K.p
-    t = 0
-    qq = 1
-    while qq < q:
-        qq *= p
-        t += 1
-    if qq != q or K.s % t != 0:
+def _check_subfield(K: FieldSpec, q: int) -> None:
+    pt = fields.prime_power(q) if 1 < q <= K.q else None
+    if pt is None or pt[0] != K.p or K.s % pt[1] != 0:
         raise PreconditionError(f"F_{q} does not embed in F_{K.q}")
-    return t
 
 
 @lru_cache(maxsize=64)

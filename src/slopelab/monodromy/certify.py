@@ -32,8 +32,8 @@ from .equations import first_witt_equation, graded_equations, monodromy_equation
 from .slab import CertificateInapplicable, no_solution_certificate, slab_make
 
 
-def _check_preconditions(spec: DeformationSpec) -> None:
-    lam = spec.lam
+def check_slope_shape(lam) -> None:
+    """The certificate pattern needs s >= 3 and r <= s - 2 for lam = r/s."""
     s, r = lam.denominator, lam.numerator
     if s < 3:
         raise PreconditionError(f"need denominator s >= 3, slope is {lam}")
@@ -41,6 +41,11 @@ def _check_preconditions(spec: DeformationSpec) -> None:
         raise PreconditionError(
             f"slope {lam} has numerator s-1; the certificate pattern "
             "needs r <= s-2")
+
+
+def _check_preconditions(spec: DeformationSpec) -> None:
+    lam = spec.lam
+    check_slope_shape(lam)
     if not normal_form_check(spec.base):
         raise PreconditionError("base display is not in normal form")
     base_np = display_polygon(spec.base)

@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..arith.fields import field_make
+from ..arith.fields import (_factor, base_p_digits, field_modulus, polymulmod,
+                            power)
 from ..arith.twisted import SymCoeff, TwistedPoly
 from ..display import DeformationSpec, display_polygon
 from ..errors import InternalCheckFailed, PreconditionError
@@ -214,9 +215,11 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
     """Extract and sanity-check the level-0 equation.
 
     The splitting-degree samples specialize the anchor parameter to units
-    of the cubic extension and measure the order of u^{p^{h-d-r}} modulo
-    (q-1)-th powers: every sample must divide p^s - 1 and generic ones
-    attain it.
+    u of the cubic extension F_Q, Q = q^3, and measure the order of
+    u^{p^{h-d-r}} modulo (q-1)-th powers: every sample must divide p^s - 1
+    and generic ones attain it.  That order is the multiplicative order of
+    w = u^{p^{h-d-r} (Q-1)/(q-1)} in F_q^x, computed by square-and-multiply
+    in F_p[x]/(f) on the modulus f of F_Q, so no table of F_Q is built.
     """
     h, d, s, r = eq.h, eq.d, eq.s, eq.r
     layer0 = eq.layer(0)
@@ -229,35 +232,36 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
         raise PreconditionError("degenerate exponents")
     if field is None:
         raise PreconditionError("need the residue field for specialization")
-    if field.s != s:
-        field = field_make(field.p, s, field.seed)
     p = field.p
     pair = (p ** h - p ** (h - s), p ** (h - d - r))
     factored = (p ** (h - s), p ** s - 1)
     if (pair[0] != factored[0] * factored[1]
-            or anchor.twist % field.s != (h - d - r) % field.s):
+            or anchor.twist % s != (h - d - r) % s):
         raise InternalCheckFailed(f"anchor twist {anchor.twist} does not fit {pair}")
 
-    q = field.q
+    q = p ** s
     group_order = q - 1
     sep = p ** s - 1
     rng = random.Random(seed)
-    ext = field_make(p, field.s * 3, field.seed)
-    divisors = sorted(dd for dd in range(1, group_order + 1)
-                      if group_order % dd == 0)
-    cofactor = (ext.q - 1) // group_order
+    big_q = q ** 3
+    ext_modulus = field_modulus(p, 3 * s, field.seed)
+
+    def mul(a, b):
+        return polymulmod(p, ext_modulus, a, b)
+
+    one = base_p_digits(1, p, 3 * s)
+    exponent = pair[1] * ((big_q - 1) // group_order) % (big_q - 1)
     out = []
     attained = False
     for _ in range(samples):
-        u = rng.randrange(1, ext.q)
-        w = ext.pow(u, pair[1])
-        deg = None
-        for dd in divisors:
-            if ext.pow(w, dd * cofactor) == 1:
-                deg = dd
-                break
-        if deg is None or group_order % deg:
+        u = rng.randrange(1, big_q)
+        w = power(mul, one, base_p_digits(u, p, 3 * s), exponent)
+        if power(mul, one, w, group_order) != one:
             raise InternalCheckFailed(f"no splitting degree for sample {u}")
+        deg = group_order
+        for t in _factor(group_order):
+            while deg % t == 0 and power(mul, one, w, deg // t) == one:
+                deg //= t
         if deg == group_order:
             attained = True
         out.append((u, deg))

@@ -19,6 +19,7 @@ that exact degree settles it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from ..arith.fields import FieldSpec
@@ -225,7 +226,7 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
         target[0] = K.add(target.get(0, 0), b0)
     target = {k: v for k, v in target.items() if v != 0}
     checked = 0
-    for coeffs in _tuples(K.q, delta + 1):
+    for coeffs in product(range(K.q), repeat=delta + 1):
         x_poly = {k: c for k, c in enumerate(coeffs) if c != 0}
         checked += 1
         if _w_poly_of_additive(F, x_poly, K.p) == target:
@@ -236,12 +237,3 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
     report["candidates_checked"] = checked
     report["conclusion"] = "no-solution"
     return report
-
-
-def _tuples(q: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(q, length - 1):
-        for c in range(q):
-            yield rest + (c,)

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import slopelab.cli as cli
+from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.cli import main
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
@@ -110,6 +112,38 @@ def test_certify_rejects_top_numerator(capsys):
     assert main(["certify", "--base", "ss6", "--lambda", "2/3"]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--p", "2", "--guard", "100000"]])
+def test_certify_builds_no_field_of_degree_3s(capsys, monkeypatch, extra):
+    # leg 0 samples the cubic extension F_{p^9} by its modulus alone; the
+    # cache is cleared so that every field certify asks for is built here
+    built, init = [], FieldSpec.__init__
+
+    def spy(self, p, s, *args):
+        built.append(s)
+        init(self, p, s, *args)
+    monkeypatch.setattr(FieldSpec, "__init__", spy)
+    field_make.cache_clear()
+    assert main(["certify", "--base", "ss6", "--lambda", "1/3", *extra]) == 0
+    assert "verdict large" in capsys.readouterr().out
+    assert 3 in built and 9 not in built
+
+
+@pytest.mark.parametrize("base, lam, seconds", [("ss8", "1/4", 2.0),
+                                                 ("ss10", "1/5", 5.0)])
+def test_certify_deep_slopes_at_p3_fail_only_at_the_closure(capsys, base, lam,
+                                                            seconds):
+    t0 = time.monotonic()
+    rc, out = run(capsys, "certify", "--base", base, "--lambda", lam,
+                  "--p", "3", "--format", "json")
+    assert time.monotonic() - t0 < seconds
+    assert rc == 3
+    rep = json.loads(out)
+    s = int(lam.split("/")[1])
+    assert rep["verdict"] == "inconclusive"
+    assert {l["piece"]: l["status"] for l in rep["legs"]} == {
+        0: "certified", 1: "certified", s: "certified", "closure": "failed"}
+
+
 def test_as_exhaustive_agreement(capsys):
     rc, out = run(capsys, "as", "test", "--q", "4", "--field", "F4", "--all")
     assert (rc, out) == (0, "4/4 agreement criterion vs oracle\n")
@@ -131,6 +165,24 @@ def test_as_needs_a_target(capsys):
 
 def test_as_rejects_non_subfield(capsys):
     assert main(["as", "test", "--q", "4", "--field", "F9", "--all"]) == 2
+
+
+@pytest.mark.parametrize("name", ["F1000000007",
+                                  "F" + "9" * 30])
+def test_as_huge_field_name_exits_2_before_decoding_it(capsys, monkeypatch,
+                                                       name):
+    decoded = []
+    monkeypatch.setattr(cli, "prime_power", lambda q: decoded.append(q))
+    t0 = time.monotonic()
+    assert main(["as", "test", "--q", "2", "--field", name, "--all"]) == 2
+    assert time.monotonic() - t0 < 3.0
+    assert decoded == []
+    assert "exceeds guard" in capsys.readouterr().err
+
+
+def test_as_field_name_that_is_no_prime_power_exits_4(capsys):
+    assert main(["as", "test", "--q", "2", "--field", "F12", "--all"]) == 4
+    assert "not a prime power" in capsys.readouterr().err
 
 
 def test_as_field_above_guard_exits_2_before_building_it(capsys, monkeypatch):
@@ -214,7 +266,7 @@ def test_format_svg_outside_plot_is_rejected(capsys):
     assert main(["np", "compare", "1/2x6", "1/2x6", "--format", "svg"]) == 4
 
 
-def _assert_identical_under_optimize(*args):
+def _assert_identical_under_optimize(*args, returncode=0):
     # every self-check raises explicitly, so python -O cannot drop one
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -222,7 +274,7 @@ def _assert_identical_under_optimize(*args):
     plain, optimized = (subprocess.run([sys.executable, *flags, *argv],
                                        env=env, capture_output=True, timeout=300)
                         for flags in ([], ["-O"]))
-    assert plain.returncode == optimized.returncode == 0
+    assert plain.returncode == optimized.returncode == returncode
     assert plain.stdout and plain.stdout == optimized.stdout
 
 
@@ -234,6 +286,13 @@ def test_units_verify_is_identical_under_optimize():
 def test_certify_is_identical_under_optimize():
     _assert_identical_under_optimize("certify", "--base", "ss6", "--lambda",
                                      "1/3", "--p", "2", "--guard", "100000")
+
+
+def test_certify_leg0_order_check_is_identical_under_optimize():
+    # slope 1/4 at p = 3 samples F_{3^12} by its modulus; inconclusive (3)
+    # only at the closure leg
+    _assert_identical_under_optimize("certify", "--base", "ss8", "--lambda",
+                                     "1/4", "--p", "3", returncode=3)
 
 
 def test_as_is_identical_under_optimize():

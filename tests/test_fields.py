@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import pytest
 
 from slopelab.arith import field_make
-from slopelab.arith.fields import FieldSpec, _irreducible, poly_eval, poly_gcd, poly_rem
+from slopelab.arith.fields import (FieldSpec, _irreducible, field_modulus,
+                                   poly_eval, poly_gcd, poly_rem, polymulmod,
+                                   power, prime_power)
 from slopelab.errors import InternalCheckFailed
 
 from oracles import field_digit_add, field_digit_neg
@@ -147,3 +149,75 @@ def test_poly_gcd_basics():
     F2 = field_make(2, 1)
     g = poly_gcd(F2, [1, 0, 1], [1, 1])
     assert poly_eval(F2, g, 1) == 0 and len(g) == 2
+
+
+# -- the shared kernels ------------------------------------------------------
+
+
+def test_polymulmod_is_the_field_product():
+    rng = random.Random(0)
+    for p, s in [(2, 3), (3, 2), (5, 2), (2, 9), (3, 5)]:
+        F = field_make(p, s)
+        pairs = ([(a, b) for a in F.elements() for b in F.elements()]
+                 if F.q <= 25 else
+                 [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(300)])
+        for a, b in pairs:
+            prod = polymulmod(p, F.modulus, F.coeffs(a), F.coeffs(b))
+            assert len(prod) == s
+            assert F.encode(prod) == F.mul(a, b)
+
+
+def test_polymulmod_over_z_mod_n_matches_schoolbook():
+    # n need not be prime: (Z/27)[x]/(x^3 + 2x + 7), reduced term by term
+    n, modulus = 27, (7, 2, 0, 1)
+    rng = random.Random(1)
+    for _ in range(200):
+        a = [rng.randrange(n) for _ in range(3)]
+        b = [rng.randrange(n) for _ in range(3)]
+        full = [0] * 5
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                full[i + j] += x * y
+        for k in (4, 3):
+            c, full[k] = full[k], 0
+            for i in range(3):
+                full[k - 3 + i] -= c * modulus[i]
+        assert polymulmod(n, modulus, a, b) == [c % n for c in full[:3]]
+
+
+def test_power_agrees_with_builtin_pow_and_rejects_negative_exponents():
+    def mul(a, b):
+        return a * b % 1009
+    for a in (0, 1, 2, 1008):
+        for e in range(40):
+            assert power(mul, 1, a, e) == pow(a, e, 1009)
+    with pytest.raises(ValueError, match="negative exponent"):
+        power(mul, 1, 2, -1)
+
+
+def test_field_modulus_is_the_modulus_of_field_make():
+    for p, s in [(2, 1), (2, 4), (3, 3), (5, 2)]:
+        for seed in range(4):
+            assert field_modulus(p, s, seed) == field_make(p, s, seed).modulus
+
+
+def test_field_modulus_builds_no_tables(monkeypatch):
+    built = []
+    init = FieldSpec.__init__
+
+    def spy(self, p, s, *args):
+        built.append((p, s))
+        init(self, p, s, *args)
+    monkeypatch.setattr(FieldSpec, "__init__", spy)
+    # 3^15 has 14.3M elements; only its modulus is asked for
+    f = field_modulus(3, 15, 1)
+    assert len(f) == 16 and f[-1] == 1 and _irreducible(3, list(f))
+    assert all(s == 1 for _, s in built)
+
+
+def test_prime_power_decoding():
+    assert prime_power(729) == (3, 6)
+    assert prime_power(2) == (2, 1)
+    assert prime_power(1000000007) == (1000000007, 1)
+    for q in (0, 1, 12, 36, 1000):
+        assert prime_power(q) is None

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab.arith import witt_for
-from slopelab.arith.fields import field_make
+from slopelab.arith.fields import field_make, field_modulus, polymulmod, power
 from slopelab.arith.twisted import TwistedPoly, WittCoeffOps
 from slopelab.display import (charpoly, charpoly_polygon, deformation,
                               display_normal, split_display)
@@ -166,18 +166,44 @@ def test_first_witt_running_instance():
 
 
 def test_first_witt_degrees_against_factoring():
-    # independent check of three sampled splitting degrees by actually
-    # factoring X^{q-1} - w over the cubic extension
-    ring, _, spec = running_instance()
-    eq = monodromy_equation(spec)
-    fw = first_witt_equation(eq, field=ring.field, seed=0)
-    ext = field_make(3, 9)
-    for u, deg in fw.samples[:3]:
-        w = ext.pow(u, fw.exponent_pair[1])
-        f = [0] * 27
-        f[26] = 1
-        f[0] = ext.neg(w)
-        assert splitting_degree_by_factoring(ext, f) == deg
+    # independent check of every sampled splitting degree by actually
+    # factoring X^{q-1} - w over the cubic extension, whose tables only
+    # this test builds
+    for p in (3, 2):
+        ring = witt_for(p, 3, 8)
+        spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
+        fw = first_witt_equation(monodromy_equation(spec), field=ring.field,
+                                 seed=0)
+        ext = field_make(p, 9)
+        q1 = p ** 3 - 1
+        assert len(fw.samples) == 16
+        for u, deg in fw.samples:
+            w = ext.pow(u, fw.exponent_pair[1])
+            f = [0] * (q1 + 1)
+            f[q1] = 1
+            f[0] = ext.neg(w)
+            assert splitting_degree_by_factoring(ext, f) == deg
+
+
+def test_first_witt_degree_is_the_least_period_at_p5():
+    # q - 1 = 124 = 2^2 * 31 has a square factor, so the order is stripped
+    # twice at 2; here it is the least k >= 1 with w^k = 1, found by
+    # repeated multiplication in F_5[x]/(f), f the modulus of F_{5^9}
+    ring = witt_for(5, 3, 8)
+    spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
+    fw = first_witt_equation(monodromy_equation(spec), field=ring.field,
+                             seed=0)
+    f, Q = field_modulus(5, 9), 5 ** 9
+    e = fw.exponent_pair[1] * ((Q - 1) // 124) % (Q - 1)
+    one = [1] + [0] * 8
+    for u, deg in fw.samples:
+        w = power(lambda a, b: polymulmod(5, f, a, b), one,
+                  [u // 5 ** i % 5 for i in range(9)], e)
+        k, acc = 1, w
+        while acc != one:
+            k, acc = k + 1, polymulmod(5, f, acc, w)
+        assert k == deg
+    assert {deg for _, deg in fw.samples} >= {124, 62, 31, 4}
 
 
 def test_first_witt_s1_formula():
