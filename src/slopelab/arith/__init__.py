@@ -3,7 +3,7 @@ ramified slope order, and sigma-twisted polynomials."""
 
 from .fields import FieldSpec, field_make
 from .ramified import RamifiedOrder, order_make, order_over
-from .twisted import SymCoeff, SymCoeffOps, SymTerm, TwistedPoly, WittCoeffOps
+from .twisted import SymCoeff, SymCoeffOps, SymTerm, TwistedPoly
 from .witt import WittRing, witt_for, witt_make
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "SymCoeffOps",
     "SymTerm",
     "TwistedPoly",
-    "WittCoeffOps",
     "WittRing",
     "witt_for",
     "witt_make",

@@ -4,9 +4,10 @@ The commutation rule is F a = a^sigma F, so
 
     (a F^i)(b F^j) = a b^{sigma^i} F^{i+j}.
 
-Coefficient access goes through a small ops adapter.  Numeric coefficients
-are Witt elements; the symbolic variant adds formal Teichmuller unknowns
-p^y <u>^{sigma^e} with unit symbols u, enough to carry a universal
+Coefficients come from a ring object with zero/one/is_zero/add/neg/sub/
+mul/sigma/ord/element_to_json.  Numeric coefficients are Witt elements and
+the WittRing itself is that object; SymCoeffOps adds formal Teichmuller
+unknowns p^y <u>^{sigma^e} with unit symbols u, enough to carry a universal
 deformation through the charpoly formula.  Symbolic coefficients support
 add/sub/sigma/ord but not products of two symbols.
 """
@@ -16,45 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .witt import WittElt, WittRing
-
-
-class WittCoeffOps:
-    """Numeric coefficient adapter over a Witt ring."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: WittRing):
-        self.ring = ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.ring.one()
-
-    def is_zero(self, a) -> bool:
-        return a == self.ring.zero()
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def sigma(self, a, k: int = 1):
-        return self.ring.sigma(a, k)
-
-    def ord(self, a) -> int | None:
-        return self.ring.ord(a)
-
-    def to_json(self, a):
-        return {"digits": list(self.ring.digits(a))}
 
 
 @dataclass(frozen=True, order=True)
@@ -163,9 +125,9 @@ class SymCoeffOps:
         vals += [t.p_exp for t in a.terms]
         return min(vals) if vals else None
 
-    def to_json(self, a: SymCoeff):
+    def element_to_json(self, a: SymCoeff):
         return {
-            "base": {"digits": list(self.ring.digits(a.base))},
+            "base": self.ring.element_to_json(a.base),
             "terms": [
                 {"name": t.name, "p_exp": t.p_exp, "twist": t.twist,
                  "sign": t.sign}
@@ -208,10 +170,6 @@ class TwistedPoly:
     @classmethod
     def zero(cls, ops) -> "TwistedPoly":
         return cls(ops, {})
-
-    @classmethod
-    def monomial(cls, ops, coeff, k: int) -> "TwistedPoly":
-        return cls(ops, {k: coeff})
 
     def degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None

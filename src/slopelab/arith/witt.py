@@ -21,6 +21,7 @@ implemented.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from ..errors import InternalCheckFailed
@@ -64,7 +65,7 @@ def _q_power_fixed_point(ring: "WittRing", t: WittElt, what: str) -> WittElt:
 class WittRing:
     """Arithmetic context for W_m(F_q)."""
 
-    __slots__ = ("field", "m", "pm", "modulus", "_teich_cache", "_sigma_mats")
+    __slots__ = ("field", "m", "pm", "modulus", "_teich_cache", "_sigma_cols")
 
     def __init__(self, field: FieldSpec, m: int, modulus: tuple[int, ...]):
         self.field = field
@@ -72,7 +73,7 @@ class WittRing:
         self.pm = field.p ** m
         self.modulus = modulus  # length s+1, monic, entries in [0, p^m)
         self._teich_cache: dict[int, WittElt] = {}
-        self._sigma_mats: dict[int, list[WittElt]] = {}
+        self._sigma_cols: dict[int, tuple[WittElt, ...]] = {}
 
     # -- constants and coercion -------------------------------------------
 
@@ -115,6 +116,9 @@ class WittRing:
 
     def pow(self, a: WittElt, e: int) -> WittElt:
         return power(self.mul, self.one(), a, e)
+
+    def is_zero(self, a: WittElt) -> bool:
+        return not any(a)
 
     def is_unit(self, a: WittElt) -> bool:
         return self.residue(a) != 0
@@ -185,35 +189,28 @@ class WittRing:
 
     # -- Frobenius lift ----------------------------------------------------
 
-    def _sigma_matrix(self, k: int) -> list[WittElt]:
-        mat = self._sigma_mats.get(k)
-        if mat is None:
-            s, p, q = self.field.s, self.field.p, self.field.q
-            xi = self.generator()
-            mat = []
-            for i in range(s):
-                e = (i * p ** k) % (q - 1) if i else 0
-                # xi has exact multiplicative order q-1, so exponents reduce
-                if i and e == 0:
-                    e = q - 1
-                mat.append(self.pow(xi, e) if s > 1 else self.one())
-            self._sigma_mats[k] = mat
-        return mat
-
     def sigma(self, a: WittElt, k: int = 1) -> WittElt:
-        """The Frobenius lift applied k times; fixes Z/p^m, <x> -> <x^p>."""
-        s = self.field.s
-        k %= s
-        if k == 0 or s == 1:
+        """The Frobenius lift applied k times; fixes Z/p^m, <x> -> <x^p>.
+
+        sigma^k sends xi^i to xi^(i p^k mod (q-1)); the columns of that
+        matrix are cached per k, so one application is one pass of integer
+        dot products mod p^m."""
+        k %= self.field.s
+        if k == 0:
             return a
-        mat = self._sigma_matrix(k)
-        acc = self.zero()
-        for i, c in enumerate(a):
-            if c:
-                acc = self.add(acc, self.scalar_mul(c, mat[i]))
-        return acc
+        cols = self._sigma_cols.get(k)
+        if cols is None:
+            p, q, xi = self.field.p, self.field.q, self.generator()
+            rows = [self.pow(xi, i * p ** k % (q - 1))
+                    for i in range(self.field.s)]
+            cols = self._sigma_cols[k] = tuple(zip(*rows))
+        pm = self.pm
+        return tuple(sum(map(operator.mul, a, col)) % pm for col in cols)
 
     # -- misc --------------------------------------------------------------
+
+    def element_to_json(self, a: WittElt) -> dict:
+        return {"digits": list(self.digits(a))}
 
     def to_json(self) -> dict:
         return {

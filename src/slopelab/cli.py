@@ -307,12 +307,13 @@ def cmd_units(cfg: RunConfig, args) -> int:
     depths = []
     ctx = order_over(K, r, s + 3)
     pair_budget = 500
-    for depth in range(1, s + 2):
+    if K.q ** 2 > pair_budget:
+        rng = random.Random(cfg.seed)
+        pairs = [(rng.randrange(K.q), rng.randrange(K.q))
+                 for _ in range(pair_budget)]
+    else:
         pairs = [(x, y) for x in K.elements() for y in K.elements()]
-        if len(pairs) > pair_budget:
-            rng = random.Random(cfg.seed)
-            pairs = [(rng.randrange(K.q), rng.randrange(K.q))
-                     for _ in range(pair_budget)]
+    for depth in range(1, s + 2):
         for x, y in pairs:
             commutator_class(ctx, x, y, depth)       # self-checking
         full = commutator_span(K, r, depth) == frozenset(K.elements())

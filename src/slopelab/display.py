@@ -13,8 +13,9 @@ read off additively from the free entries:
     chi = F^h - sum_{x=1}^{h} A_x F^{h-x},
     A_x = sum_{(i,j) in S, j+1-i = x} p^{j-d} a_{ij}^{sigma^{h-(j-d)-d}}.
 
-Deforming the free columns d..h-1 by Teichmuller parameters realizes the
-universal deformation; restricting the parameters to the lattice points on
+Deforming the free columns d..h-1 by Teichmuller parameters, through the
+T-substitution (A + TC, B + TD; C, D), realizes the universal deformation;
+restricting the parameters to the lattice points on
 or above an adjoined Newton polygon gives the one-new-slope deformation
 whose strata this module enumerates.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly, WittCoeffOps
+from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly
 from .arith.witt import WittElt, WittRing, witt_embed
 from .errors import InternalCheckFailed, PreconditionError
 from .polygon import (
@@ -40,19 +41,24 @@ Point = tuple[int, int]
 
 
 class Display:
-    """h x h matrix with block sizes (d, c); entries numeric or symbolic."""
+    """h x h matrix with block sizes (d, c); entries numeric or symbolic.
+
+    The display is symbolic iff some entry is a SymCoeff; numeric entries
+    of a symbolic display are lifted."""
 
     __slots__ = ("ring", "d", "c", "entries", "symbolic")
 
-    def __init__(self, ring: WittRing, d: int, c: int, entries: dict,
-                 symbolic: bool = False):
+    def __init__(self, ring: WittRing, d: int, c: int, entries: dict):
         if d < 1 or c < 1:
             raise PreconditionError("block sizes d, c must be positive")
         self.ring = ring
         self.d = d
         self.c = c
-        self.symbolic = symbolic
+        self.symbolic = any(isinstance(v, SymCoeff) for v in entries.values())
         ops = self.ops()
+        if self.symbolic:
+            entries = {pos: v if isinstance(v, SymCoeff) else ops.lift(v)
+                       for pos, v in entries.items()}
         self.entries = {
             pos: v for pos, v in entries.items() if not ops.is_zero(v)}
         for (i, j) in self.entries:
@@ -64,23 +70,20 @@ class Display:
         return self.d + self.c
 
     def ops(self):
-        return SymCoeffOps(self.ring) if self.symbolic else WittCoeffOps(self.ring)
+        return SymCoeffOps(self.ring) if self.symbolic else self.ring
 
     def entry(self, i: int, j: int):
         return self.entries.get((i, j), self.ops().zero())
 
     def free_slots(self):
-        """The set S of unconstrained positions, row-major."""
-        return [(i, j) for i in range(1, self.d + 1)
-                for j in range(self.d, self.h + 1)]
+        return _free_slots(self.d, self.c)
 
     def to_symbolic(self) -> "Display":
         if self.symbolic:
             return self
         ops = SymCoeffOps(self.ring)
         return Display(self.ring, self.d, self.c,
-                       {pos: ops.lift(v) for pos, v in self.entries.items()},
-                       symbolic=True)
+                       {pos: ops.lift(v) for pos, v in self.entries.items()})
 
     def to_json(self) -> dict:
         ops = self.ops()
@@ -88,7 +91,8 @@ class Display:
             "d": self.d,
             "c": self.c,
             "matrix": [
-                [ops.to_json(self.entry(i, j)) for j in range(1, self.h + 1)]
+                [ops.element_to_json(self.entry(i, j))
+                 for j in range(1, self.h + 1)]
                 for i in range(1, self.h + 1)
             ],
         }
@@ -106,6 +110,11 @@ class Display:
         return f"Display(d={self.d}, c={self.c}, {kind}, {len(self.entries)} entries)"
 
 
+def _free_slots(d: int, c: int) -> list[tuple[int, int]]:
+    """The set S of unconstrained positions, row-major."""
+    return [(i, j) for i in range(1, d + 1) for j in range(d, d + c + 1)]
+
+
 def _structure(ring: WittRing, d: int, c: int) -> dict:
     """The fixed 0/1 skeleton of the normal form."""
     h = d + c
@@ -120,50 +129,33 @@ def _structure(ring: WittRing, d: int, c: int) -> dict:
 
 
 def display_normal(ring: WittRing, d: int, c: int, free: dict) -> Display:
-    """Normal-form display from its free entries {(i,j) in S: value}."""
-    h = d + c
-    slots = {(i, j) for i in range(1, d + 1) for j in range(d, h + 1)}
-    symbolic = any(isinstance(v, SymCoeff) for v in free.values())
-    ops = SymCoeffOps(ring) if symbolic else WittCoeffOps(ring)
-    entries = dict(_structure(ring, d, c))
-    if symbolic:
-        entries = {pos: ops.lift(v) for pos, v in entries.items()}
-    for (i, j), v in free.items():
-        if (i, j) not in slots:
-            raise PreconditionError(f"position {(i, j)} is not a free slot")
-        if symbolic and not isinstance(v, SymCoeff):
-            v = ops.lift(v)
-        if (i, j) in entries:
-            v = ops.add(entries[(i, j)], v)
-        entries[(i, j)] = v
-    return Display(ring, d, c, entries, symbolic=symbolic)
+    """Normal-form display from its free entries {(i,j) in S: value}.
+
+    S does not meet the skeleton, so the free entries are placed as given."""
+    slots = set(_free_slots(d, c))
+    for pos in free:
+        if pos not in slots:
+            raise PreconditionError(f"position {pos} is not a free slot")
+    return Display(ring, d, c, {**_structure(ring, d, c), **free})
 
 
 def normal_form_check(disp: Display) -> bool:
     """Shape test: structural skeleton exact, free entries only in S, and a
     unit in the upper-right corner."""
-    ring, d, c, h = disp.ring, disp.d, disp.c, disp.h
     ops = disp.ops()
-    skeleton = _structure(ring, d, c)
     slots = set(disp.free_slots())
-    for i in range(1, h + 1):
-        for j in range(1, h + 1):
-            if (i, j) in slots:
-                continue
-            want = skeleton.get((i, j), ring.zero())
-            got = disp.entry(i, j)
-            if disp.symbolic:
-                want = ops.lift(want)
-            if got != want:
-                return False
-    return ops.ord(disp.entry(1, h)) == 0
+    fixed = {pos: v for pos, v in disp.entries.items() if pos not in slots}
+    skeleton = _structure(disp.ring, disp.d, disp.c)
+    if disp.symbolic:
+        skeleton = {pos: ops.lift(v) for pos, v in skeleton.items()}
+    return fixed == skeleton and ops.ord(disp.entry(1, disp.h)) == 0
 
 
 def charpoly(disp: Display) -> TwistedPoly:
     """chi(F) = F^h - sum A_x F^{h-x} for a normal-form display."""
     if not normal_form_check(disp):
         raise PreconditionError("display is not in normal form")
-    ring, d, h = disp.ring, disp.d, disp.h
+    d, h = disp.d, disp.h
     ops = disp.ops()
     coeffs = {h: ops.one()}
     for x in range(1, h + 1):
@@ -177,16 +169,15 @@ def charpoly(disp: Display) -> TwistedPoly:
                 continue
             term = ops.sigma(a, h - y - d)
             if y:
-                term = _scale_p(ops, term, y)
+                term = _scale_p(disp.ring, term, y)
             acc = ops.add(acc, term)
         if not ops.is_zero(acc):
             coeffs[h - x] = ops.neg(acc)
     return TwistedPoly(ops, coeffs)
 
 
-def _scale_p(ops, coeff, y: int):
+def _scale_p(ring: WittRing, coeff, y: int):
     """Multiply a coefficient by p^y."""
-    ring = ops.ring
     if isinstance(coeff, SymCoeff):
         base = ring.scalar_mul(ring.field.p ** y, coeff.base)
         terms = tuple(
@@ -240,8 +231,7 @@ def display_from_charpoly(ring: WittRing, d: int,
                 raise PreconditionError(
                     f"A_{x} has valuation below {y}, no normal slot fits")
             free[(1, x)] = ring.sigma(ring.divide_p(ax, y), -(h - x))
-    disp = Display(ring, d, c,
-                   {**_structure(ring, d, c), **free})
+    disp = display_normal(ring, d, c, free)
     if not normal_form_check(disp):
         raise PreconditionError("prescribed coefficients break normal form")
     return disp
@@ -254,10 +244,9 @@ def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
     order does not matter; the result realizes the direct sum of the
     slope r_i/s_i building blocks up to isogeny.
     """
-    ops = WittCoeffOps(ring)
-    prod = TwistedPoly(ops, {0: ring.one()})
+    prod = TwistedPoly(ring, {0: ring.one()})
     for r, s in pieces:
-        factor = TwistedPoly(ops, {
+        factor = TwistedPoly(ring, {
             s: ring.one(), 0: ring.neg(ring.from_int(ring.field.p ** r))})
         prod = prod.mul(factor)
     h = sum(s for _, s in pieces)
@@ -312,15 +301,17 @@ def parallelogram(d: int, c: int) -> tuple[Point, ...]:
 
 
 def strata(d: int, c: int, np0: NewtonPolygon, lam) -> Stratification:
-    """Filter the parallelogram by the adjoined polygon and slice by level.
-
-    Level j of (x, y) is sy - rx, nonnegative exactly on points at or
-    above the slope lam line through the origin; the active set is cut out
-    by the adjoined polygon np(*) instead of the line.
-    """
+    """Filter the parallelogram by the adjoined polygon and slice by level."""
     lam = Fraction(lam)
+    return _slice(d, c, lam, adjoin(np0, (lam.denominator, lam.numerator)))
+
+
+def _slice(d: int, c: int, lam: Fraction,
+           np_star: NewtonPolygon) -> Stratification:
+    """Level j of (x, y) is sy - rx, nonnegative exactly on points at or
+    above the slope lam line through the origin; the active set is cut out
+    by the adjoined polygon np(*) instead of the line."""
     s, r = lam.denominator, lam.numerator
-    np_star = adjoin(np0, (s, r))
     region = parallelogram(d, c)
     active = frozenset(
         (x, y) for x, y in region if y >= np_star.value_at(x))
@@ -340,19 +331,27 @@ def coord_name(x: int, y: int) -> str:
 
 
 def universal_deformation(disp: Display) -> Display:
-    """Adjoin one Teichmuller parameter to every free slot in columns
-    d..h-1; column h stays fixed.  Slot (i, j) feeds coefficient index
-    x = j + 1 - i at p-exponent y = j - d, which names its parameter."""
-    base = disp.to_symbolic()
-    ops = SymCoeffOps(base.ring)
-    entries = dict(base.entries)
-    for (i, j) in base.free_slots():
-        if j == base.h:
-            continue
-        x, y = j + 1 - i, j - base.d
-        sym = ops.symbol(coord_name(x, y))
-        entries[(i, j)] = ops.add(base.entry(i, j), sym)
-    return Display(base.ring, base.d, base.c, entries, symbolic=True)
+    """One Teichmuller parameter in every entry of T; on a normal-form
+    display they land in the free slots of columns d..h-1, and column h
+    stays fixed."""
+    return _parametrize(disp, None)
+
+
+def _parametrize(disp: Display, points) -> Display:
+    """The T-substitution with the parameter u(x, y) at T_{i,k}.
+
+    On a normal-form display T_{i,k} lands in slot (i, j = d + k - 1),
+    which feeds coefficient index x = j + 1 - i at p-exponent y = j - d;
+    points (None for all) selects the (x, y) that get a parameter."""
+    ops = SymCoeffOps(disp.ring)
+    t_matrix = {}
+    for i in range(1, disp.d + 1):
+        for k in range(1, disp.c + 1):
+            j = disp.d + k - 1
+            x, y = j + 1 - i, j - disp.d
+            if points is None or (x, y) in points:
+                t_matrix[(i, k)] = ops.symbol(coord_name(x, y))
+    return t_substitute(disp, t_matrix)
 
 
 @dataclass(frozen=True)
@@ -390,13 +389,13 @@ class DeformationSpec:
             if missing:
                 raise PreconditionError(f"no value for symbols {missing}")
             out[k] = ops.specialize(coeff, named, ring=ring, embed=embed)
-        return TwistedPoly(WittCoeffOps(ring), out)
+        return TwistedPoly(ring, out)
 
     def to_json(self) -> dict:
         return {
             "slope": str(self.lam),
             "strata": self.strat.to_json(),
-            "chi": {str(k): self.chi.ops.to_json(v)
+            "chi": {str(k): self.chi.ops.element_to_json(v)
                     for k, v in sorted(self.chi.coeffs.items())},
         }
 
@@ -412,17 +411,7 @@ def deformation(disp: Display, lam) -> DeformationSpec:
     if attainable(np0, lam) is None:
         raise PreconditionError(f"slope {lam} is not attainable from {np0}")
     strat = strata(disp.d, disp.c, np0, lam)
-    base = disp.to_symbolic()
-    ops = SymCoeffOps(base.ring)
-    entries = dict(base.entries)
-    for (i, j) in base.free_slots():
-        if j == base.h:
-            continue
-        x, y = j + 1 - i, j - base.d
-        if (x, y) not in strat.active:
-            continue
-        entries[(i, j)] = ops.add(base.entry(i, j), ops.symbol(coord_name(x, y)))
-    deformed = Display(base.ring, base.d, base.c, entries, symbolic=True)
+    deformed = _parametrize(disp, strat.active)
     return DeformationSpec(disp, lam, strat, deformed, charpoly(deformed))
 
 
@@ -460,20 +449,12 @@ def pol_strata(g: int, np0: NewtonPolygon, lam) -> PolarizedStrata:
     """Strata cut out by the symmetric adjoined polygon, with parameter
     coordinates identified along the involution."""
     lam = Fraction(lam)
-    np_star = symmetric_adjoin(np0, lam)
-    s, r = lam.denominator, lam.numerator
-    region = parallelogram(g, g)
-    active = frozenset((x, y) for x, y in region if y >= np_star.value_at(x))
+    strat = _slice(g, g, lam, symmetric_adjoin(np0, lam))
+    active = strat.active
     for pt in active:
         img = inv_np(g, pt)
-        if img in region and not (img[1] >= np_star.value_at(img[0])):
+        if img in strat.region and img not in active:
             raise InternalCheckFailed(f"involution broke the active set at {pt}")
-    layers: dict[int, set] = {}
-    for x, y in active:
-        layers.setdefault(s * y - r * x, set()).add((x, y))
-    strat = Stratification(
-        g, g, lam, region, np_star, active,
-        {j: frozenset(v) for j, v in layers.items()})
     seen: set = set()
     classes = []
     for pt in sorted(active):
@@ -498,36 +479,24 @@ def t_substitute(disp: Display, t_matrix: dict) -> Display:
     entries are zero.  Symbolic T entries promote the whole display.
     """
     d, c, h = disp.d, disp.c, disp.h
-    symbolic = disp.symbolic or any(
-        isinstance(v, SymCoeff) for v in t_matrix.values())
-    base = disp.to_symbolic() if symbolic else disp
-    ops = base.ops()
-
-    def t_entry(i, k):
-        v = t_matrix.get((i, k), ops.zero())
-        if symbolic and not isinstance(v, SymCoeff):
-            v = ops.lift(v)
-        return v
-
-    entries = dict(base.entries)
+    if any(isinstance(v, SymCoeff) for v in t_matrix.values()):
+        disp = disp.to_symbolic()
+    ops = disp.ops()
+    if disp.symbolic:
+        t_matrix = {pos: v if isinstance(v, SymCoeff) else ops.lift(v)
+                    for pos, v in t_matrix.items()}
+    entries = dict(disp.entries)
     for i in range(1, d + 1):
         for j in range(1, h + 1):
             # (TC)_{ij} for j <= d, (TD)_{i, j-d} for j > d
             acc = ops.zero()
             for k in range(1, c + 1):
-                lower = base.entry(d + k, j)
-                if ops.is_zero(lower):
-                    continue
-                acc = ops.add(acc, ops.mul(t_entry(i, k), lower))
-            if ops.is_zero(acc):
-                continue
-            cur = entries.get((i, j), ops.zero())
-            total = ops.add(cur, acc)
-            if ops.is_zero(total):
-                entries.pop((i, j), None)
-            else:
-                entries[(i, j)] = total
-    return Display(base.ring, d, c, entries, symbolic=symbolic)
+                lower = disp.entries.get((d + k, j))
+                if lower is not None and (i, k) in t_matrix:
+                    acc = ops.add(acc, ops.mul(t_matrix[(i, k)], lower))
+            if not ops.is_zero(acc):
+                entries[(i, j)] = ops.add(disp.entry(i, j), acc)
+    return Display(disp.ring, d, c, entries)
 
 
 def filtered_lift(disp: Display, sizes: list[tuple[int, int]],
@@ -578,7 +547,7 @@ def direct_sum_display(blocks: list[Display]) -> Display:
             entries[(glob(i), glob(j))] = v
         off_d += b.d
         off_c += b.c
-    return Display(ring, d, c, entries, symbolic=blocks[0].symbolic)
+    return Display(ring, d, c, entries)
 
 
 def diagonal_block(disp: Display, sizes: list[tuple[int, int]],
@@ -589,10 +558,7 @@ def diagonal_block(disp: Display, sizes: list[tuple[int, int]],
     di, ci = sizes[index]
     rows = list(range(off_d + 1, off_d + di + 1)) + \
         [disp.d + k for k in range(off_c + 1, off_c + ci + 1)]
-    entries = {}
-    for a, i in enumerate(rows, start=1):
-        for b, j in enumerate(rows, start=1):
-            v = disp.entry(i, j)
-            if not disp.ops().is_zero(v):
-                entries[(a, b)] = v
-    return Display(disp.ring, di, ci, entries, symbolic=disp.symbolic)
+    index = {i: a for a, i in enumerate(rows, start=1)}
+    entries = {(index[i], index[j]): v for (i, j), v in disp.entries.items()
+               if i in index and j in index}
+    return Display(disp.ring, di, ci, entries)

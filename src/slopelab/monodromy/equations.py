@@ -62,7 +62,7 @@ def demazure_slope(chi: TwistedPoly, normalize: bool = True) -> DemazureData:
     symbolic = any(isinstance(c, SymCoeff) for c in chi.coeffs.values())
     if symbolic or not normalize:
         return DemazureData(lam, None)
-    ring = chi.ops.ring
+    ring = chi.ops
     out = {}
     for x, _ in pairs:
         ax = ring.neg(chi.coeff(h - x))

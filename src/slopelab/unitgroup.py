@@ -71,7 +71,7 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     K = ctx.field
     u = ctx.sub(ctx.one(), ctx.teich_term(1, x))
     v = ctx.sub(ctx.one(), ctx.teich_term(n, y))
-    comm = ctx.mul(ctx.mul(u, v), ctx.mul(ctx.inv(u), ctx.inv(v)))
+    comm = ctx.commutator(u, v)
     got = graded_class(ctx, comm, n + 1) if comm != ctx.one() else 0
     expect = K.sub(K.mul(K.frobenius(x, (ctx.r * n) % ctx.s), y),
                    K.mul(K.frobenius(y, ctx.r % ctx.s), x))
@@ -266,6 +266,7 @@ def closure_compiled(field: FieldSpec, r: int, n: int, covered,
         u_inv = ctx.inv(u)
         echelon[key] = (c, u_inv)
         queue.append(ctx.pow(u, p))
+        # ctx.commutator, spelled out to reuse the stored inverses
         queue.extend(ctx.mul(ctx.mul(u, f), ctx.mul(u_inv, f_inv))
                      for f, f_inv in found)
         if t is not None:

@@ -1,5 +1,6 @@
 """Command-line surface: grammars, report contracts, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,21 @@ def test_deform_json_contract(capsys, tmp_path):
     main(["deform", "--base", "ss6", "--lambda", "1/3",
           "--format", "json", "-o", str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--base", "ss6", "--lambda", "1/3"),
+     "fa29002bc846e42daf468e229cbd5c4ae9bb3711598a418ce8694333e14c6dd7"),
+    (("--base", "H1/3+ss4", "--lambda", "1/4"),
+     "1e32dccb2eaff68dc8bfff1ecf42d2ab8019261d65b6b8f347a59f89344647fb"),
+    (("--base", "ss8", "--lambda", "1/4", "--p", "2"),
+     "6d63d5b2dbdd7f228858efad4da25aafbd58e85a9c04144ff657a4d1ae1f8e24"),
+], ids=["ss6", "H1/3+ss4", "ss8-p2"])
+def test_deform_json_bytes_are_pinned(capsys, argv, digest):
+    # the strata, the symbolic charpoly and the equation, byte for byte
+    rc, out = run(capsys, "deform", *argv, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_certify_small_guard_is_honestly_inconclusive(capsys):

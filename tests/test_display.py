@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab.arith import witt_for
-from slopelab.arith.twisted import SymTerm, TwistedPoly, WittCoeffOps
+from slopelab.arith.twisted import SymTerm, TwistedPoly
 from slopelab.display import (
     DeformationSpec,
     Display,

@@ -9,7 +9,7 @@ import pytest
 
 from slopelab.arith import witt_for
 from slopelab.arith.fields import field_make, field_modulus, polymulmod, power
-from slopelab.arith.twisted import TwistedPoly, WittCoeffOps
+from slopelab.arith.twisted import TwistedPoly
 from slopelab.display import (charpoly, charpoly_polygon, deformation,
                               display_normal, split_display)
 from slopelab.errors import InternalCheckFailed, PreconditionError
@@ -32,7 +32,7 @@ def running_instance(m=8):
 
 def test_demazure_examples():
     ring = witt_for(3, 3, 6)
-    ops = WittCoeffOps(ring)
+    ops = ring
     p = 3
     chi = TwistedPoly(ops, {3: ring.one(), 0: ring.neg(ring.from_int(p * p))})
     assert demazure_slope(chi).lam == Fraction(2, 3)
@@ -62,7 +62,7 @@ def test_demazure_normalized_digits():
 
 def test_demazure_all_zero_rejected():
     ring = witt_for(3, 2, 4)
-    ops = WittCoeffOps(ring)
+    ops = ring
     chi = TwistedPoly(ops, {2: ring.one()})
     with pytest.raises(PreconditionError):
         demazure_slope(chi)

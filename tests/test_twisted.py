@@ -5,7 +5,6 @@ import pytest
 from slopelab.arith import (
     SymCoeffOps,
     TwistedPoly,
-    WittCoeffOps,
     witt_for,
 )
 
@@ -14,7 +13,7 @@ def test_difference_of_squares_fails_to_commute():
     # (F - c)(F + c) = F^2 + (c^sigma - c) F - c^2, with a genuinely
     # nonzero middle coefficient whenever c is not sigma-fixed
     W = witt_for(3, 2, 3)
-    ops = WittCoeffOps(W)
+    ops = W
     c = W.teichmuller(W.field.generator())
     prod = TwistedPoly(ops, {1: W.one(), 0: W.neg(c)}).mul(
         TwistedPoly(ops, {1: W.one(), 0: c}))
@@ -29,7 +28,7 @@ def test_difference_of_squares_fails_to_commute():
 
 def test_left_multiplication_by_powers_of_f():
     W = witt_for(2, 3, 2)
-    ops = WittCoeffOps(W)
+    ops = W
     a = W.teichmuller(W.field.generator())
     for k in range(1, 7):
         lhs = TwistedPoly(ops, {k: W.one()}).mul(TwistedPoly(ops, {0: a}))
@@ -38,7 +37,7 @@ def test_left_multiplication_by_powers_of_f():
 
 def test_associative_random():
     W = witt_for(3, 2, 2)
-    ops = WittCoeffOps(W)
+    ops = W
     rng = random.Random(21)
 
     def rnd():
@@ -55,7 +54,7 @@ def test_associative_random():
 
 def test_degree_and_ord_map():
     W = witt_for(3, 1, 4)
-    ops = WittCoeffOps(W)
+    ops = W
     poly = TwistedPoly(ops, {3: W.one(), 1: W.from_int(9), 0: W.from_int(27)})
     assert poly.degree() == 3
     assert poly.ord_map() == {3: 0, 1: 2, 0: 3}
