@@ -128,9 +128,9 @@ def power(mul, one, a, e: int):
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over a FieldSpec (coefficient lists, little-endian).
-# Used for modulus selection; also reused by the Artin-Schreier factoring
-# oracle, which works over an arbitrary FieldSpec.
+# Dense polynomial helpers over a FieldSpec (coefficient lists, little-endian),
+# for modulus selection and the Artin-Schreier factoring oracle.  Both only
+# raise to powers of p, which `poly_frobenius` does without a dense product.
 # ---------------------------------------------------------------------------
 
 
@@ -197,9 +197,16 @@ def poly_gcd(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def poly_powmod(K: "FieldSpec", f: list[int], e: int, mod: list[int]) -> list[int]:
-    return power(lambda a, b: poly_rem(K, poly_mul(K, a, b), mod), [1],
-                 poly_rem(K, f, mod), e)
+def poly_frobenius(K: "FieldSpec", f: list[int], k: int,
+                   mod: list[int]) -> list[int]:
+    """f^(p^k) mod `mod` by k p-th powers: sum c_i X^i -> sum c_i^p X^(ip)
+    in characteristic p, then one `poly_rem`, so no dense product."""
+    f = poly_rem(K, f, mod)
+    for _ in range(k):
+        g = [0] * (K.p * len(f) - K.p + 1)
+        g[::K.p] = map(K.frobenius, f)
+        f = poly_rem(K, g, mod)
+    return f
 
 
 def poly_eval(K: "FieldSpec", f: list[int], a: int) -> int:
@@ -218,15 +225,9 @@ def _irreducible(p: int, f: list[int]) -> bool:
     Fp = field_make(p, 1)
     s = len(f) - 1
     x = [0, 1]
-    xq = poly_powmod(Fp, x, p ** s, f)
-    if poly_trim(poly_sub(Fp, xq, x)):
-        return False
-    for t in _factor(s):
-        xe = poly_powmod(Fp, x, p ** (s // t), f)
-        g = poly_gcd(Fp, poly_sub(Fp, xe, x), f)
-        if len(g) != 1:
-            return False
-    return True
+    gaps = [poly_sub(Fp, poly_frobenius(Fp, x, s // t, f), x)
+            for t in (1, *_factor(s))]
+    return not gaps[0] and all(len(poly_gcd(Fp, g, f)) == 1 for g in gaps[1:])
 
 
 class FieldSpec:

@@ -43,7 +43,7 @@ from .monodromy import (as_reducible, as_reducible_oracle, check_slope_shape,
 from .polygon import adjoin, attainable, compare, np_make, symmetric_adjoin
 from .serialize import canonical_dumps, np_from_json
 from .unitgroup import (commutator_class, commutator_span, generation_report,
-                        p2_power_report, pth_power_check)
+                        p2_power_report, pth_power_check, quotient_order)
 
 SCALE = 20          # svg units per lattice step
 PAD = 30
@@ -301,6 +301,7 @@ def cmd_units(cfg: RunConfig, args) -> int:
     if not (0 < r < s and math.gcd(r, s) == 1):
         raise PreconditionError(f"slope {r}/{s} must be reduced and in (0, 1)")
     K = field_make(p, s, cfg.seed)
+    quotient_order(K, n, cfg.guard)         # refuse before any span
     covered = parse_covered(args.covered) if args.covered else [0, 1]
     covered = [i for i in covered if i < n]
 

@@ -8,9 +8,12 @@ some a in K and some nonzero subgroup G, where f_G = prod_{g in G}(X - g).
 
 f_G is F_p-linear on K with kernel G, so the criterion is linear algebra:
 for each G, A is tested for membership in the image of f_G, spanned by
-f_G(x^i) for i < s, and a preimage a0 gives every solution a0 + G.  The
-factoring-based check in `as_reducible_oracle` shares no code with the
-subgroup criterion.
+f_G(x^i) for i < s, and a preimage a0 gives every solution a0 + G.  f_G
+is built along a basis of G by f_{G + F_p g} = f_G^p - f_G(g)^(p-1) f_G,
+since prod_{c in F_p}(Y - c b) = Y^p - b^(p-1) Y.  The factoring-based
+check in `as_reducible_oracle` shares no code with the subgroup
+criterion; it raises polynomials only to powers of |K| = p^s, which are
+s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ def enumerate_subgroups(field: FieldSpec, ambient=None) -> list[frozenset]:
     """All additive subgroups of `ambient` (default: the whole field),
     sorted by (size, elements): one per reduced row-echelon basis over a
     basis of the F_p-span of `ambient`."""
+    return [G for G, _ in _subgroups_with_bases(field, ambient)]
+
+
+def _subgroups_with_bases(field: FieldSpec, ambient=None) -> list[tuple]:
+    """(G, codes of an F_p-basis of G) in `enumerate_subgroups` order."""
     if ambient is None:
         ambient = field.elements()
     p = field.p
@@ -101,13 +109,15 @@ def enumerate_subgroups(field: FieldSpec, ambient=None) -> list[frozenset]:
     out = []
     for rows in rref_bases(p, len(basis)):
         gens = [combine(p, row, basis) for row in rows]
-        out.append(frozenset(field.encode(combine(p, c, gens))
-                             for c in product(range(p), repeat=len(gens))))
-    return sorted(out, key=lambda G: (len(G), sorted(G)))
+        G = frozenset(field.encode(combine(p, c, gens))
+                      for c in product(range(p), repeat=len(gens)))
+        out.append((G, [field.encode(g) for g in gens]))
+    return sorted(out, key=lambda entry: (len(entry[0]), sorted(entry[0])))
 
 
 def subgroup_polynomial(field: FieldSpec, G) -> AdditivePolynomial:
-    """f_G = prod_{g in G}(X - g), verified additive."""
+    """f_G = prod_{g in G}(X - g), verified additive: the reference for
+    the basis recurrence that `as_reducible` uses."""
     G = frozenset(G)
     for a in G:
         for b in G:
@@ -119,6 +129,19 @@ def subgroup_polynomial(field: FieldSpec, G) -> AdditivePolynomial:
     for g in G:
         f = fields.poly_mul(field, f, [field.neg(g), 1])
     return additive_from_dense(field, f)
+
+
+def _span_polynomial(K: FieldSpec, gens) -> AdditivePolynomial:
+    """f_G for G spanned by the F_p-independent codes `gens`, by
+    f_{G + F_p g} = f_G^p - f_G(g)^(p-1) f_G from f_0 = X."""
+    f = additive_make(K, {0: 1})
+    for g in gens:
+        b = K.pow(f.eval(g), K.p - 1)
+        coeffs = {j + 1: K.frobenius(c) for j, c in f.coeffs}
+        for j, c in f.coeffs:
+            coeffs[j] = K.sub(coeffs.get(j, 0), K.mul(b, c))
+        f = additive_make(K, coeffs)
+    return f
 
 
 def _check_subfield(K: FieldSpec, q: int) -> None:
@@ -134,10 +157,10 @@ def _image_table(K: FieldSpec, q: int) -> tuple:
     x^i has code p^i, so a membership combination c is the code of a
     preimage."""
     table = []
-    for G in enumerate_subgroups(K, K.subfield_elements(q)):
-        if len(G) == 1:
+    for G, gens in _subgroups_with_bases(K, K.subfield_elements(q)):
+        if not gens:
             continue
-        f = subgroup_polynomial(K, G)
+        f = _span_polynomial(K, gens)
         image = Echelon(K.p)
         for i in range(K.s):
             image.insert(K.coeffs(f.eval(K.p ** i)))
@@ -171,15 +194,16 @@ def as_reducible(K: FieldSpec, q: int, A: int):
 def as_reducible_oracle(K: FieldSpec, q: int, A: int) -> bool:
     """Direct factor detection: the least m with a root in the degree-m
     extension is the common degree of all irreducible factors, so the
-    polynomial is reducible iff that degree falls short of q."""
+    polynomial is reducible iff that degree falls short of q.
+
+    The walk r -> r^|K| mod f finds X^(|K|^m).  As |K| = p^s and p-th
+    powers are additive in characteristic p, each step is s passes
+    c_i X^i -> c_i^p X^(ip) followed by a reduction mod f."""
     _check_subfield(K, q)
-    f = [0] * (q + 1)
-    f[q] = 1
-    f[1] = K.add(f[1], K.neg(1))
-    f[0] = K.neg(A)
+    f = [K.neg(A), K.neg(1)] + [0] * (q - 2) + [1]
     r = [0, 1]
     for m in range(1, q + 1):
-        r = fields.poly_powmod(K, r, K.q, f)
+        r = fields.poly_frobenius(K, r, K.s, f)
         diff = fields.poly_sub(K, r, [0, 1])
         g = fields.poly_gcd(K, diff, f)
         if len(g) > 1:

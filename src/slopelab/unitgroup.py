@@ -283,19 +283,29 @@ def generation_check(ctx: RamifiedOrder, n: int, covered,
     return generation_report(ctx, n, covered, guard)["generates"]
 
 
+def quotient_order(K: FieldSpec, n: int, guard: int) -> int:
+    """|G/G_n| = (q - 1) q^(n-1); GuardExceeded if it exceeds guard,
+    without forming q^(n-1) when n alone decides that."""
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    if n - 1 > guard.bit_length():          # q^(n-1) >= 2^(n-1) > guard
+        raise GuardExceeded(f"|G/G_n| = {K.q - 1}*{K.q}^{n - 1} "
+                            f"exceeds guard {guard}")
+    total = (K.q - 1) * K.q ** (n - 1)
+    if total > guard:
+        raise GuardExceeded(f"|G/G_n| = {total} exceeds guard {guard}")
+    return total
+
+
 def generation_report(ctx: RamifiedOrder, n: int, covered,
                       guard: int = 10 ** 7) -> dict:
     """Order of the subgroup generated by lifts covering the chosen
     graded pieces, compared against |G/G_n|."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
     K = ctx.field
+    total = quotient_order(K, n, guard)
     covered = sorted(set(covered))
     if any(i < 0 or i >= n for i in covered):
         raise PreconditionError(f"covered pieces must lie in [0, {n})")
-    total = (K.q - 1) * K.q ** (n - 1)
-    if total > guard:
-        raise GuardExceeded(f"|G/G_n| = {total} exceeds guard {guard}")
     size = closure_compiled(K, ctx.r, n, covered, guard)
     return {
         "q": K.q,

@@ -133,6 +133,21 @@ def cayley_hamilton_holds(disp, chi):
     return all(t == ring.zero() for t in out2)
 
 
+def poly_powmod(K, f, e, mod):
+    """f^e mod `mod` by square-and-multiply over dense products: the
+    reference for `fields.poly_frobenius`, with its own loop rather than
+    the library's `power`."""
+    from slopelab.arith import fields
+    acc, f = [1], fields.poly_rem(K, f, mod)
+    while e:
+        if e & 1:
+            acc = fields.poly_rem(K, fields.poly_mul(K, acc, f), mod)
+        e >>= 1
+        if e:
+            f = fields.poly_rem(K, fields.poly_mul(K, f, f), mod)
+    return acc
+
+
 def splitting_degree_by_factoring(K, f):
     """Least m such that f has a root in the degree-m extension of K.
 
@@ -145,7 +160,7 @@ def splitting_degree_by_factoring(K, f):
     deg = len(fields.poly_trim(list(f))) - 1
     r = [0, 1]
     for m in range(1, deg + 1):
-        r = fields.poly_powmod(K, r, K.q, f)
+        r = poly_powmod(K, r, K.q, f)
         g = fields.poly_gcd(K, fields.poly_sub(K, r, [0, 1]), f)
         if len(g) > 1:
             return m

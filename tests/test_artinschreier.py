@@ -8,7 +8,8 @@ from oracles import additive_subgroups, as_reducible_exhaustive, span
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
 from slopelab.errors import PreconditionError
-from slopelab.monodromy.artinschreier import (additive_from_dense,
+from slopelab.monodromy.artinschreier import (_image_table,
+                                              additive_from_dense,
                                               as_reducible,
                                               as_reducible_oracle,
                                               enumerate_subgroups,
@@ -115,6 +116,18 @@ def test_vanishing_on_subgroup():
             assert f.degree == len(G)
 
 
+def test_basis_recurrence_matches_the_product_of_linear_factors():
+    # the f_G that as_reducible tests against, built along a basis of G,
+    # equals prod_{g in G}(X - g) for every nontrivial subgroup, |K| <= 81
+    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+                 (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)):
+        K = field_make(p, s)
+        table = _image_table(K, K.q)
+        assert [G for G, _, _ in table] == enumerate_subgroups(K)[1:]
+        for G, f, _ in table:
+            assert f == subgroup_polynomial(K, G), (K, sorted(G))
+
+
 def test_additive_from_dense_rejects_stray_monomial():
     with pytest.raises(PreconditionError):
         additive_from_dense(F4, [0, 1, 0, 1])  # X^3 term
@@ -154,6 +167,24 @@ def test_linear_criterion_matches_exhaustive_witness():
                 for A in K.elements():
                     assert as_reducible(K, p ** t, A) == \
                         as_reducible_exhaustive(K, p ** t, A), (K, t, A)
+
+
+def _trace(K, A):
+    """Tr_{K/F_p}(A) = sum of the conjugates A^(p^i), i < s."""
+    acc = 0
+    for i in range(K.s):
+        acc = K.add(acc, K.frobenius(A, i))
+    return acc
+
+
+def test_oracle_counts_trace_zero_for_prime_q():
+    # X^p - X - A is reducible over K iff Tr_{K/F_p}(A) = 0, which holds
+    # for |K|/p values of A: 5 on F_25, 9 on F_27, 7 on F_49
+    for p, s in ((5, 2), (3, 3), (7, 2)):
+        K = field_make(p, s)
+        reducible = [A for A in K.elements() if as_reducible_oracle(K, p, A)]
+        assert reducible == [A for A in K.elements() if _trace(K, A) == 0]
+        assert len(reducible) == K.q // p
 
 
 def test_agreement_sampled_f27():

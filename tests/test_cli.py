@@ -107,6 +107,15 @@ def test_deform_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_as_json_bytes_are_pinned(capsys):
+    # every A over F_729: the criterion's witnesses and the oracle's verdicts
+    rc, out = run(capsys, "as", "test", "--q", "9", "--field", "F729",
+                  "--all", "--format", "json", "--seed", "0")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ee9d051a35be4f31e99455559840462bee20cb230e4b2fdb99a7ee4980a633d5"
+
+
 def test_certify_small_guard_is_honestly_inconclusive(capsys):
     rc, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
                   "--guard", "20000")
@@ -243,6 +252,23 @@ def test_units_verify_p2_reports_depth_one_finding(capsys):
     assert finding["observed_law"] == "alpha + alpha^2"
     assert finding["holds"]
     assert finding["failing_alphas"] == list(range(1, 8))
+
+
+@pytest.mark.parametrize("n, message", [
+    ("2", "|G/G_n| = 530712 exceeds guard 10"),
+    ("10" * 6, "|G/G_n| = 728*729^101010101009 exceeds guard 10"),
+])
+def test_units_verify_above_guard_exits_2_before_any_commutator(
+        capsys, monkeypatch, n, message):
+    called = []
+    monkeypatch.setattr(cli, "commutator_class",
+                        lambda *args: called.append(args))
+    t0 = time.monotonic()
+    assert main(["units", "verify", "--p", "3", "--s", "6", "--n", n,
+                 "--guard", "10"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert called == []
+    assert message in capsys.readouterr().err
 
 
 def test_plot_svg_shape(tmp_path):

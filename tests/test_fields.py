@@ -5,11 +5,12 @@ import pytest
 
 from slopelab.arith import field_make
 from slopelab.arith.fields import (FieldSpec, _irreducible, field_modulus,
-                                   poly_eval, poly_gcd, poly_rem, polymulmod,
-                                   power, prime_power)
+                                   poly_eval, poly_frobenius, poly_gcd,
+                                   poly_rem, poly_trim, polymulmod, power,
+                                   prime_power)
 from slopelab.errors import InternalCheckFailed
 
-from oracles import field_digit_add, field_digit_neg
+from oracles import field_digit_add, field_digit_neg, poly_powmod
 
 
 def test_modulus_is_irreducible_small():
@@ -152,6 +153,22 @@ def test_poly_gcd_basics():
 
 
 # -- the shared kernels ------------------------------------------------------
+
+
+def test_poly_frobenius_matches_square_and_multiply():
+    # f^(p^k) mod a monic modulus, against dense square-and-multiply;
+    # k runs past s, and f = 0, k = 0 and deg f > deg mod all occur
+    rng = random.Random(11)
+    for p, s in [(2, 2), (3, 2), (5, 2), (3, 3), (3, 6)]:
+        K = field_make(p, s)
+        for _ in range(4):
+            d = rng.randrange(1, 6)
+            mod = [rng.randrange(K.q) for _ in range(d)] + [1]
+            for f in ([], [1], [rng.randrange(K.q) for _ in range(3 * d)]):
+                f = poly_trim(f)
+                for k in range(s + 3):
+                    assert poly_frobenius(K, f, k, mod) == \
+                        poly_powmod(K, f, p ** k, mod), (K, f, k, mod)
 
 
 def test_polymulmod_is_the_field_product():
