@@ -41,7 +41,7 @@ RamElt = tuple[WittElt, ...]
 class RamifiedOrder:
     """Context for O mod pi^N arithmetic at slope r/s."""
 
-    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods")
+    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods", "_one")
 
     def __init__(self, field: FieldSpec, r: int, N: int):
         self.field = field
@@ -52,6 +52,7 @@ class RamifiedOrder:
         # slot k holds levels k + s*t < N: m_k Witt digits, modulus p^{m_k}
         self.mods = tuple(field.p ** max(0, -(-(N - k) // s)) for k in range(s))
         self.witt = witt_make(field, -(-N // s))
+        self._one = self.from_witt(self.witt.one())
 
     def _reduce(self, coeffs) -> RamElt:
         return tuple(tuple(c % mod for c in vec)
@@ -63,7 +64,7 @@ class RamifiedOrder:
         return (self.witt.zero(),) * self.s
 
     def one(self) -> RamElt:
-        return self.from_witt(self.witt.one())
+        return self._one
 
     def teich_term(self, j: int, beta: int) -> RamElt:
         """pi^j <beta> as an element."""
@@ -150,8 +151,11 @@ class RamifiedOrder:
         return newton_inverse(self, a, self.teich_term(0, self.field.inv(res)),
                               self.N.bit_length() + 2)
 
-    def commutator(self, a: RamElt, b: RamElt) -> RamElt:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+    def commutator(self, a: RamElt, b: RamElt, a_inv: RamElt,
+                   b_inv: RamElt) -> RamElt:
+        """[a, b] = a b a^-1 b^-1 from inverses the caller already holds:
+        three products, no Newton inverse."""
+        return self.mul(self.mul(a, b), self.mul(a_inv, b_inv))
 
     # -- valuation ---------------------------------------------------------
 

@@ -132,6 +132,15 @@ def parse_field_name(text: str) -> int:
     return q
 
 
+def check_prime(p: int, guard: int) -> None:
+    """Refuse p above the guard (exit 2) before trial division decides
+    whether it is prime (exit 4)."""
+    if p > guard:
+        raise GuardExceeded(f"p = {p} exceeds guard {guard}")
+    if prime_power(p) != (p, 1):
+        raise CliParseError(f"p = {p} is not prime")
+
+
 def parse_covered(text: str) -> list:
     try:
         return sorted({int(t) for t in text.split(",") if t.strip() != ""})
@@ -211,6 +220,7 @@ def _build_deformation(cfg: RunConfig, args):
     if not 0 < lam < 1:
         raise CliParseError(f"deformation slope {lam} outside (0, 1)")
     s = lam.denominator
+    check_prime(args.p, cfg.guard)
     precision = cfg.precision or 2 * s + 2
     ring = witt_for(args.p, s, precision, cfg.seed)
     return deformation(split_display(ring, pieces), lam)
@@ -300,8 +310,9 @@ def cmd_units(cfg: RunConfig, args) -> int:
     p, s, r, n = args.p, args.s, args.r, args.n
     if not (0 < r < s and math.gcd(r, s) == 1):
         raise PreconditionError(f"slope {r}/{s} must be reduced and in (0, 1)")
+    check_prime(p, cfg.guard)
+    quotient_order(p, s, n, cfg.guard)      # refuse before building F_q
     K = field_make(p, s, cfg.seed)
-    quotient_order(K, n, cfg.guard)         # refuse before any span
     covered = parse_covered(args.covered) if args.covered else [0, 1]
     covered = [i for i in covered if i < n]
 

@@ -58,20 +58,31 @@ def graded_class(ctx: RamifiedOrder, u, i: int) -> int:
     return digs[i]
 
 
+@lru_cache(maxsize=4096)
+def _unit_and_inverse(ctx: RamifiedOrder, j: int, x: int) -> tuple:
+    """(1 - pi^j<x>, its inverse); ctx.inv proves the inverse by checking
+    the product against 1."""
+    u = ctx.sub(ctx.one(), ctx.teich_term(j, x))
+    return u, ctx.inv(u)
+
+
 def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     """Class at level n+1 of [1 - pi<x>, 1 - pi^n<y>].
 
-    Computed exactly in O mod pi^{n+2} and checked against the closed
-    form x^{tau^n} y - y^tau x, tau the slope Frobenius.
+    Computed exactly in O mod pi^N, N >= n + 2, and checked against the
+    closed form x^{tau^n} y - y^tau x, tau the slope Frobenius.  A sweep
+    over pairs meets each unit 1 - pi^j<x> many times, so the units and
+    their inverses are cached per order context: every call costs three
+    products and no Newton inverse once its two units have been seen.
     """
     if ctx.N < n + 2:
         raise PreconditionError(f"need truncation >= {n + 2}, have {ctx.N}")
     if n < 1:
         raise PreconditionError("need n >= 1")
     K = ctx.field
-    u = ctx.sub(ctx.one(), ctx.teich_term(1, x))
-    v = ctx.sub(ctx.one(), ctx.teich_term(n, y))
-    comm = ctx.commutator(u, v)
+    u, u_inv = _unit_and_inverse(ctx, 1, x)
+    v, v_inv = _unit_and_inverse(ctx, n, y)
+    comm = ctx.commutator(u, v, u_inv, v_inv)
     got = graded_class(ctx, comm, n + 1) if comm != ctx.one() else 0
     expect = K.sub(K.mul(K.frobenius(x, (ctx.r * n) % ctx.s), y),
                    K.mul(K.frobenius(y, ctx.r % ctx.s), x))
@@ -266,9 +277,7 @@ def closure_compiled(field: FieldSpec, r: int, n: int, covered,
         u_inv = ctx.inv(u)
         echelon[key] = (c, u_inv)
         queue.append(ctx.pow(u, p))
-        # ctx.commutator, spelled out to reuse the stored inverses
-        queue.extend(ctx.mul(ctx.mul(u, f), ctx.mul(u_inv, f_inv))
-                     for f, f_inv in found)
+        queue.extend(ctx.commutator(u, f, u_inv, f_inv) for f, f_inv in found)
         if t is not None:
             queue.append(ctx.mul(ctx.mul(t, u), t_inv))
         found.append((u, u_inv))
@@ -283,15 +292,20 @@ def generation_check(ctx: RamifiedOrder, n: int, covered,
     return generation_report(ctx, n, covered, guard)["generates"]
 
 
-def quotient_order(K: FieldSpec, n: int, guard: int) -> int:
-    """|G/G_n| = (q - 1) q^(n-1); GuardExceeded if it exceeds guard,
-    without forming q^(n-1) when n alone decides that."""
+def quotient_order(p: int, s: int, n: int, guard: int) -> int:
+    """|G/G_n| = (q - 1) q^(n-1) for q = p^s; GuardExceeded if it exceeds
+    guard, without forming p^s or q^(n-1) when s or n alone decides that.
+    Needs no field, so a caller can refuse before building one."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    if n - 1 > guard.bit_length():          # q^(n-1) >= 2^(n-1) > guard
-        raise GuardExceeded(f"|G/G_n| = {K.q - 1}*{K.q}^{n - 1} "
+    if s > 2 * guard.bit_length():          # q - 1 >= 2^s - 1 > guard^2
+        raise GuardExceeded(f"|G/G_n| = ({p}^{s} - 1)*{p}^{s * (n - 1)} "
                             f"exceeds guard {guard}")
-    total = (K.q - 1) * K.q ** (n - 1)
+    q = p ** s
+    if n - 1 > guard.bit_length():          # q^(n-1) >= 2^(n-1) > guard
+        raise GuardExceeded(f"|G/G_n| = {q - 1}*{q}^{n - 1} "
+                            f"exceeds guard {guard}")
+    total = (q - 1) * q ** (n - 1)
     if total > guard:
         raise GuardExceeded(f"|G/G_n| = {total} exceeds guard {guard}")
     return total
@@ -302,7 +316,7 @@ def generation_report(ctx: RamifiedOrder, n: int, covered,
     """Order of the subgroup generated by lifts covering the chosen
     graded pieces, compared against |G/G_n|."""
     K = ctx.field
-    total = quotient_order(K, n, guard)
+    total = quotient_order(K.p, K.s, n, guard)
     covered = sorted(set(covered))
     if any(i < 0 or i >= n for i in covered):
         raise PreconditionError(f"covered pieces must lie in [0, {n})")

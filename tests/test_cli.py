@@ -10,7 +10,9 @@ import time
 import pytest
 
 import slopelab.cli as cli
+import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
+from slopelab.arith.ramified import RamifiedOrder
 from slopelab.cli import main
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
@@ -114,6 +116,46 @@ def test_as_json_bytes_are_pinned(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "ee9d051a35be4f31e99455559840462bee20cb230e4b2fdb99a7ee4980a633d5"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--p", "3", "--s", "3", "--n", "3"],
+     "c773c0eab419d28d021071e374aeed61d16301fbe74fdd042e107807356075b4"),
+    (["--p", "2", "--s", "3", "--n", "4"],      # q^2 <= 500: every pair
+     "0b0d0e9d117758597913934eff58dd245743fbe68b534067ee6c1c09cfb7aec7"),
+    (["--p", "5", "--s", "3", "--r", "2", "--n", "2"],
+     "2b863d638fe66b374570bc430904297ef08b9bdb74d613b3a8606990e08f83f5"),
+])
+def test_units_json_bytes_are_pinned(capsys, argv, digest):
+    # the commutator sweep, the p-th-power checks and the generation order
+    rc, out = run(capsys, "units", "verify", *argv, "--format", "json",
+                  "--seed", "0")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):
+    # 2 (s+1) q^2 commutators at q = 27, s = 3 use only the units
+    # 1 - pi<x> and 1 - pi^n<y>, n <= s + 1: at most q + (s+1) q inverses
+    inverted, inside = [], []
+    inv, commutator_class = RamifiedOrder.inv, cli.commutator_class
+
+    def counted_inv(self, a):
+        if inside:
+            inverted.append(a)
+        return inv(self, a)
+
+    def marked(*args):
+        inside.append(args)
+        try:
+            return commutator_class(*args)
+        finally:
+            inside.pop()
+    unitgroup._unit_and_inverse.cache_clear()
+    monkeypatch.setattr(RamifiedOrder, "inv", counted_inv)
+    monkeypatch.setattr(cli, "commutator_class", marked)
+    assert main(["units", "verify", "--p", "3", "--s", "3", "--n", "3"]) == 0
+    assert 0 < len(inverted) <= 27 + 4 * 27
 
 
 def test_certify_small_guard_is_honestly_inconclusive(capsys):
@@ -269,6 +311,45 @@ def test_units_verify_above_guard_exits_2_before_any_commutator(
     assert time.monotonic() - t0 < 1.0
     assert called == []
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, s", [("3", "13"), ("2", "22")])
+def test_units_verify_large_field_exits_2_before_building_it(
+        capsys, monkeypatch, p, s):
+    built = []
+    monkeypatch.setattr(cli, "field_make", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main(["units", "verify", "--p", p, "--s", s, "--n", "1",
+                 "--guard", "10"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert f"|G/G_n| = ({p}^{s} - 1)*{p}^0 exceeds guard 10" in \
+        capsys.readouterr().err
+
+
+_P_COMMANDS = {
+    "units": ["units", "verify", "--s", "2", "--n", "2"],
+    "certify": ["certify", "--base", "ss6", "--lambda", "1/3"],
+    "deform": ["deform", "--base", "ss6", "--lambda", "1/3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_P_COMMANDS))
+def test_non_prime_p_is_a_parse_error(capsys, command):
+    assert main([*_P_COMMANDS[command], "--p", "4"]) == 4
+    assert capsys.readouterr().err == \
+        "slopelab: parse error: p = 4 is not prime\n"
+
+
+@pytest.mark.parametrize("command", sorted(_P_COMMANDS))
+def test_p_above_guard_exits_2_before_testing_primality(capsys, monkeypatch,
+                                                        command):
+    decoded = []
+    monkeypatch.setattr(cli, "prime_power", lambda q: decoded.append(q))
+    assert main([*_P_COMMANDS[command], "--p", "1000000007",
+                 "--guard", "1000"]) == 2
+    assert decoded == []
+    assert "p = 1000000007 exceeds guard 1000" in capsys.readouterr().err
 
 
 def test_plot_svg_shape(tmp_path):

@@ -103,7 +103,7 @@ def test_commutator_of_units_is_unit():
     for _ in range(20):
         a = O.from_digits([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(O.N - 1)])
         b = O.from_digits([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(O.N - 1)])
-        c = O.commutator(a, b)
+        c = O.commutator(a, b, O.inv(a), O.inv(b))
         assert O.is_unit(c)
 
 

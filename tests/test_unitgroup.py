@@ -14,7 +14,8 @@ from slopelab.unitgroup import (UnitQuotient, closure_direct, commutator_class,
                                 commutator_span, generation_check,
                                 generation_report, graded_class,
                                 p2_power_report, pth_power_check,
-                                quotient_make, standard_generators)
+                                quotient_make, quotient_order,
+                                standard_generators)
 
 F9 = field_make(3, 2)
 
@@ -136,6 +137,20 @@ def test_quotient_order_and_canonical_forms():
     assert len(elts) == 648 and len(set(elts)) == 648
     u = elts[17]
     assert quot.canonical(quot.lift(u)) == u
+
+
+def test_quotient_order_shortcuts_agree_with_the_exact_comparison():
+    # the s and n bit-length refusals never refuse an order within guard
+    for p, s, n in itertools.product((2, 3, 5), range(1, 13), range(1, 5)):
+        total = (p ** s - 1) * p ** (s * (n - 1))
+        for guard in (0, 1, 10, 100, 10 ** 4, 10 ** 7):
+            if total > guard:
+                with pytest.raises(GuardExceeded):
+                    quotient_order(p, s, n, guard)
+            else:
+                assert quotient_order(p, s, n, guard) == total
+    with pytest.raises(GuardExceeded, match=r"\(3\^1000000000000 - 1\)"):
+        quotient_order(3, 10 ** 12, 1, 10 ** 7)
 
 
 def test_generation_echelon_equals_direct():
