@@ -19,7 +19,6 @@ that exact degree settles it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 
 from ..arith.fields import FieldSpec
@@ -154,16 +153,58 @@ def slab_to_w_poly(slab: LaurentSlab, M: int, N: int) -> dict:
     return out
 
 
-def _w_poly_of_additive(F, x_poly: dict, p: int) -> dict:
-    """F(x) for x a w-polynomial: sum c_j x^{p^j} expanded exactly."""
+def slab_search(F, delta: int, target: dict) -> int:
+    """Decide every w-polynomial x = sum_{k <= delta} x_k w^k against
+    F(x) = target, in `itertools.product` order of (x_0, ..., x_delta).
+
+    F is additive, so F(x) = sum_k F(x_k w^k).  One table per position k
+    holds F(c w^k) for every c in the field, as a vector over the
+    w-degrees that can occur.  The walk keeps target - sum_{i<k} F(x_i w^i)
+    for the current prefix and compares it with each entry of the last
+    table, one comparison per candidate x_delta.  Returns the number of
+    candidates compared, q^(delta + 1), or raises SolutionFound naming the
+    first solution.
+    """
     K = F.field
-    out = {}
-    for j, c in F.coeffs:
-        pj = p ** j
-        for k, v in x_poly.items():
-            key = k * pj
-            out[key] = K.add(out.get(key, 0), K.mul(c, K.pow(v, pj)))
-    return {k: v for k, v in out.items() if v != 0}
+    q, p = K.q, K.p
+    degrees = {k * p ** j for k in range(delta + 1) for j, _ in F.coeffs}
+    slot = {d: i for i, d in enumerate(sorted(degrees | set(target)))}
+
+    def image(k: int, c: int) -> list:
+        vec = [0] * len(slot)
+        for j, cj in F.coeffs:
+            i = slot[k * p ** j]
+            vec[i] = K.add(vec[i], K.mul(cj, K.pow(c, p ** j)))
+        return vec
+
+    # prefix positions: the nonzero entries of -F(c w^k), added to the
+    # remainder; the last position: F(c w^delta) whole, compared with it
+    steps = [[[(i, K.neg(v)) for i, v in enumerate(image(k, c)) if v]
+              for c in range(q)] for k in range(delta)]
+    last = [tuple(image(delta, c)) for c in range(q)]
+    rem = [0] * len(slot)
+    for d, v in target.items():
+        rem[slot[d]] = v
+
+    def walk(k: int, rem: list, prefix: tuple) -> int:
+        if k == delta:
+            key = tuple(rem)
+            if key in last:
+                coeffs = prefix + (last.index(key),)
+                x_poly = {i: c for i, c in enumerate(coeffs) if c != 0}
+                raise SolutionFound(
+                    f"projected equation has the solution {x_poly}; "
+                    "no certificate exists")
+            return q
+        checked = 0
+        for c, terms in enumerate(steps[k]):
+            nxt = rem.copy()
+            for i, v in terms:
+                nxt[i] = K.add(nxt[i], v)
+            checked += walk(k + 1, nxt, prefix + (c,))
+        return checked
+
+    return walk(0, rem, ())
 
 
 def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
@@ -225,15 +266,7 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
     if b0:
         target[0] = K.add(target.get(0, 0), b0)
     target = {k: v for k, v in target.items() if v != 0}
-    checked = 0
-    for coeffs in product(range(K.q), repeat=delta + 1):
-        x_poly = {k: c for k, c in enumerate(coeffs) if c != 0}
-        checked += 1
-        if _w_poly_of_additive(F, x_poly, K.p) == target:
-            raise SolutionFound(
-                f"projected equation has the solution {x_poly}; "
-                "no certificate exists")
     report["branch"] = "search"
-    report["candidates_checked"] = checked
+    report["candidates_checked"] = slab_search(F, delta, target)
     report["conclusion"] = "no-solution"
     return report

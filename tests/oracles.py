@@ -7,7 +7,9 @@ elementary constructors.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
+from slopelab.errors import SolutionFound
 from slopelab.polygon import (
     NewtonPolygon,
     lies_on_or_below,
@@ -227,6 +229,37 @@ def as_reducible_exhaustive(K, q, A):
             if value == A:
                 return True, (G, a)
     return False, None
+
+
+# -- the projected no-solution search, candidate by candidate ---------------
+
+
+def w_poly_of_additive(F, x_poly):
+    """F(x) for x a w-polynomial {degree: coefficient}: sum_j c_j x^{p^j},
+    expanded monomial by monomial, zero coefficients dropped."""
+    K = F.field
+    out = {}
+    for j, c in F.coeffs:
+        pj = K.p ** j
+        for k, v in x_poly.items():
+            out[k * pj] = K.add(out.get(k * pj, 0), K.mul(c, K.pow(v, pj)))
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def slab_search_direct(F, delta, target):
+    """Evaluate F at every x = sum_{k <= delta} x_k w^k, in product order of
+    (x_0, ..., x_delta), and compare with the w-polynomial `target`.
+    Returns the number of candidates, or raises SolutionFound at the first
+    solution with the message the library's search gives."""
+    checked = 0
+    for coeffs in product(range(F.field.q), repeat=delta + 1):
+        x_poly = {k: c for k, c in enumerate(coeffs) if c != 0}
+        checked += 1
+        if w_poly_of_additive(F, x_poly) == target:
+            raise SolutionFound(
+                f"projected equation has the solution {x_poly}; "
+                "no certificate exists")
+    return checked
 
 
 # -- finite field addition, digit by digit ---------------------------------
