@@ -23,8 +23,8 @@ with pi^s folded into the central factor p.  Teichmuller pi-digits
 
     a = sum_{j<N} pi^j <beta_j>,   beta_j in F_q,
 
-are produced only at the edges: digits, from_digits, val, residue and
-element_to_json.
+are produced only at the edges: digits, from_digits and element_to_json.
+leading reads the first nonzero digit and its level off the slots.
 """
 
 from __future__ import annotations
@@ -159,12 +159,21 @@ class RamifiedOrder:
 
     # -- valuation ---------------------------------------------------------
 
+    def leading(self, a: RamElt) -> tuple[int | None, int]:
+        """(level, digit) of the first nonzero pi-digit, (None, 0) for 0.
+        Slot k starts at level k + s ord(c_k); the digit is c_k/p^ord mod p."""
+        s, w = self.s, self.witt
+        starts = [(k + s * w.ord(c), k) for k, c in enumerate(a) if any(c)]
+        if not starts:
+            return None, 0
+        level, k = min(starts)      # the slots' levels differ mod s
+        pt = self.field.p ** (level // s)
+        return level, w.residue(tuple(x // pt for x in a[k]))
+
     def val(self, a: RamElt) -> Fraction | None:
         """pi-adic valuation in (1/s)Z; None for 0 at this precision."""
-        for j, beta in enumerate(self.digits(a)):
-            if beta:
-                return Fraction(j, self.s)
-        return None
+        level = self.leading(a)[0]
+        return None if level is None else Fraction(level, self.s)
 
     # -- misc --------------------------------------------------------------
 

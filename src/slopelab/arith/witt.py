@@ -21,6 +21,7 @@ implemented.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 
@@ -181,11 +182,12 @@ class WittRing:
         return self.from_digits(digs[k:])
 
     def ord(self, a: WittElt) -> int | None:
-        """p-adic valuation via the digit expansion; None for 0 (ord >= m)."""
-        for j, d in enumerate(self.digits(a)):
-            if d != 0:
-                return j
-        return None
+        """p-adic valuation, the least one of a coordinate since 1, xi, ...,
+        xi^(s-1) is a basis over Z/p^m; None for 0 (ord >= m)."""
+        g, v = math.gcd(*a), 0
+        while g and g % self.field.p ** (v + 1) == 0:
+            v += 1
+        return v if g else None
 
     # -- Frobenius lift ----------------------------------------------------
 

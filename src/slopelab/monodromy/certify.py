@@ -25,7 +25,7 @@ from math import gcd
 from .. import unitgroup
 from ..arith.fields import field_make
 from ..arith.ramified import order_over
-from ..display import DeformationSpec, display_polygon, normal_form_check
+from ..display import DeformationSpec, normal_form_check
 from ..errors import GuardExceeded, InternalCheckFailed, PreconditionError
 from .artinschreier import additive_make
 from .equations import first_witt_equation, graded_equations, monodromy_equation
@@ -41,17 +41,6 @@ def check_slope_shape(lam) -> None:
         raise PreconditionError(
             f"slope {lam} has numerator s-1; the certificate pattern "
             "needs r <= s-2")
-
-
-def _check_preconditions(spec: DeformationSpec) -> None:
-    lam = spec.lam
-    check_slope_shape(lam)
-    if not normal_form_check(spec.base):
-        raise PreconditionError("base display is not in normal form")
-    base_np = display_polygon(spec.base)
-    if lam >= min(base_np.slopes()):
-        raise PreconditionError(
-            f"slope {lam} is not strictly below the base slopes")
 
 
 def _first_leg(spec: DeformationSpec, eq, seed: int) -> dict:
@@ -171,9 +160,11 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
 def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
                           seed: int = 0) -> dict:
     """Assemble the three-leg report; verdict "large" iff all certify."""
-    _check_preconditions(spec)
+    check_slope_shape(spec.lam)
+    if not normal_form_check(spec.base):
+        raise PreconditionError("base display is not in normal form")
     s = spec.lam.denominator
-    eq = monodromy_equation(spec)
+    eq = monodromy_equation(spec)   # refuses lam not below the base slopes
     graded = graded_equations(spec, eq)
     legs = [_first_leg(spec, eq, seed)]
     for ell in (1, s):

@@ -10,9 +10,9 @@ p-th-power congruence
 and decides whether lifts covering a chosen set of graded pieces generate
 all of G/G_n.
 
-Elements are RamifiedOrder slot tuples; graded classes and congruences
-read Teichmuller digits only through the order's edge functions
-(residue, digits).
+Elements are RamifiedOrder slot tuples; graded classes read levels and
+leading digits through RamifiedOrder.leading (residue at level 0), and
+only UnitQuotient, the closure reference, expands Teichmuller digits.
 
 Generation is decided by a filtered echelon on the order context
 O mod pi^n (closure_compiled): an induced polycyclic sequence for
@@ -52,10 +52,10 @@ def graded_class(ctx: RamifiedOrder, u, i: int) -> int:
         if res == 0:
             raise PreconditionError("not a unit")
         return res
-    digs = ctx.digits(ctx.sub(u, ctx.one()))
-    if any(digs[:i]):
+    level, digit = ctx.leading(ctx.sub(u, ctx.one()))
+    if level is not None and level < i:
         raise PreconditionError(f"element is not in level {i} of the filtration")
-    return digs[i]
+    return digit if level == i else 0
 
 
 @lru_cache(maxsize=4096)
@@ -83,7 +83,7 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     u, u_inv = _unit_and_inverse(ctx, 1, x)
     v, v_inv = _unit_and_inverse(ctx, n, y)
     comm = ctx.commutator(u, v, u_inv, v_inv)
-    got = graded_class(ctx, comm, n + 1) if comm != ctx.one() else 0
+    got = graded_class(ctx, comm, n + 1)
     expect = K.sub(K.mul(K.frobenius(x, (ctx.r * n) % ctx.s), y),
                    K.mul(K.frobenius(y, ctx.r % ctx.s), x))
     if got != expect:
@@ -119,8 +119,8 @@ def pth_power_check(ctx: RamifiedOrder, alpha: int, beta, n: int) -> bool:
     u = ctx.add(u, ctx.mul(ctx.teich_term(n * s + 1, 1), beta))
     w = ctx.pow(u, p)
     target = ctx.add(ctx.one(), ctx.teich_term(level, alpha))
-    diff = ctx.digits(ctx.sub(w, target))
-    return not any(diff[: level + 1])
+    lead = ctx.leading(ctx.sub(w, target))[0]
+    return lead is None or lead > level
 
 
 def p2_power_report(s: int, n: int = 1, seed: int = 0) -> dict:
@@ -131,24 +131,24 @@ def p2_power_report(s: int, n: int = 1, seed: int = 0) -> dict:
     """
     K = field_make(2, s, seed)
     ctx = order_over(K, 1, (n + 1) * s + 2)
+    level = (n + 1) * s
     cases = []
     for alpha in K.elements():
         u = ctx.add(ctx.one(), ctx.teich_term(n * s, alpha))
         w = ctx.pow(u, 2)
-        digs = ctx.digits(ctx.sub(w, ctx.one()))
-        level = (n + 1) * s
-        observed = digs[level]
+        # w - 1 = pi^{(n+1)s}<alpha> + pi^{2ns}<alpha^2>, as 2 = pi^s
+        observed = graded_class(ctx, w, level)
         square_law = K.add(alpha, K.mul(alpha, alpha))
         cases.append({
             "alpha": alpha,
             "observed": observed,
             "expected_class": alpha,
-            "matches_expected": observed == alpha and not any(digs[:level]),
+            "matches_expected": observed == alpha,
             "matches_alpha_plus_square": observed == square_law,
         })
     return {
         "p": 2, "s": s, "n": n,
-        "level": (n + 1) * s,
+        "level": level,
         "cases": cases,
         "all_match_alpha_plus_square": all(c["matches_alpha_plus_square"]
                                            for c in cases),
@@ -233,13 +233,13 @@ def closure_direct(quot: UnitQuotient, gens) -> int:
 
 def _leading(ctx: RamifiedOrder, u):
     """((level, coordinate), coefficient) of the leading F_p-coordinate of
-    u's class: level i is the first nonzero digit of u - 1, read as a
-    vector in F_p^s.  (None, 0) when u = 1."""
-    for i, d in enumerate(ctx.digits(ctx.sub(u, ctx.one()))):
-        if d:
-            j, c = next((j, c) for j, c in enumerate(ctx.field.coeffs(d)) if c)
-            return (i, j), c
-    return None, 0
+    u's class: level i and digit d are ctx.leading(u - 1), and d is read
+    as a vector in F_p^s.  (None, 0) when u = 1."""
+    i, d = ctx.leading(ctx.sub(u, ctx.one()))
+    if i is None:
+        return None, 0
+    j, c = next((j, c) for j, c in enumerate(ctx.field.coeffs(d)) if c)
+    return (i, j), c
 
 
 def closure_compiled(field: FieldSpec, r: int, n: int, covered,
@@ -285,11 +285,6 @@ def closure_compiled(field: FieldSpec, r: int, n: int, covered,
     if size > guard:
         raise GuardExceeded(f"closure exceeded guard {guard}")
     return size
-
-
-def generation_check(ctx: RamifiedOrder, n: int, covered,
-                     guard: int = 10 ** 7) -> bool:
-    return generation_report(ctx, n, covered, guard)["generates"]
 
 
 def quotient_order(p: int, s: int, n: int, guard: int) -> int:

@@ -13,6 +13,7 @@ import slopelab.cli as cli
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.arith.ramified import RamifiedOrder
+from slopelab.arith.witt import WittRing
 from slopelab.cli import main
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
@@ -126,12 +127,18 @@ def test_as_json_bytes_are_pinned(capsys):
     (["--p", "5", "--s", "3", "--r", "2", "--n", "2"],
      "2b863d638fe66b374570bc430904297ef08b9bdb74d613b3a8606990e08f83f5"),
 ])
-def test_units_json_bytes_are_pinned(capsys, argv, digest):
-    # the commutator sweep, the p-th-power checks and the generation order
+def test_units_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    # the commutator sweep, the p-th-power checks and the generation order;
+    # every level they read comes from the slots, so no digit is expanded
+    expanded = []
+    digits = WittRing.digits
+    monkeypatch.setattr(WittRing, "digits",
+                        lambda self, a: expanded.append(a) or digits(self, a))
     rc, out = run(capsys, "units", "verify", *argv, "--format", "json",
                   "--seed", "0")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert expanded == []
 
 
 def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):

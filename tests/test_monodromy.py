@@ -328,5 +328,6 @@ def test_certificate_rejects_slope_not_below():
     # slope 1/2, so the strictly-below precondition fires
     _, _, spec = running_instance()
     bad = dataclasses.replace(spec, lam=Fraction(3, 5))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="not strictly below the base slopes"):
         largeness_certificate(bad)

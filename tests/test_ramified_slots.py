@@ -2,6 +2,7 @@
 and property tests for the ring laws it must satisfy."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,46 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 
 def random_digits(O, rng):
     return tuple(rng.randrange(O.field.q) for _ in range(O.N))
+
+
+def first_nonzero(digs):
+    """(index, digit) of the first nonzero digit; (None, 0) if none."""
+    return next(((j, d) for j, d in enumerate(digs) if d), (None, 0))
+
+
+def test_leading_and_val_match_the_first_nonzero_digit():
+    # zero, random elements, and an element whose first nonzero digit
+    # sits at each level j < N
+    rng = random.Random(5)
+    for O in ORDERS:
+        cases = [(0,) * O.N] + [random_digits(O, rng) for _ in range(10)]
+        for j in range(O.N):
+            tail = random_digits(O, rng)[j + 1:]
+            cases.append((0,) * j + (rng.randrange(1, O.field.q),) + tail)
+        for digs in cases:
+            a = O.from_digits(digs)
+            level, digit = first_nonzero(digs)
+            assert O.leading(a) == (level, digit), digs
+            assert O.val(a) == (None if level is None
+                                else Fraction(level, O.s)), digs
+
+
+def test_witt_ord_matches_the_first_nonzero_digit():
+    # the slots of the orders above, zero, and coordinate tuples divisible
+    # by exactly p^t or more, for every t < m
+    rng = random.Random(6)
+    for O in ORDERS:
+        W, p = O.witt, O.field.p
+        cases = [W.zero()] + [c for _ in range(10)
+                              for c in O.from_digits(random_digits(O, rng))]
+        for t in range(W.m):
+            cases += [tuple(p ** t * rng.randrange(W.pm) % W.pm
+                            for _ in range(O.s)) for _ in range(5)]
+            cases.append(W.from_digits([0] * t + [rng.randrange(1, O.field.q)]
+                                       + [rng.randrange(O.field.q)
+                                          for _ in range(W.m - t - 1)]))
+        for c in cases:
+            assert W.ord(c) == first_nonzero(W.digits(c))[0], c
 
 
 def test_slot_arithmetic_matches_digit_form_reference():

@@ -9,10 +9,12 @@ import pytest
 
 from slopelab.arith.fields import field_make
 from slopelab.arith.ramified import order_over
+from slopelab.arith.witt import WittRing
 from slopelab.errors import GuardExceeded, PreconditionError
-from slopelab.unitgroup import (UnitQuotient, closure_direct, commutator_class,
-                                commutator_span, generation_check,
-                                generation_report, graded_class,
+from slopelab.unitgroup import (UnitQuotient, closure_compiled,
+                                closure_direct, commutator_class,
+                                commutator_span, generation_report,
+                                graded_class,
                                 p2_power_report, pth_power_check,
                                 quotient_make, quotient_order,
                                 standard_generators)
@@ -130,6 +132,30 @@ def test_p2_lifts_covering_0_1_s_still_generate():
         assert rep["order"] == (2 ** s - 1) * 2 ** (s * (n - 1))
 
 
+def test_unit_group_reads_levels_without_teichmuller_digits(monkeypatch):
+    # graded classes, congruences and echelon pivots read levels from the
+    # slots; full digit expansions are for the edges only
+    expanded = []
+    digits = WittRing.digits
+    monkeypatch.setattr(WittRing, "digits",
+                        lambda self, a: expanded.append(a) or digits(self, a))
+    for p, s, r in ((3, 2, 1), (2, 3, 1), (2, 3, 2)):
+        K = field_make(p, s)
+        ctx = order_over(K, r, s + 3)
+        for n in range(1, s + 2):
+            for x, y in itertools.product(K.elements(), repeat=2):
+                commutator_class(ctx, x, y, n)
+        depth = 1 if p >= 3 else 2
+        pctx = order_over(K, r, (depth + 1) * s + 2)
+        for alpha in K.elements():
+            assert pth_power_check(pctx, alpha, pctx.one(), depth)
+        if p == 2:
+            assert p2_power_report(s)["all_match_alpha_plus_square"]
+        assert closure_compiled(K, r, s + 1, [0, 1, s], 10 ** 6) \
+            == (K.q - 1) * K.q ** s
+    assert expanded == []
+
+
 def test_quotient_order_and_canonical_forms():
     quot = quotient_make(Fraction(1, 2), 3, 3)
     assert quot.order == 648
@@ -199,9 +225,9 @@ def test_generation_depth_one_over_f2048():
 
 def test_residue_cover_alone_stalls_beyond_depth_one():
     ctx = ctx9(3)
-    assert generation_check(ctx, 1, {0})
-    assert not generation_check(ctx, 2, {0})
-    assert not generation_check(ctx, 3, {0})
+    assert generation_report(ctx, 1, {0})["generates"]
+    assert not generation_report(ctx, 2, {0})["generates"]
+    assert not generation_report(ctx, 3, {0})["generates"]
 
 
 def test_generation_report_payload():
