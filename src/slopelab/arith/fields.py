@@ -105,7 +105,15 @@ def polymulmod(n: int, modulus, a, b) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    for k in range(2 * s - 2, s - 1, -1):
+    return polyfold(n, modulus, prod)
+
+
+def polyfold(n: int, modulus, prod: list[int]) -> list[int]:
+    """prod, an integer list of at most 2s - 1 coefficients, reduced mod the
+    monic degree-s modulus and mod n; prod is overwritten.  Only the leading
+    coefficient of each fold and the final digits are reduced mod n."""
+    s = len(modulus) - 1
+    for k in range(len(prod) - 1, s - 1, -1):
         c = prod[k] % n
         if c:
             for i in range(s):

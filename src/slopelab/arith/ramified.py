@@ -19,7 +19,20 @@ operations work on slots,
 
     (sum pi^i a_i)(sum pi^j b_j) = sum pi^{i+j} a_i^{tau^j} b_j,
 
-with pi^s folded into the central factor p.  Teichmuller pi-digits
+with pi^s folded into the central factor p.  Since sigma is Z-linear, the
+twist is tabulated: writing a_i = sum_u a_{i,u} xi^u,
+
+    a_i^{tau^j} b_j = sum_u a_{i,u} (sigma^{rj}(xi^u) b_j),
+
+so each order holds the s^2 elements sigma^k(xi^u), each packed into one
+integer base 2^B (Kronecker substitution).  A product packs each nonzero b_j
+once and forms the s integer products Q_u = sigma^{rj}(xi^u) b_j with row
+k = rj mod s; each nonzero a_i then adds sum_u a_{i,u} Q_u into output slot
+i + j mod s, times p when i + j >= s.  Each output slot is unpacked into its
+2s - 1 integer coefficients, folded by the lifted modulus and reduced mod
+p^{m_k} once.  With m = ceil(N/s), B = bitlen(s^3 p^{3m} p) + 1 keeps the
+packed coefficients carry-free (proof at _twist_table).  Teichmuller
+pi-digits
 
     a = sum_{j<N} pi^j <beta_j>,   beta_j in F_q,
 
@@ -29,10 +42,12 @@ leading reads the first nonzero digit and its level off the slots.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import FieldSpec, field_make, power
+from .fields import FieldSpec, field_make, polyfold, power
 from .witt import WittElt, WittRing, newton_inverse, witt_make
 
 RamElt = tuple[WittElt, ...]
@@ -41,7 +56,8 @@ RamElt = tuple[WittElt, ...]
 class RamifiedOrder:
     """Context for O mod pi^N arithmetic at slope r/s."""
 
-    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods", "_one")
+    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods", "_one",
+                 "_twist")
 
     def __init__(self, field: FieldSpec, r: int, N: int):
         self.field = field
@@ -53,6 +69,7 @@ class RamifiedOrder:
         self.mods = tuple(field.p ** max(0, -(-(N - k) // s)) for k in range(s))
         self.witt = witt_make(field, -(-N // s))
         self._one = self.from_witt(self.witt.one())
+        self._twist = None
 
     def _reduce(self, coeffs) -> RamElt:
         return tuple(tuple(c % mod for c in vec)
@@ -119,27 +136,55 @@ class RamifiedOrder:
         return tuple(tuple((x - y) % mod for x, y in zip(u, v))
                      for u, v, mod in zip(a, b, self.mods))
 
+    def _twist_table(self):
+        """(shifts, rows): rows[j][u] is sigma^{rj}(xi^u) packed base 2^B
+        (Kronecker substitution), and shifts are B t for t < 2s - 1; built
+        on the first product.
+
+        Width.  Every coordinate below is a nonnegative integer: slot
+        coordinates are below p^{m_k} <= p^m, table coordinates below p^m.
+        A coefficient of sigma^{rj}(xi^u) b_j, as an unreduced integer
+        product, is a sum of at most s terms, so it is below s p^{2m}.
+        Weighting by a_{i,u} < p^m and summing over the s values of u keeps
+        it below s^2 p^{3m}.  An output slot k receives exactly s pairs
+        (i, j), one for each j, each scaled by 1 or p, so every integer
+        coefficient it accumulates is below s^3 p^{3m} p < 2^(B-1).  So no
+        packed coefficient carries into the next one, with a bit to spare,
+        and shifting and masking by B bits returns the exact coefficients."""
+        w, s, r = self.witt, self.s, self.r
+        B = (s ** 3 * w.pm ** 3 * self.field.p).bit_length() + 1
+        shifts = tuple(B * t for t in range(2 * s - 1))
+        basis = [(0,) * u + (1,) + (0,) * (s - u - 1) for u in range(s)]
+        packed = [[sum(map(operator.lshift, w.sigma(e, k), shifts))
+                   for e in basis] for k in range(s)]
+        self._twist = shifts, tuple(packed[r * j % s] for j in range(s))
+        return self._twist
+
     def mul(self, a: RamElt, b: RamElt) -> RamElt:
-        w, s, r, p = self.witt, self.s, self.r, self.field.p
-        out = [[0] * s for _ in range(s)]
+        s, p = self.s, self.field.p
+        shifts, rows = self._twist or self._twist_table()
+        nonzero = [(i, ai) for i, ai in enumerate(a) if any(ai)]
+        low, high = [0] * s, [0] * s        # pi^{i+j} below s, and past it
         for j, bj in enumerate(b):
             if not any(bj):
                 continue
-            for i, ai in enumerate(a):
-                if not any(ai):
-                    continue
-                term = w.mul(w.sigma(ai, r * j), bj)
-                scale = p ** ((i + j) // s)
-                acc = out[(i + j) % s]
-                for t, x in enumerate(term):
-                    acc[t] += scale * x
-        return self._reduce(out)
+            pb = sum(map(operator.lshift, bj, shifts))
+            prods = [t * pb for t in rows[j]]
+            for i, ai in nonzero:
+                term = sum(map(operator.mul, ai, prods))
+                if i + j < s:
+                    low[i + j] += term
+                else:
+                    high[i + j - s] += term
+        mask, modulus, out = (1 << shifts[1]) - 1, self.witt.modulus, []
+        for x, y, mod in zip(low, high, self.mods):
+            acc = x + p * y
+            out.append(tuple(polyfold(mod, modulus,
+                                      [acc >> t & mask for t in shifts])))
+        return tuple(out)
 
     def pow(self, a: RamElt, e: int) -> RamElt:
         return power(self.mul, self.one(), a, e)
-
-    def is_unit(self, a: RamElt) -> bool:
-        return self.residue(a) != 0
 
     def inv(self, a: RamElt) -> RamElt:
         res = self.residue(a)
@@ -205,21 +250,16 @@ class RamifiedOrder:
 def order_make(r: int, s: int, p: int, N: int | None = None,
                seed: int = 0) -> RamifiedOrder:
     """Order context for slope r/s over F_{p^s}; default precision N = 4s."""
-    import math
+    return order_over(field_make(p, s, seed), r, N)
+
+
+def order_over(field: FieldSpec, r: int, N: int | None = None) -> RamifiedOrder:
+    """Order context over an existing field of degree s; default N = 4s."""
+    s = field.s
     if math.gcd(r, s) != 1:
         raise ValueError(f"slope {r}/{s} not in lowest terms")
     if not 0 < r < s:
         raise ValueError(f"slope {r}/{s} outside (0,1)")
     if N is None:
         N = 4 * s
-    return RamifiedOrder(field_make(p, s, seed), r, N)
-
-
-def order_over(field: FieldSpec, r: int, N: int | None = None) -> RamifiedOrder:
-    """Order context over an existing field of degree s."""
-    import math
-    if math.gcd(r, field.s) != 1:
-        raise ValueError(f"slope {r}/{field.s} not in lowest terms")
-    if N is None:
-        N = 4 * field.s
     return RamifiedOrder(field, r, N)

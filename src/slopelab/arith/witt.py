@@ -121,9 +121,6 @@ class WittRing:
     def is_zero(self, a: WittElt) -> bool:
         return not any(a)
 
-    def is_unit(self, a: WittElt) -> bool:
-        return self.residue(a) != 0
-
     def inv(self, a: WittElt) -> WittElt:
         """Inverse of a unit, by lifting the residue inverse (Newton)."""
         r = self.residue(a)

@@ -119,6 +119,21 @@ def test_as_json_bytes_are_pinned(capsys):
         "ee9d051a35be4f31e99455559840462bee20cb230e4b2fdb99a7ee4980a633d5"
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (("--base", "ss6", "--lambda", "1/3"), 0,
+     "30fc2f19b37f55e86fa99c399ef743616474cf16f05c0b576dfd20d2fbc7f8be"),
+    (("--base", "ss6", "--lambda", "1/3", "--p", "2", "--guard", "100000"), 0,
+     "82ea876a5bb9dd03357c1f5a8f84db4c70965a0311539a3133af080d56a46577"),
+    (("--base", "ss8", "--lambda", "1/4", "--p", "3"), 3,
+     "8028b76bab9aa935e3343ad2eb20ef3e01aeaf8b0f5d465f98ea6d6bea918226"),
+], ids=["ss6", "ss6-p2", "ss8-p3"])
+def test_certify_json_bytes_are_pinned(capsys, argv, code, digest):
+    # all three legs; the closure leg multiplies in the ramified order
+    rc, out = run(capsys, "certify", *argv, "--format", "json", "--seed", "0")
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--p", "3", "--s", "3", "--n", "3"],
      "c773c0eab419d28d021071e374aeed61d16301fbe74fdd042e107807356075b4"),

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from oracles import ramified_digit_add, ramified_digit_mul
 from slopelab.arith import order_make
 
-# (r, s, p, N): p = 2, r > 1, N not a multiple of s, and N < s (slots
-# whose modulus is 1) are all covered
+# (r, s, p, N): p = 2, r > 1, N not a multiple of s, N < s (slots whose
+# modulus is 1), s = 7, p = 7 and a large p^m (3^14) are all covered
 SHAPES = [(1, 2, 2, 5), (1, 3, 2, 7), (2, 3, 3, 5), (1, 2, 5, 4),
-          (3, 4, 2, 3), (2, 5, 2, 4), (1, 3, 3, 6)]
+          (3, 4, 2, 3), (2, 5, 2, 4), (1, 3, 3, 6), (2, 7, 3, 8),
+          (1, 3, 7, 9), (1, 3, 3, 40)]
 ORDERS = [order_make(r, s, p, N=N) for r, s, p, N in SHAPES]
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -75,6 +76,22 @@ def test_slot_arithmetic_matches_digit_form_reference():
             assert O.digits(O.mul(x, y)) == ramified_digit_mul(K, r, N, a, b)
 
 
+def test_mul_at_the_largest_coordinates_matches_digit_form_reference():
+    # mul packs integer coefficients side by side; every one of them is a
+    # sum of products of nonnegative coordinates, so operands whose slot
+    # coordinates are all p^{m_k} - 1 reach the largest value of each.  The
+    # full product, and one b slot at a time for each twist r j
+    for O in ORDERS:
+        K, r, N = O.field, O.r, O.N
+        top = tuple((mod - 1,) * O.s for mod in O.mods)
+        cases = [(top, top)] + [
+            (top, tuple(c if k == j else O.witt.zero()
+                        for k, c in enumerate(top))) for j in range(O.s)]
+        for x, y in cases:
+            assert (O.digits(O.mul(x, y))
+                    == ramified_digit_mul(K, r, N, O.digits(x), O.digits(y)))
+
+
 @st.composite
 def order_with(draw, count):
     O = draw(st.sampled_from(ORDERS))
@@ -102,7 +119,7 @@ def test_ring_axioms(case):
 @given(order_with(1))
 def test_units_invert(case):
     O, (a,) = case
-    if O.is_unit(a):
+    if O.residue(a) != 0:
         assert O.mul(a, O.inv(a)) == O.one() == O.mul(O.inv(a), a)
 
 
