@@ -377,30 +377,6 @@ class FieldSpec:
             raise ValueError(f"F_{q_sub} is not a subfield of F_{self.q}")
         return sorted(a for a in self.elements() if self.pow(a, q_sub) == a)
 
-    def embed_from(self, sub: "FieldSpec") -> list[int]:
-        """Embedding table F_{sub.q} -> self, as a list indexed by sub elements.
-
-        The image of sub's canonical generator is the smallest root (by int
-        encoding) of sub.modulus in self, so the embedding is deterministic.
-        """
-        if sub.p != self.p or self.s % sub.s != 0:
-            raise ValueError(f"no embedding of F_{sub.q} into F_{self.q}")
-        modulus = [c for c in sub.modulus]
-        root = None
-        for a in self.elements():
-            if poly_eval(self, modulus, a) == 0:
-                root = a
-                break
-        if root is None:
-            raise InternalCheckFailed(f"{modulus} has no root in F_{self.q}")
-        table = [0] * sub.q
-        for a in sub.elements():
-            img = 0
-            for c in reversed(sub.coeffs(a)):
-                img = self.add(self.mul(img, root), c)
-            table[a] = img
-        return table
-
     # -- misc --------------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -36,8 +36,8 @@ pi-digits
 
     a = sum_{j<N} pi^j <beta_j>,   beta_j in F_q,
 
-are produced only at the edges: digits, from_digits and element_to_json.
-leading reads the first nonzero digit and its level off the slots.
+are produced only at the edges: digits and from_digits.  leading reads the
+first nonzero digit and its level off the slots.
 """
 
 from __future__ import annotations
@@ -221,17 +221,6 @@ class RamifiedOrder:
         return None if level is None else Fraction(level, self.s)
 
     # -- misc --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "r": self.r,
-            "s": self.s,
-            "precision": self.N,
-        }
-
-    def element_to_json(self, a: RamElt) -> dict:
-        return {"digits": list(self.digits(a))}
 
     def __repr__(self) -> str:
         return f"RamifiedOrder(lam={self.r}/{self.s}, q={self.field.q}, N={self.N})"

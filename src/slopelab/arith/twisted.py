@@ -24,9 +24,9 @@ class SymTerm:
     """One formal summand sign * p^p_exp * <name>^{sigma^twist}.
 
     The twist exponent is kept unreduced; it is taken mod the degree of
-    whatever field the symbol is eventually specialized in.  Signs stay in
-    {+1, -1}: Teichmuller symbols only ever enter formulas with unit
-    integer coefficients.
+    the field the symbol is specialized in.  Signs stay in {+1, -1}:
+    Teichmuller symbols only ever enter formulas with unit integer
+    coefficients.
     """
 
     name: str
@@ -135,20 +135,11 @@ class SymCoeffOps:
             ],
         }
 
-    def specialize(self, a: SymCoeff, values: dict, ring=None,
-                   embed=None):
-        """Replace each symbol by the Teichmuller lift of its field value.
-
-        values maps symbol name -> element of ring.field (default: the ops
-        ring); embed maps base-ring digits into ring when they differ.
-        """
-        ring = ring or self.ring
-        if embed is None:
-            if ring is not self.ring:
-                raise ValueError(f"specializing into foreign {ring!r} needs embed")
-            out = a.base
-        else:
-            out = embed(a.base)
+    def specialize(self, a: SymCoeff, values: dict) -> WittElt:
+        """Replace each symbol by the Teichmuller lift of its field value;
+        values maps symbol name -> element of the ops ring's field."""
+        ring = self.ring
+        out = a.base
         for t in a.terms:
             v = values[t.name]
             lifted = ring.teichmuller(ring.field.frobenius(v, t.twist)) \
@@ -181,13 +172,6 @@ class TwistedPoly:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = self.ops.add(out[k], c) if k in out else c
-        return TwistedPoly(self.ops, out)
-
-    def sub(self, other: "TwistedPoly") -> "TwistedPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            nc = self.ops.neg(c)
-            out[k] = self.ops.add(out[k], nc) if k in out else nc
         return TwistedPoly(self.ops, out)
 
     def mul(self, other: "TwistedPoly") -> "TwistedPoly":

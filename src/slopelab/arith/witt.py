@@ -211,13 +211,6 @@ class WittRing:
     def element_to_json(self, a: WittElt) -> dict:
         return {"digits": list(self.digits(a))}
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "m": self.m,
-            "lifted_modulus": list(self.modulus),
-        }
-
     def __repr__(self) -> str:
         return f"WittRing(q={self.field.q}, m={self.m})"
 
@@ -287,15 +280,3 @@ def witt_make(field: FieldSpec, m: int) -> WittRing:
 def witt_for(p: int, s: int, m: int, seed: int = 0) -> WittRing:
     return witt_make(field_make(p, s, seed), m)
 
-
-def witt_embed(src: WittRing, dst: WittRing, a: WittElt) -> WittElt:
-    """Digit-wise embedding along the canonical field embedding.
-
-    Applying a field embedding to every Teichmuller digit is a ring map,
-    since the carry laws are universal polynomials over the prime field.
-    Requires dst at least as long as src to lose nothing.
-    """
-    if dst.m < src.m:
-        raise ValueError(f"cannot embed length {src.m} into length {dst.m}")
-    table = dst.field.embed_from(src.field)
-    return dst.from_digits([table[d] for d in src.digits(a)])

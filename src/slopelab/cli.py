@@ -141,6 +141,16 @@ def check_prime(p: int, guard: int) -> None:
         raise CliParseError(f"p = {p} is not prime")
 
 
+def parse_precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise CliParseError(f"--precision {text!r} is not an integer")
+    if value < 1:
+        raise CliParseError(f"--precision {value} must be positive")
+    return value
+
+
 def parse_covered(text: str) -> list:
     try:
         return sorted({int(t) for t in text.split(",") if t.strip() != ""})
@@ -221,7 +231,7 @@ def _build_deformation(cfg: RunConfig, args):
         raise CliParseError(f"deformation slope {lam} outside (0, 1)")
     s = lam.denominator
     check_prime(args.p, cfg.guard)
-    precision = cfg.precision or 2 * s + 2
+    precision = 2 * s + 2 if cfg.precision is None else cfg.precision
     ring = witt_for(args.p, s, precision, cfg.seed)
     return deformation(split_display(ring, pieces), lam)
 
@@ -451,7 +461,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--precision", type=int, default=None)
+    common.add_argument("--precision", type=parse_precision, default=None)
     common.add_argument("--guard", type=int, default=10 ** 7)
     common.add_argument("--format", dest="fmt",
                         choices=("json", "text", "svg"), default=None)

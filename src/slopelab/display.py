@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly
-from .arith.witt import WittElt, WittRing, witt_embed
+from .arith.witt import WittElt, WittRing
 from .errors import InternalCheckFailed, PreconditionError
 from .polygon import (
     NewtonPolygon,
@@ -84,18 +84,6 @@ class Display:
         ops = SymCoeffOps(self.ring)
         return Display(self.ring, self.d, self.c,
                        {pos: ops.lift(v) for pos, v in self.entries.items()})
-
-    def to_json(self) -> dict:
-        ops = self.ops()
-        return {
-            "d": self.d,
-            "c": self.c,
-            "matrix": [
-                [ops.element_to_json(self.entry(i, j))
-                 for j in range(1, self.h + 1)]
-                for i in range(1, self.h + 1)
-            ],
-        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,15 +230,20 @@ def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
 
     The product has central scalar coefficients, so the twisted product
     order does not matter; the result realizes the direct sum of the
-    slope r_i/s_i building blocks up to isogeny.
+    slope r_i/s_i building blocks up to isogeny.  The constant term is
+    +-p^c, c = sum r_i, so the ring needs precision above c.
     """
+    h = sum(s for _, s in pieces)
+    c = sum(r for r, _ in pieces)
+    if ring.m <= c:
+        raise PreconditionError(
+            f"precision {ring.m} truncates the constant term +-p^{c} to 0; "
+            f"needs precision >= {c + 1}")
     prod = TwistedPoly(ring, {0: ring.one()})
     for r, s in pieces:
         factor = TwistedPoly(ring, {
             s: ring.one(), 0: ring.neg(ring.from_int(ring.field.p ** r))})
         prod = prod.mul(factor)
-    h = sum(s for _, s in pieces)
-    c = sum(r for r, _ in pieces)
     coeffs = {}
     for x in range(1, h + 1):
         ax = ring.neg(prod.coeff(h - x))
@@ -365,31 +358,19 @@ class DeformationSpec:
     def deformed_polygon(self) -> NewtonPolygon:
         return charpoly_polygon(self.chi)
 
-    def specialize(self, values: dict, ring: WittRing | None = None) -> TwistedPoly:
-        """Numeric charpoly at given parameter values.
-
-        values: (x, y) or name -> field element; ring may be a Witt ring
-        over an extension field (same p, degree a multiple), in which case
-        base coefficients embed digit-wise.
-        """
-        src = self.base.ring
-        ring = ring or src
-        named = {}
-        for key, v in values.items():
-            named[coord_name(*key) if isinstance(key, tuple) else key] = v
-        ops = SymCoeffOps(src)
-        if ring is src:
-            embed = None
-        else:
-            def embed(a):
-                return witt_embed(src, ring, a)
+    def specialize(self, values: dict) -> TwistedPoly:
+        """Numeric charpoly at given parameter values: (x, y) or name ->
+        element of the base ring's field."""
+        named = {coord_name(*key) if isinstance(key, tuple) else key: v
+                 for key, v in values.items()}
+        ops = SymCoeffOps(self.base.ring)
         out = {}
         for k, coeff in self.chi.coeffs.items():
             missing = [t.name for t in coeff.terms if t.name not in named]
             if missing:
                 raise PreconditionError(f"no value for symbols {missing}")
-            out[k] = ops.specialize(coeff, named, ring=ring, embed=embed)
-        return TwistedPoly(ring, out)
+            out[k] = ops.specialize(coeff, named)
+        return TwistedPoly(self.base.ring, out)
 
     def to_json(self) -> dict:
         return {
@@ -435,14 +416,6 @@ class PolarizedStrata:
     lam: Fraction
     strat: Stratification
     classes: tuple[frozenset, ...]      # inv_np orbits on the active set
-
-    def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "slope": str(self.lam),
-            "strata": self.strat.to_json(),
-            "classes": sorted(sorted(list(p) for p in cl) for cl in self.classes),
-        }
 
 
 def pol_strata(g: int, np0: NewtonPolygon, lam) -> PolarizedStrata:

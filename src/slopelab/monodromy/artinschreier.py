@@ -43,12 +43,6 @@ class AdditivePolynomial:
     def degree(self) -> int:
         return self.field.p ** self.p_degree if self.coeffs else 0
 
-    def coeff(self, j: int) -> int:
-        for k, c in self.coeffs:
-            if k == j:
-                return c
-        return 0
-
     def eval(self, a: int) -> int:
         K = self.field
         acc = 0
@@ -92,17 +86,15 @@ def additive_from_dense(field: FieldSpec, dense: list[int]) -> AdditivePolynomia
     return additive_make(field, out)
 
 
-def enumerate_subgroups(field: FieldSpec, ambient=None) -> list[frozenset]:
-    """All additive subgroups of `ambient` (default: the whole field),
-    sorted by (size, elements): one per reduced row-echelon basis over a
-    basis of the F_p-span of `ambient`."""
-    return [G for G, _ in _subgroups_with_bases(field, ambient)]
+def enumerate_subgroups(field: FieldSpec) -> list[frozenset]:
+    """All additive subgroups of the field, sorted by (size, elements)."""
+    return [G for G, _ in _subgroups_with_bases(field, field.elements())]
 
 
-def _subgroups_with_bases(field: FieldSpec, ambient=None) -> list[tuple]:
-    """(G, codes of an F_p-basis of G) in `enumerate_subgroups` order."""
-    if ambient is None:
-        ambient = field.elements()
+def _subgroups_with_bases(field: FieldSpec, ambient) -> list[tuple]:
+    """(G, codes of an F_p-basis of G) for every additive subgroup G of
+    the F_p-span of `ambient`, sorted by (size, elements): one per reduced
+    row-echelon basis over a basis of that span."""
     p = field.p
     basis_of = Echelon(p)
     basis = [v for v in map(field.coeffs, ambient) if basis_of.insert(v)]

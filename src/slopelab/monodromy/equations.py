@@ -31,16 +31,8 @@ class DemazureData:
     lam: Fraction
     coeffs: dict | None     # x -> ramified-order digits of a_x; None if symbolic
 
-    @property
-    def s(self) -> int:
-        return self.lam.denominator
 
-    @property
-    def r(self) -> int:
-        return self.lam.numerator
-
-
-def demazure_slope(chi: TwistedPoly, normalize: bool = True) -> DemazureData:
+def demazure_slope(chi: TwistedPoly) -> DemazureData:
     """Least slope lam = min_x ord(A_x)/x, with a_x = A_x p^{-lam x}.
 
     Symbolic coefficients contribute their ords with symbols as units; the
@@ -60,7 +52,7 @@ def demazure_slope(chi: TwistedPoly, normalize: bool = True) -> DemazureData:
         raise PreconditionError("all lower coefficients vanish: slope undefined")
     lam = min(Fraction(v, x) for x, v in pairs)
     symbolic = any(isinstance(c, SymCoeff) for c in chi.coeffs.values())
-    if symbolic or not normalize:
+    if symbolic:
         return DemazureData(lam, None)
     ring = chi.ops
     out = {}
@@ -70,12 +62,11 @@ def demazure_slope(chi: TwistedPoly, normalize: bool = True) -> DemazureData:
     return DemazureData(lam, out)
 
 
-def _pi_digits(ring, ax, x: int, lam: Fraction, cap: int | None = None) -> dict:
-    """pi-digit expansion of A_x p^{-lam x}: Witt digit t of A_x sits at
-    pi-exponent j = s t - r x.  Negative j means ord(A_x) < lam x."""
+def _pi_digits(ring, ax, x: int, lam: Fraction) -> dict:
+    """pi-digit expansion of A_x p^{-lam x} below pi^{2s}: Witt digit t of
+    A_x sits at pi-exponent j = s t - r x.  Negative j means
+    ord(A_x) < lam x."""
     s, r = lam.denominator, lam.numerator
-    if cap is None:
-        cap = 2 * s
     out = {}
     for t, digit in enumerate(ring.digits(ax)):
         if digit == 0:
@@ -84,7 +75,7 @@ def _pi_digits(ring, ax, x: int, lam: Fraction, cap: int | None = None) -> dict:
         if j < 0:
             raise PreconditionError(
                 f"coefficient at F^(h-{x}) has valuation below {lam}*{x}")
-        if j < cap:
+        if j < 2 * s:
             out[j] = digit
     return out
 
@@ -210,12 +201,15 @@ class FirstWittData:
         }
 
 
-def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
-                        samples: int = 16) -> FirstWittData:
-    """Extract and sanity-check the level-0 equation.
+_SAMPLES = 16   # splitting-degree samples drawn by first_witt_equation
 
-    The splitting-degree samples specialize the anchor parameter to units
-    u of the cubic extension F_Q, Q = q^3, and measure the order of
+
+def first_witt_equation(eq: MonodromyEquation, field,
+                        seed: int = 0) -> FirstWittData:
+    """Extract and sanity-check the level-0 equation over the residue field.
+
+    The _SAMPLES splitting-degree samples specialize the anchor parameter
+    to units u of the cubic extension F_Q, Q = q^3, and measure the order of
     u^{p^{h-d-r}} modulo (q-1)-th powers: every sample must divide p^s - 1
     and generic ones attain it.  That order is the multiplicative order of
     w = u^{p^{h-d-r} (Q-1)/(q-1)} in F_q^x, computed by square-and-multiply
@@ -230,8 +224,6 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
     x0, anchor = anchors[0]
     if h - d - r < 0 or h - s < 0:
         raise PreconditionError("degenerate exponents")
-    if field is None:
-        raise PreconditionError("need the residue field for specialization")
     p = field.p
     pair = (p ** h - p ** (h - s), p ** (h - d - r))
     factored = (p ** (h - s), p ** s - 1)
@@ -253,7 +245,7 @@ def first_witt_equation(eq: MonodromyEquation, field=None, seed: int = 0,
     exponent = pair[1] * ((big_q - 1) // group_order) % (big_q - 1)
     out = []
     attained = False
-    for _ in range(samples):
+    for _ in range(_SAMPLES):
         u = rng.randrange(1, big_q)
         w = power(mul, one, base_p_digits(u, p, 3 * s), exponent)
         if power(mul, one, w, group_order) != one:

@@ -50,20 +50,6 @@ class LaurentSlab:
     def is_zero(self) -> bool:
         return not self.data
 
-    def to_json(self) -> dict:
-        return {"nvars": self.nvars,
-                "terms": [[list(z), t, c] for (z, t), c in self.data]}
-
-    def __str__(self) -> str:
-        if not self.data:
-            return "0"
-        bits = []
-        for (z, t), c in self.data:
-            mon = "".join(f"z{i+1}^{e}" for i, e in enumerate(z) if e)
-            if t:
-                mon += f"t^{t}"
-            bits.append(f"{c}{mon}" if mon else str(c))
-        return " + ".join(bits)
 
 
 def slab_make(field: FieldSpec, nvars: int, terms: dict) -> LaurentSlab:

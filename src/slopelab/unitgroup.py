@@ -10,24 +10,21 @@ p-th-power congruence
 and decides whether lifts covering a chosen set of graded pieces generate
 all of G/G_n.
 
-Elements are RamifiedOrder slot tuples; graded classes read levels and
-leading digits through RamifiedOrder.leading (residue at level 0), and
-only UnitQuotient, the closure reference, expands Teichmuller digits.
+G/G_n is the unit group of the order context O mod pi^n, whose slot tuples
+are canonical; graded classes read levels and leading digits through
+RamifiedOrder.leading (residue at level 0), so no Teichmuller digit is
+expanded here.
 
-Generation is decided by a filtered echelon on the order context
-O mod pi^n (closure_compiled): an induced polycyclic sequence for
-H cap G_1, one F_p echelon of leading classes per level, so no element of
-the quotient is listed and |H| comes out as |<t>| * p^(sum of ranks).
-The direct closure (UnitQuotient, closure_direct) lists every element of
-H, multiplying order elements one at a time; it is the independent
-reference the tests compare against.
+Generation is decided by a filtered echelon on that context
+(closure_compiled): an induced polycyclic sequence for H cap G_1, one F_p
+echelon of leading classes per level, so no element of the quotient is
+listed and |H| comes out as |<t>| * p^(sum of ranks).  The direct closure
+(closure_direct) lists every element of H, multiplying slot tuples one at
+a time; it is the independent reference the tests compare against.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith.fields import FieldSpec, field_make
@@ -66,6 +63,12 @@ def _unit_and_inverse(ctx: RamifiedOrder, j: int, x: int) -> tuple:
     return u, ctx.inv(u)
 
 
+def _closed_form(K: FieldSpec, r: int, x: int, y: int, n: int) -> int:
+    """x^{tau^n} y - y^tau x, tau = sigma^r the slope Frobenius: the class
+    at level n+1 of [1 - pi<x>, 1 - pi^n<y>]."""
+    return K.sub(K.mul(K.frobenius(x, r * n), y), K.mul(K.frobenius(y, r), x))
+
+
 def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     """Class at level n+1 of [1 - pi<x>, 1 - pi^n<y>].
 
@@ -79,13 +82,11 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
         raise PreconditionError(f"need truncation >= {n + 2}, have {ctx.N}")
     if n < 1:
         raise PreconditionError("need n >= 1")
-    K = ctx.field
     u, u_inv = _unit_and_inverse(ctx, 1, x)
     v, v_inv = _unit_and_inverse(ctx, n, y)
     comm = ctx.commutator(u, v, u_inv, v_inv)
     got = graded_class(ctx, comm, n + 1)
-    expect = K.sub(K.mul(K.frobenius(x, (ctx.r * n) % ctx.s), y),
-                   K.mul(K.frobenius(y, ctx.r % ctx.s), x))
+    expect = _closed_form(ctx.field, ctx.r, x, y, n)
     if got != expect:
         raise InternalCheckFailed(
             f"commutator class at depth {n} of x={x}, y={y} is {got}, "
@@ -97,13 +98,8 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
 def commutator_span(field: FieldSpec, r: int, n: int) -> frozenset:
     """The value set {x^{tau^n} y - y^tau x}; equals F_q when s does not
     divide n+1."""
-    s = field.s
-    out = set()
-    for x in field.elements():
-        for y in field.elements():
-            out.add(field.sub(field.mul(field.frobenius(x, (r * n) % s), y),
-                              field.mul(field.frobenius(y, r % s), x)))
-    return frozenset(out)
+    return frozenset(_closed_form(field, r, x, y, n)
+                     for x in field.elements() for y in field.elements())
 
 
 def pth_power_check(ctx: RamifiedOrder, alpha: int, beta, n: int) -> bool:
@@ -160,43 +156,6 @@ def p2_power_report(s: int, n: int = 1, seed: int = 0) -> dict:
 # -- the finite quotient G/G_n -------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitQuotient:
-    """G/G_n presented by canonical digit tuples (b_0, ..., b_{n-1}),
-    b_0 != 0, multiplied through a truncated order at precision n."""
-
-    ctx: RamifiedOrder
-    n: int
-
-    @property
-    def order(self) -> int:
-        q = self.ctx.field.q
-        return (q - 1) * q ** (self.n - 1)
-
-    def elements(self):
-        K = self.ctx.field
-        units = [a for a in K.elements() if a != 0]
-        for b0 in units:
-            for rest in itertools.product(K.elements(), repeat=self.n - 1):
-                yield (b0,) + rest
-
-    def canonical(self, u) -> tuple:
-        return self.ctx.digits(u)[: self.n]
-
-    def lift(self, digs: tuple):
-        return self.ctx.from_digits(digs)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        return self.canonical(self.ctx.mul(self.lift(a), self.lift(b)))
-
-
-def quotient_make(lam: Fraction, p: int, n: int, seed: int = 0) -> UnitQuotient:
-    from .arith.ramified import order_make
-    lam = Fraction(lam)
-    ctx = order_make(lam.numerator, lam.denominator, p, max(n, 2), seed)
-    return UnitQuotient(ctx, n)
-
-
 def standard_generators(ctx: RamifiedOrder, covered) -> list:
     """Lifts realizing the full graded image at each covered piece:
     a Teichmuller generator for piece 0, 1 + pi^i <b> over an F_p-basis
@@ -213,17 +172,18 @@ def standard_generators(ctx: RamifiedOrder, covered) -> list:
     return gens
 
 
-def closure_direct(quot: UnitQuotient, gens) -> int:
-    """Breadth-first closure size under right multiplication."""
-    gen_states = [quot.canonical(g) for g in gens]
-    ident = quot.canonical(quot.ctx.one())
-    seen = {ident}
-    frontier = [ident]
+def closure_direct(ctx: RamifiedOrder, gens) -> int:
+    """|H| for H the subgroup of G/G_n, n = ctx.N, generated by gens: a
+    breadth-first closure under right multiplication that lists every
+    element.  Slot tuples are canonical mod pi^n, so they are the states."""
+    one = ctx.one()
+    seen = {one}
+    frontier = [one]
     while frontier:
         nxt = []
         for u in frontier:
-            for g in gen_states:
-                v = quot.mul(u, g)
+            for g in gens:
+                v = ctx.mul(u, g)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)

@@ -56,6 +56,15 @@ def test_adjoin_json_round_trips(capsys):
                                                               (6, 3)])
 
 
+def test_symmetric_json_bytes_are_pinned(capsys):
+    rc, out = run(capsys, "np", "symmetric", "--poly", "1/2x6",
+                  "--lambda", "1/3", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["pretty"] == "(1/3 x3)(2/3 x3)"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d45db9766ede7938ac7c8c000562aa6aa8f1d29a8ec8593957f20f582e0c7016"
+
+
 def test_symmetric_needs_a_symmetric_polygon(capsys):
     rc, _ = run(capsys, "np", "symmetric", "--poly", "1/3x3",
                 "--lambda", "1/3")
@@ -108,6 +117,33 @@ def test_deform_json_bytes_are_pinned(capsys, argv, digest):
     rc, out = run(capsys, "deform", *argv, "--format", "json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("precision, code, message", [
+    ("-1", 4, "--precision -1 must be positive"),
+    ("0", 4, "--precision 0 must be positive"),
+    ("1", 2, "needs precision >= 4"),
+    ("2", 2, "needs precision >= 4"),
+    ("3", 2, "needs precision >= 4"),
+])
+def test_deform_precision_too_small_is_refused(capsys, precision, code,
+                                               message):
+    # ss6 has constant term -p^3, which vanishes below precision 4; 0 is
+    # refused, not replaced by the default
+    rc = main(["deform", "--base", "ss6", "--lambda", "1/3",
+               "--precision", precision])
+    out, err = capsys.readouterr()
+    assert rc == code and out == ""
+    assert err.startswith("slopelab: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_deform_smallest_sufficient_precision_runs(capsys):
+    rc, out = run(capsys, "deform", "--base", "ss6", "--lambda", "1/3",
+                  "--precision", "4")
+    assert rc == 0
+    assert out.splitlines()[0] == \
+        "strata {(2,1),(3,1),(3,2),(4,2)} and 4-term chi"
 
 
 def test_as_json_bytes_are_pinned(capsys):
@@ -383,6 +419,14 @@ def test_plot_svg_shape(tmp_path):
     assert svg.count("<circle") == 9
     assert svg.count("<polyline") >= 2
     assert "stroke-dasharray" in svg
+
+
+def test_plot_polygon_svg_bytes_are_pinned(capsys):
+    rc, out = run(capsys, "plot", "--poly", "1/3x3,2/3x3")
+    assert rc == 0
+    assert out.count("<circle") == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "786e814f6d35d5bbcab3f123461cf73af715b71488359aab289e387009a8f17f"
 
 
 def test_outdir_env_var_resolves_relative_paths(tmp_path, monkeypatch):

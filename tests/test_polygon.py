@@ -163,6 +163,17 @@ def test_attainable_witness_must_avoid_the_straight_chord():
     assert lies_on_or_below(wit.witness, np0)
 
 
+def test_multiplicity_counts_simple_summands():
+    # the abstract's hypothesis: ss6 is three copies of slope 1/2, and the
+    # attainability witness carries the new slope 1/3 exactly once
+    ss6 = np_make([(F(1, 2), 6)])
+    assert ss6.multiplicity(F(1, 2)) == 3
+    assert ss6.multiplicity(F(1, 3)) == 0
+    wit = attainable(ss6, F(1, 3))
+    assert wit.witness.multiplicity(F(1, 3)) == 1
+    assert wit.witness.multiplicity(F(2, 3)) == 1
+
+
 def test_attainable_against_exhaustive_search():
     lams = sorted({F(r, s) for s in range(2, 6) for r in range(1, s)})
     checked = 0

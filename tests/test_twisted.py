@@ -93,10 +93,15 @@ def test_symbolic_in_twisted_product_with_unit_scalars():
     assert term.twist == 2
 
 
-def test_specialize_into_foreign_ring_needs_embed():
+def test_specialize_lifts_each_symbol_in_the_base_ring():
     W = witt_for(3, 2, 3)
-    ops = SymCoeffOps(W)
-    u = ops.symbol("u")
-    assert ops.specialize(u, {"u": 1}) == W.one()
-    with pytest.raises(ValueError, match="needs embed"):
-        ops.specialize(u, {"u": 1}, ring=witt_for(3, 4, 3))
+    K, ops = W.field, SymCoeffOps(W)
+    a = K.generator()
+    assert ops.specialize(ops.symbol("u"), {"u": 1}) == W.one()
+    # 1 + p <u>^sigma - <v>: each symbol becomes its signed, p-scaled and
+    # twisted Teichmuller lift; a zero value drops the term
+    coeff = ops.sub(ops.add(ops.one(), ops.symbol("u", 1, 1)), ops.symbol("v"))
+    want = W.sub(W.add(W.one(), W.scalar_mul(3, W.teichmuller(K.frobenius(a)))),
+                 W.teichmuller(a))
+    assert ops.specialize(coeff, {"u": a, "v": a}) == want
+    assert ops.specialize(coeff, {"u": 0, "v": 0}) == W.one()

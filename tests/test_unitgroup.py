@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,13 +10,11 @@ from slopelab.arith.fields import field_make
 from slopelab.arith.ramified import order_over
 from slopelab.arith.witt import WittRing
 from slopelab.errors import GuardExceeded, PreconditionError
-from slopelab.unitgroup import (UnitQuotient, closure_compiled,
-                                closure_direct, commutator_class,
-                                commutator_span, generation_report,
-                                graded_class,
+from slopelab.unitgroup import (closure_compiled, closure_direct,
+                                commutator_class, commutator_span,
+                                generation_report, graded_class,
                                 p2_power_report, pth_power_check,
-                                quotient_make, quotient_order,
-                                standard_generators)
+                                quotient_order, standard_generators)
 
 F9 = field_make(3, 2)
 
@@ -156,15 +153,6 @@ def test_unit_group_reads_levels_without_teichmuller_digits(monkeypatch):
     assert expanded == []
 
 
-def test_quotient_order_and_canonical_forms():
-    quot = quotient_make(Fraction(1, 2), 3, 3)
-    assert quot.order == 648
-    elts = list(quot.elements())
-    assert len(elts) == 648 and len(set(elts)) == 648
-    u = elts[17]
-    assert quot.canonical(quot.lift(u)) == u
-
-
 def test_quotient_order_shortcuts_agree_with_the_exact_comparison():
     # the s and n bit-length refusals never refuse an order within guard
     for p, s, n in itertools.product((2, 3, 5), range(1, 13), range(1, 5)):
@@ -180,8 +168,8 @@ def test_quotient_order_shortcuts_agree_with_the_exact_comparison():
 
 
 def test_generation_echelon_equals_direct():
-    # the direct closure multiplies order elements one at a time and lists
-    # every state; the library's echelon lists none and must find the same
+    # the direct closure multiplies slot tuples of O mod pi^n one at a time
+    # and lists every state; the library's echelon lists none and must find the same
     # subgroup order: first on frozen cases, then on every covered set of
     # size <= 3 (with and without piece 0) of every small quotient
     F8, F27 = field_make(2, 3), field_make(3, 3)
@@ -192,8 +180,7 @@ def test_generation_echelon_equals_direct():
              (F27, 2, 2, {0, 1}, 702), (F27, 2, 2, {0}, 26)]
     for K, r, n, covered, want in cases:
         ctx = order_over(K, r, n)
-        direct = closure_direct(UnitQuotient(ctx, n),
-                                standard_generators(ctx, covered))
+        direct = closure_direct(ctx, standard_generators(ctx, covered))
         rep = generation_report(ctx, n, covered)
         assert rep["order"] == direct == want, (K.q, r, n, covered)
         assert rep["generates"] == (direct == (K.q - 1) * K.q ** (n - 1))
@@ -208,8 +195,7 @@ def test_generation_echelon_equals_direct():
                 for size in range(4):
                     for covered in itertools.combinations(range(n), size):
                         direct = closure_direct(
-                            UnitQuotient(ctx, n),
-                            standard_generators(ctx, covered))
+                            ctx, standard_generators(ctx, covered))
                         rep = generation_report(ctx, n, covered)
                         assert rep["order"] == direct, (p, s, r, n, covered)
                         swept += 1
@@ -247,7 +233,7 @@ def test_generation_guard_and_bounds():
 
 
 def test_direct_closure_of_proper_subgroup():
-    quot = quotient_make(Fraction(1, 2), 3, 2)
-    gens = standard_generators(quot.ctx, {1})
+    ctx = ctx9(2)
+    gens = standard_generators(ctx, {1})
     # no residue generator, so everything stays in 1 + pi O: q^{n-1} states
-    assert closure_direct(quot, gens) == 9
+    assert closure_direct(ctx, gens) == 9

@@ -4,7 +4,7 @@ from collections import namedtuple
 import pytest
 
 from slopelab.arith import field_make, witt_for, witt_make
-from slopelab.arith.witt import WittRing, witt_embed
+from slopelab.arith.witt import WittRing
 from slopelab.errors import InternalCheckFailed
 
 ReducibleField = namedtuple("ReducibleField", "p s q modulus")
@@ -176,8 +176,3 @@ def test_canonical_modulus_checks_raise_on_reducible_field(p, modulus, why):
     with pytest.raises(InternalCheckFailed, match=why):
         witt_make(field, 2)
 
-
-def test_witt_embed_rejects_shorter_target():
-    src, dst = witt_for(2, 2, 3), witt_for(2, 4, 2)
-    with pytest.raises(ValueError, match="cannot embed"):
-        witt_embed(src, dst, src.one())
