@@ -7,7 +7,7 @@ from .errors import (CliParseError, GuardExceeded, PreconditionError,
                      SlopelabError)
 from .polygon import (NewtonPolygon, adjoin, attainable, compare, np_make,
                       np_merge, symmetric_adjoin)
-from .serialize import canonical_dumps, field_from_json, np_from_json
+from .serialize import canonical_dumps, np_from_json
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "CliParseError", "GuardExceeded", "PreconditionError", "SlopelabError",
     "NewtonPolygon", "adjoin", "attainable", "compare", "np_make", "np_merge",
     "symmetric_adjoin",
-    "canonical_dumps", "field_from_json", "np_from_json",
+    "canonical_dumps", "np_from_json",
     "__version__",
 ]

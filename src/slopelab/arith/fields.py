@@ -166,19 +166,6 @@ def poly_sub(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
     return poly_add(K, f, poly_scale(K, K.neg(1), g))
 
 
-def poly_mul(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return poly_trim(out)
-
-
 def poly_rem(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
     """Remainder of f modulo g (g nonzero)."""
     if not g:
@@ -215,13 +202,6 @@ def poly_frobenius(K: "FieldSpec", f: list[int], k: int,
         g[::K.p] = map(K.frobenius, f)
         f = poly_rem(K, g, mod)
     return f
-
-
-def poly_eval(K: "FieldSpec", f: list[int], a: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = K.add(K.mul(acc, a), c)
-    return acc
 
 
 def _irreducible(p: int, f: list[int]) -> bool:
@@ -378,14 +358,6 @@ class FieldSpec:
         return sorted(a for a in self.elements() if self.pow(a, q_sub) == a)
 
     # -- misc --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "s": self.s,
-            "modulus": list(self.modulus),
-            "seed": self.seed,
-        }
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, s={self.s}, modulus={list(self.modulus)})"

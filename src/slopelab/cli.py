@@ -231,6 +231,9 @@ def _build_deformation(cfg: RunConfig, args):
         raise CliParseError(f"deformation slope {lam} outside (0, 1)")
     s = lam.denominator
     check_prime(args.p, cfg.guard)
+    # 2^s > guard already refuses a long s, before p^s is formed
+    if s > cfg.guard.bit_length() or args.p ** s > cfg.guard:
+        raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {cfg.guard}")
     precision = 2 * s + 2 if cfg.precision is None else cfg.precision
     ring = witt_for(args.p, s, precision, cfg.seed)
     return deformation(split_display(ring, pieces), lam)
@@ -359,7 +362,7 @@ def cmd_units(cfg: RunConfig, args) -> int:
             "failing_alphas": finding["failing_alphas"],
         }
 
-    gen = generation_report(order_over(K, r, 2), n, covered, guard=cfg.guard)
+    gen = generation_report(K, r, n, covered, guard=cfg.guard)
 
     ok = commutator_ok and power_ok and gen["generates"]
     report = {"p": p, "s": s, "q": K.q, "lambda": f"{r}/{s}", "n": n,

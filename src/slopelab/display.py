@@ -27,15 +27,8 @@ from fractions import Fraction
 
 from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly
 from .arith.witt import WittElt, WittRing
-from .errors import InternalCheckFailed, PreconditionError
-from .polygon import (
-    NewtonPolygon,
-    adjoin,
-    attainable,
-    involution_point,
-    np_from_points,
-    symmetric_adjoin,
-)
+from .errors import PreconditionError
+from .polygon import NewtonPolygon, adjoin, attainable, np_from_points
 
 Point = tuple[int, int]
 
@@ -294,17 +287,16 @@ def parallelogram(d: int, c: int) -> tuple[Point, ...]:
 
 
 def strata(d: int, c: int, np0: NewtonPolygon, lam) -> Stratification:
-    """Filter the parallelogram by the adjoined polygon and slice by level."""
+    """Filter the parallelogram by the adjoined polygon np(*) and slice it
+    by level: level j of (x, y) is sy - rx, nonnegative exactly on points
+    at or above the slope lam line through the origin; the active set is
+    cut out by np(*) instead of the line."""
+    if np0.endpoint != (d + c, c):
+        raise PreconditionError(
+            f"polygon endpoint {np0.endpoint} is not (d + c, c) = {(d + c, c)}")
     lam = Fraction(lam)
-    return _slice(d, c, lam, adjoin(np0, (lam.denominator, lam.numerator)))
-
-
-def _slice(d: int, c: int, lam: Fraction,
-           np_star: NewtonPolygon) -> Stratification:
-    """Level j of (x, y) is sy - rx, nonnegative exactly on points at or
-    above the slope lam line through the origin; the active set is cut out
-    by the adjoined polygon np(*) instead of the line."""
     s, r = lam.denominator, lam.numerator
+    np_star = adjoin(np0, (s, r))
     region = parallelogram(d, c)
     active = frozenset(
         (x, y) for x, y in region if y >= np_star.value_at(x))
@@ -396,53 +388,7 @@ def deformation(disp: Display, lam) -> DeformationSpec:
     return DeformationSpec(disp, lam, strat, deformed, charpoly(deformed))
 
 
-# -- polarized variant ----------------------------------------------------
-
-
-def inv_np(g: int, point: Point) -> Point:
-    """Involution on polygon lattice points for the symmetric endpoint."""
-    return involution_point(g, point)
-
-
-def inv_m(g: int, pos: tuple[int, int]) -> tuple[int, int]:
-    """Companion involution on matrix positions."""
-    i, j = pos
-    return (j - g, i + g)
-
-
-@dataclass(frozen=True)
-class PolarizedStrata:
-    g: int
-    lam: Fraction
-    strat: Stratification
-    classes: tuple[frozenset, ...]      # inv_np orbits on the active set
-
-
-def pol_strata(g: int, np0: NewtonPolygon, lam) -> PolarizedStrata:
-    """Strata cut out by the symmetric adjoined polygon, with parameter
-    coordinates identified along the involution."""
-    lam = Fraction(lam)
-    strat = _slice(g, g, lam, symmetric_adjoin(np0, lam))
-    active = strat.active
-    for pt in active:
-        img = inv_np(g, pt)
-        if img in strat.region and img not in active:
-            raise InternalCheckFailed(f"involution broke the active set at {pt}")
-    seen: set = set()
-    classes = []
-    for pt in sorted(active):
-        if pt in seen:
-            continue
-        orbit = {pt}
-        img = inv_np(g, pt)
-        if img in active:
-            orbit.add(img)
-        seen |= orbit
-        classes.append(frozenset(orbit))
-    return PolarizedStrata(g, lam, strat, tuple(classes))
-
-
-# -- filtered block lifting ----------------------------------------------
+# -- the T-substitution ---------------------------------------------------
 
 
 def t_substitute(disp: Display, t_matrix: dict) -> Display:
@@ -470,68 +416,3 @@ def t_substitute(disp: Display, t_matrix: dict) -> Display:
             if not ops.is_zero(acc):
                 entries[(i, j)] = ops.add(disp.entry(i, j), acc)
     return Display(disp.ring, d, c, entries)
-
-
-def filtered_lift(disp: Display, sizes: list[tuple[int, int]],
-                  t_blocks: list[dict]) -> Display:
-    """Deform along a block-diagonal T compatible with a filtration.
-
-    sizes lists (d_i, c_i) per graded block, concatenating to (d, c);
-    t_blocks[i] maps (row in [1, d_i], col in [1, c_i]) to a coefficient.
-    The diagonal blocks of the result are the blockwise substitutions.
-    """
-    if sum(di for di, _ in sizes) != disp.d or \
-            sum(ci for _, ci in sizes) != disp.c:
-        raise PreconditionError(
-            f"block sizes {sizes} do not sum to ({disp.d}, {disp.c})")
-    if len(t_blocks) != len(sizes):
-        raise PreconditionError("one T block required per graded piece")
-    t_matrix: dict = {}
-    off_d = off_c = 0
-    for (di, ci), block in zip(sizes, t_blocks):
-        for (i, k), v in block.items():
-            if not (1 <= i <= di and 1 <= k <= ci):
-                raise PreconditionError(
-                    f"T block entry {(i, k)} outside {di} x {ci}")
-            t_matrix[(off_d + i, off_c + k)] = v
-        off_d += di
-        off_c += ci
-    return t_substitute(disp, t_matrix)
-
-
-def direct_sum_display(blocks: list[Display]) -> Display:
-    """Block-diagonal display; A parts concatenate, then D parts.
-
-    The result is generally not in normal form, but it is block-upper
-    (block-diagonal, even) for the induced filtration, which is the input
-    shape filtered_lift expects.
-    """
-    ring = blocks[0].ring
-    if any(b.ring != ring or b.symbolic != blocks[0].symbolic for b in blocks):
-        raise PreconditionError("blocks must share ring and coefficient kind")
-    d = sum(b.d for b in blocks)
-    c = sum(b.c for b in blocks)
-    entries: dict = {}
-    off_d = off_c = 0
-    for b in blocks:
-        def glob(i):
-            return off_d + i if i <= b.d else d + off_c + (i - b.d)
-        for (i, j), v in b.entries.items():
-            entries[(glob(i), glob(j))] = v
-        off_d += b.d
-        off_c += b.c
-    return Display(ring, d, c, entries)
-
-
-def diagonal_block(disp: Display, sizes: list[tuple[int, int]],
-                   index: int) -> Display:
-    """Sub-display of one graded piece: its A rows/cols and D rows/cols."""
-    off_d = sum(di for di, _ in sizes[:index])
-    off_c = sum(ci for _, ci in sizes[:index])
-    di, ci = sizes[index]
-    rows = list(range(off_d + 1, off_d + di + 1)) + \
-        [disp.d + k for k in range(off_c + 1, off_c + ci + 1)]
-    index = {i: a for a, i in enumerate(rows, start=1)}
-    entries = {(index[i], index[j]): v for (i, j), v in disp.entries.items()
-               if i in index and j in index}
-    return Display(disp.ring, di, ci, entries)

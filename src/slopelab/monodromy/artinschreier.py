@@ -50,12 +50,6 @@ class AdditivePolynomial:
             acc = K.add(acc, K.mul(c, K.pow(a, K.p ** j)))
         return acc
 
-    def to_dense(self) -> list[int]:
-        out = [0] * (self.degree + 1)
-        for j, c in self.coeffs:
-            out[self.field.p ** j] = c
-        return out
-
     def to_json(self) -> dict:
         return {"coeffs": [[j, c] for j, c in self.coeffs]}
 
@@ -66,29 +60,6 @@ def additive_make(field: FieldSpec, coeffs: dict) -> AdditivePolynomial:
             raise ValueError(f"coefficient {c} is not a field element code")
     pairs = tuple(sorted((j, c) for j, c in coeffs.items() if c != 0))
     return AdditivePolynomial(field, pairs)
-
-
-def additive_from_dense(field: FieldSpec, dense: list[int]) -> AdditivePolynomial:
-    """Classify a plain polynomial as additive; reject stray monomials."""
-    p = field.p
-    out = {}
-    for e, c in enumerate(dense):
-        if c == 0:
-            continue
-        j = 0
-        n = e
-        while n > 1 and n % p == 0:
-            n //= p
-            j += 1
-        if n != 1:
-            raise PreconditionError(f"monomial X^{e} is not a p-power")
-        out[j] = c
-    return additive_make(field, out)
-
-
-def enumerate_subgroups(field: FieldSpec) -> list[frozenset]:
-    """All additive subgroups of the field, sorted by (size, elements)."""
-    return [G for G, _ in _subgroups_with_bases(field, field.elements())]
 
 
 def _subgroups_with_bases(field: FieldSpec, ambient) -> list[tuple]:
@@ -105,22 +76,6 @@ def _subgroups_with_bases(field: FieldSpec, ambient) -> list[tuple]:
                       for c in product(range(p), repeat=len(gens)))
         out.append((G, [field.encode(g) for g in gens]))
     return sorted(out, key=lambda entry: (len(entry[0]), sorted(entry[0])))
-
-
-def subgroup_polynomial(field: FieldSpec, G) -> AdditivePolynomial:
-    """f_G = prod_{g in G}(X - g), verified additive: the reference for
-    the basis recurrence that `as_reducible` uses."""
-    G = frozenset(G)
-    for a in G:
-        for b in G:
-            if field.add(a, b) not in G:
-                raise PreconditionError("not closed under addition")
-    if 0 not in G:
-        raise PreconditionError("missing zero")
-    f = [1]
-    for g in G:
-        f = fields.poly_mul(field, f, [field.neg(g), 1])
-    return additive_from_dense(field, f)
 
 
 def _span_polynomial(K: FieldSpec, gens) -> AdditivePolynomial:
@@ -145,9 +100,10 @@ def _check_subfield(K: FieldSpec, q: int) -> None:
 @lru_cache(maxsize=64)
 def _image_table(K: FieldSpec, q: int) -> tuple:
     """(G, f_G, echelon of f_G(x^i) for i < s) for each nontrivial
-    subgroup G of the copy of F_q in K, in `enumerate_subgroups` order.
+    subgroup G of the copy of F_q in K, in (size, elements) order.
     x^i has code p^i, so a membership combination c is the code of a
-    preimage."""
+    preimage.  The tests compare each f_G with the product of its linear
+    factors, `subgroup_polynomial` in tests/oracles.py."""
     table = []
     for G, gens in _subgroups_with_bases(K, K.subfield_elements(q)):
         if not gens:
@@ -164,7 +120,7 @@ def as_reducible(K: FieldSpec, q: int, A: int):
     """Subgroup-image criterion for reducibility of X^q - X - A over K.
 
     Returns (True, (G, a)) with a witness f_G(a) = A, or (False, None).
-    G is the first subgroup in `enumerate_subgroups` order whose f_G hits
+    G is the first subgroup in (size, elements) order whose f_G hits
     A, and a is the least code among the preimages a0 + G.
     """
     _check_subfield(K, q)

@@ -24,7 +24,6 @@ from math import gcd
 
 from .. import unitgroup
 from ..arith.fields import field_make
-from ..arith.ramified import order_over
 from ..display import DeformationSpec, normal_form_check
 from ..errors import GuardExceeded, InternalCheckFailed, PreconditionError
 from .artinschreier import additive_make
@@ -146,9 +145,9 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
         return {"piece": "closure", "status": "failed",
                 "evidence": {"error": f"guard {guard} does not admit depth "
                                       f"{s + 1} (needs {need} elements)"}}
-    ctx = order_over(field, r, max(2, n))
     try:
-        report = unitgroup.generation_report(ctx, n, [0, 1, s], guard=guard)
+        report = unitgroup.generation_report(field, r, n, [0, 1, s],
+                                             guard=guard)
     except (PreconditionError, GuardExceeded) as err:
         return {"piece": "closure", "status": "failed",
                 "evidence": {"error": str(err)}}

@@ -276,13 +276,6 @@ class GradedTerm:
     u_exp: int              # p^{h-d-y} for symbols, 0 for consts
     sign: int = 1
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.j, "x": self.x, "t_exp": self.t_exp,
-            "w_sub": self.w_sub, "w_exp": self.w_exp, "kind": self.kind,
-            "value": self.value, "u_exp": self.u_exp, "sign": self.sign,
-        }
-
 
 @dataclass(frozen=True)
 class GradedEquation:
@@ -293,13 +286,6 @@ class GradedEquation:
     h: int
     s: int
     terms: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "lhs_exponents": [self.p ** self.h, self.p ** (self.h - self.s)],
-            "terms": [t.to_json() for t in self.terms],
-        }
 
 
 def graded_equations(spec: DeformationSpec,

@@ -44,9 +44,6 @@ class LaurentSlab:
                 return c
         return 0
 
-    def monomials(self):
-        return [k for k, _ in self.data]
-
     def is_zero(self) -> bool:
         return not self.data
 

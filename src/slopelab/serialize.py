@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arith.fields import FieldSpec, field_make
 from .polygon import NewtonPolygon, np_make
 
 
@@ -23,11 +22,3 @@ def np_from_json(data) -> NewtonPolygon:
     segments = [(Fraction(seg["slope"]), int(seg["width"]))
                 for seg in data["segments"]]
     return np_make(segments)
-
-
-def field_from_json(data) -> FieldSpec:
-    """Rebuild a serialized field context and check the modulus agrees."""
-    K = field_make(int(data["p"]), int(data["s"]), int(data.get("seed", 0)))
-    if list(K.modulus) != [c % K.p for c in data["modulus"]]:
-        raise ValueError("serialized modulus does not match the seed scheme")
-    return K

@@ -266,19 +266,19 @@ def quotient_order(p: int, s: int, n: int, guard: int) -> int:
     return total
 
 
-def generation_report(ctx: RamifiedOrder, n: int, covered,
+def generation_report(field: FieldSpec, r: int, n: int, covered,
                       guard: int = 10 ** 7) -> dict:
-    """Order of the subgroup generated by lifts covering the chosen
-    graded pieces, compared against |G/G_n|."""
-    K = ctx.field
-    total = quotient_order(K.p, K.s, n, guard)
+    """Order of the subgroup of G/G_n, G the units of the slope r/s order
+    over `field`, generated by lifts covering the chosen graded pieces,
+    compared against |G/G_n|."""
+    total = quotient_order(field.p, field.s, n, guard)
     covered = sorted(set(covered))
     if any(i < 0 or i >= n for i in covered):
         raise PreconditionError(f"covered pieces must lie in [0, {n})")
-    size = closure_compiled(K, ctx.r, n, covered, guard)
+    size = closure_compiled(field, r, n, covered, guard)
     return {
-        "q": K.q,
-        "lambda": f"{ctx.r}/{ctx.s}",
+        "q": field.q,
+        "lambda": f"{r}/{field.s}",
         "n": n,
         "covered": covered,
         "generates": size == total,

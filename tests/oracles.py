@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from slopelab.errors import SolutionFound
+from slopelab.errors import PreconditionError, SolutionFound
 from slopelab.polygon import (
     NewtonPolygon,
     lies_on_or_below,
@@ -135,6 +135,21 @@ def cayley_hamilton_holds(disp, chi):
     return all(t == ring.zero() for t in out2)
 
 
+def poly_mul(K, f, g):
+    """The dense product of two coefficient lists over K."""
+    from slopelab.arith import fields
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] = K.add(out[i + j], K.mul(a, b))
+    return fields.poly_trim(out)
+
+
 def poly_powmod(K, f, e, mod):
     """f^e mod `mod` by square-and-multiply over dense products: the
     reference for `fields.poly_frobenius`, with its own loop rather than
@@ -143,10 +158,10 @@ def poly_powmod(K, f, e, mod):
     acc, f = [1], fields.poly_rem(K, f, mod)
     while e:
         if e & 1:
-            acc = fields.poly_rem(K, fields.poly_mul(K, acc, f), mod)
+            acc = fields.poly_rem(K, poly_mul(K, acc, f), mod)
         e >>= 1
         if e:
-            f = fields.poly_rem(K, fields.poly_mul(K, f, f), mod)
+            f = fields.poly_rem(K, poly_mul(K, f, f), mod)
     return acc
 
 
@@ -212,6 +227,41 @@ def additive_subgroups(field, ambient: tuple):
         levels.append(nxt)
     return sorted({G for lev in levels for G in lev},
                   key=lambda G: (len(G), sorted(G)))
+
+
+def additive_from_dense(field, dense):
+    """Classify a plain polynomial as additive; reject stray monomials."""
+    from slopelab.monodromy import additive_make
+    p = field.p
+    out = {}
+    for e, c in enumerate(dense):
+        if c == 0:
+            continue
+        j = 0
+        n = e
+        while n > 1 and n % p == 0:
+            n //= p
+            j += 1
+        if n != 1:
+            raise PreconditionError(f"monomial X^{e} is not a p-power")
+        out[j] = c
+    return additive_make(field, out)
+
+
+def subgroup_polynomial(field, G):
+    """f_G = prod_{g in G}(X - g) as a product of linear factors, verified
+    additive: the reference for the basis recurrence of `as_reducible`."""
+    G = frozenset(G)
+    for a in G:
+        for b in G:
+            if field.add(a, b) not in G:
+                raise PreconditionError("not closed under addition")
+    if 0 not in G:
+        raise PreconditionError("missing zero")
+    f = [1]
+    for g in G:
+        f = poly_mul(field, f, [field.neg(g), 1])
+    return additive_from_dense(field, f)
 
 
 def as_reducible_exhaustive(K, q, A):

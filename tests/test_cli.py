@@ -9,7 +9,9 @@ import time
 
 import pytest
 
+import slopelab.arith.witt as witt
 import slopelab.cli as cli
+import slopelab.monodromy.certify as certify
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.arith.ramified import RamifiedOrder
@@ -410,6 +412,26 @@ def test_p_above_guard_exits_2_before_testing_primality(capsys, monkeypatch,
     assert "p = 1000000007 exceeds guard 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, q", [
+    (["--lambda", "1/40"], "3^40"),
+    (["--lambda", "1/100000"], "3^100000"),
+    (["--lambda", "1/3", "--p", "7919"], "7919^3"),
+])
+def test_certify_field_above_guard_exits_2_before_building_it(
+        capsys, monkeypatch, argv, q):
+    # q = p^s is refused before F_q is built; a long s is refused by
+    # 2^s > guard, before p^s is formed
+    built = []
+    for mod in (cli, witt, certify):
+        monkeypatch.setattr(mod, "field_make", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main(["certify", "--base", "ss6", *argv]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr().err == \
+        f"slopelab: precondition violated: q = {q} exceeds guard 10000000\n"
+
+
 def test_plot_svg_shape(tmp_path):
     out = tmp_path / "fig.svg"
     rc = main(["plot", "--d", "3", "--c", "3", "--lambda", "1/3",
@@ -419,6 +441,16 @@ def test_plot_svg_shape(tmp_path):
     assert svg.count("<circle") == 9
     assert svg.count("<polyline") >= 2
     assert "stroke-dasharray" in svg
+
+
+@pytest.mark.parametrize("d, c", [(2, 2), (3, 3)])
+def test_plot_region_refuses_a_polygon_of_another_endpoint(capsys, d, c):
+    # a height-1 polygon over a height-c region: no svg, exit 2
+    assert main(["plot", "--d", str(d), "--c", str(c), "--lambda", "1/3",
+                 "--poly", "1/3x3"]) == 2
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: polygon endpoint (3, 1) is not "
+        f"(d + c, c) = ({d + c}, {c})\n"))
 
 
 def test_plot_polygon_svg_bytes_are_pinned(capsys):

@@ -12,17 +12,11 @@ from slopelab.display import (
     charpoly_polygon,
     coord_name,
     deformation,
-    diagonal_block,
-    direct_sum_display,
     display_from_charpoly,
     display_normal,
     display_polygon,
-    filtered_lift,
-    inv_m,
-    inv_np,
     normal_form_check,
     parallelogram,
-    pol_strata,
     split_display,
     strata,
     t_substitute,
@@ -256,73 +250,13 @@ def test_deformation_specialized_polygon_generic_values():
     assert charpoly_polygon(chi) == np_make([(F(1, 3), 3), (F(2, 3), 3)])
 
 
-def test_involution_formulas():
-    assert inv_np(3, (3, 1)) == (3, 1)
-    assert inv_np(3, (2, 1)) == (4, 2)
-    assert inv_np(3, (4, 2)) == (2, 1)
-    for pos in [(1, 4), (2, 5), (3, 6)]:
-        assert inv_m(3, inv_m(3, pos)) == pos
-
-
-def test_pol_strata_running_instance():
-    np0 = np_make([(F(1, 2), 6)])
-    ps = pol_strata(3, np0, F(1, 3))
-    assert ps.strat.layer(0) == {(3, 1)}
-    assert ps.strat.layer(1) == {(2, 1)}
-    assert ps.strat.layer(3) == {(3, 2)}
-    assert set(ps.classes) == {
-        frozenset({(3, 1)}), frozenset({(2, 1), (4, 2)}), frozenset({(3, 2)})}
-    covered = set()
-    for cl in ps.classes:
-        assert not (covered & cl)
-        covered |= cl
-    assert covered == ps.strat.active
-
-
-def test_pol_strata_requires_symmetric_input():
-    with pytest.raises(PreconditionError):
-        pol_strata(2, np_make([(F(1, 3), 3), (1, 1)]), F(1, 4))
-
-
-def test_filtered_lift_single_block_is_universal():
-    from slopelab.arith.twisted import SymCoeffOps
-    W = witt_for(3, 2, 6)
-    disp = split_display(W, [(1, 2), (1, 2)])
-    ops = SymCoeffOps(W)
-    d, c = disp.d, disp.c
-    block = {
-        (i, k): ops.symbol(coord_name(d + k - i, k - 1))
-        for i in range(1, d + 1) for k in range(1, c + 1)
-        if 1 <= d + k - i
-    }
-    assert filtered_lift(disp, [(d, c)], [block]) == universal_deformation(disp)
-
-
-def test_filtered_lift_blocks():
-    from slopelab.arith.twisted import SymCoeffOps
-    W = witt_for(3, 2, 6)
-    b1 = display_normal(W, 1, 1, {(1, 2): W.one()})
-    b2 = slope_23_display(W)
-    base = direct_sum_display([b1, b2])
-    sizes = [(1, 1), (1, 2)]
-    ops = SymCoeffOps(W)
-
-    t1 = {(1, 1): ops.symbol("t1")}
-    t2 = {(1, 1): ops.symbol("t2a"), (1, 2): ops.symbol("t2b")}
-
-    # zero second block: block 2 of the lift equals block 2 of the base
-    lifted = filtered_lift(base, sizes, [t1, {}])
-    blk2 = diagonal_block(lifted, sizes, 1)
-    assert blk2 == diagonal_block(base, sizes, 1).to_symbolic()
-    blk1 = diagonal_block(lifted, sizes, 0)
-    assert blk1 == t_substitute(b1, t1)
-
-    # generic blocks: each diagonal block is the per-block substitution
-    lifted2 = filtered_lift(base, sizes, [t1, t2])
-    assert diagonal_block(lifted2, sizes, 0) == t_substitute(b1, t1)
-    assert diagonal_block(lifted2, sizes, 1) == t_substitute(b2, t2)
-
-    with pytest.raises(PreconditionError):
-        filtered_lift(base, [(1, 1), (1, 1)], [t1, t2])
-    with pytest.raises(PreconditionError):
-        filtered_lift(base, sizes, [t1])
+@pytest.mark.parametrize("segments", [[(F(1, 3), 3)], [(F(1, 3), 6)],
+                                      [(F(1, 2), 4)]])
+def test_strata_needs_the_polygon_to_end_at_the_region_corner(segments):
+    # a polygon of another width or height is not a polygon of an h = 6,
+    # c = 3 display; the parallelogram would be cut by the wrong line
+    np0 = np_make(segments)
+    with pytest.raises(PreconditionError) as err:
+        strata(3, 3, np0, F(1, 3))
+    assert f"endpoint {np0.endpoint} is not (d + c, c) = (6, 3)" in \
+        str(err.value)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -36,3 +37,43 @@ def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "kernels", os.path.join(bench, "kernels.py"))
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+# the fast paths that tests/oracles.py checks; an oracle that borrowed from
+# them would agree with them by construction
+_FAST_PATHS = ("slopelab.arith.linalg", "slopelab.unitgroup",
+               "slopelab.monodromy.slab")
+
+
+def _oracle_imports():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "oracles.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, node.module or "", alias.name
+
+
+def _borrows_a_fast_path(module, name) -> bool:
+    if not module.startswith("slopelab"):
+        return False
+    full = module if name is None else f"{module}.{name}"
+    if any(part.startswith("_") for part in full.split(".")):
+        return True
+    if any(full == m or full.startswith(m + ".") for m in _FAST_PATHS):
+        return True
+    # a name re-exported by a package is judged by the module defining it
+    value = getattr(importlib.import_module(module), name or "", None)
+    return getattr(value, "__module__", None) in _FAST_PATHS
+
+
+def test_oracles_share_no_code_with_the_fast_paths():
+    found = [f"oracles.py:{line}: {module} {name or ''}".rstrip()
+             for line, module, name in _oracle_imports()
+             if _borrows_a_fast_path(module, name)]
+    assert found == []

@@ -5,10 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from slopelab.arith.fields import field_make
 from slopelab.errors import PreconditionError
 from slopelab.polygon import np_make
-from slopelab.serialize import canonical_dumps, field_from_json, np_from_json
+from slopelab.serialize import canonical_dumps, np_from_json
 
 
 def test_canonical_dumps_is_insert_order_independent():
@@ -34,17 +33,3 @@ def test_np_from_json_revalidates():
                         {"slope": "1/3", "width": 3}]}
     with pytest.raises(PreconditionError):
         np_from_json(bad)
-
-
-def test_field_round_trip():
-    for p, s in ((2, 3), (3, 2), (5, 1)):
-        K = field_make(p, s)
-        K2 = field_from_json(json.loads(canonical_dumps(K.to_json())))
-        assert (K2.p, K2.s, tuple(K2.modulus)) == (p, s, tuple(K.modulus))
-
-
-def test_field_from_json_checks_modulus():
-    data = field_make(3, 2).to_json()
-    data["modulus"] = [2, 0, 1]     # wrong irreducible for this seed
-    with pytest.raises(ValueError):
-        field_from_json(data)

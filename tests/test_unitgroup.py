@@ -123,8 +123,8 @@ def test_p2_lifts_covering_0_1_s_still_generate():
     # the depth-one square anomaly does not stop lifts covering {0, 1, s}
     # from generating at p = 2, to depth 2s and to depth s + 1 at s = 5
     for s, r, n in ((3, 1, 6), (4, 1, 8), (5, 1, 6), (5, 2, 6)):
-        ctx = order_over(field_make(2, s), r, n)
-        rep = generation_report(ctx, n, [0, 1, s], guard=10 ** 10)
+        rep = generation_report(field_make(2, s), r, n, [0, 1, s],
+                                guard=10 ** 10)
         assert rep["generates"], (s, r, n)
         assert rep["order"] == (2 ** s - 1) * 2 ** (s * (n - 1))
 
@@ -181,7 +181,7 @@ def test_generation_echelon_equals_direct():
     for K, r, n, covered, want in cases:
         ctx = order_over(K, r, n)
         direct = closure_direct(ctx, standard_generators(ctx, covered))
-        rep = generation_report(ctx, n, covered)
+        rep = generation_report(K, r, n, covered)
         assert rep["order"] == direct == want, (K.q, r, n, covered)
         assert rep["generates"] == (direct == (K.q - 1) * K.q ** (n - 1))
     swept = 0
@@ -196,7 +196,7 @@ def test_generation_echelon_equals_direct():
                     for covered in itertools.combinations(range(n), size):
                         direct = closure_direct(
                             ctx, standard_generators(ctx, covered))
-                        rep = generation_report(ctx, n, covered)
+                        rep = generation_report(K, r, n, covered)
                         assert rep["order"] == direct, (p, s, r, n, covered)
                         swept += 1
                 n += 1
@@ -205,31 +205,29 @@ def test_generation_echelon_equals_direct():
 
 def test_generation_depth_one_over_f2048():
     # s = 11: the residue generator alone fills G/G_1 = F_2048^x
-    rep = generation_report(order_over(field_make(2, 11), 1, 2), 1, [0])
+    rep = generation_report(field_make(2, 11), 1, 1, [0])
     assert rep["order"] == 2047 and rep["generates"]
 
 
 def test_residue_cover_alone_stalls_beyond_depth_one():
-    ctx = ctx9(3)
-    assert generation_report(ctx, 1, {0})["generates"]
-    assert not generation_report(ctx, 2, {0})["generates"]
-    assert not generation_report(ctx, 3, {0})["generates"]
+    assert generation_report(F9, 1, 1, {0})["generates"]
+    assert not generation_report(F9, 1, 2, {0})["generates"]
+    assert not generation_report(F9, 1, 3, {0})["generates"]
 
 
 def test_generation_report_payload():
-    rep = generation_report(ctx9(2), 2, {0, 1})
+    rep = generation_report(F9, 1, 2, {0, 1})
     assert rep == {"q": 9, "lambda": "1/2", "n": 2, "covered": [0, 1],
                    "generates": True, "order": 72}
 
 
 def test_generation_guard_and_bounds():
-    ctx = ctx9(3)
     with pytest.raises(GuardExceeded):
-        generation_report(ctx, 3, {0, 1}, guard=100)
+        generation_report(F9, 1, 3, {0, 1}, guard=100)
     with pytest.raises(GuardExceeded):
-        generation_report(ctx, 8, {0}, guard=10 ** 4)   # |G/G_8| too big
+        generation_report(F9, 1, 8, {0}, guard=10 ** 4)   # |G/G_8| too big
     with pytest.raises(PreconditionError):
-        generation_report(ctx, 2, {5})
+        generation_report(F9, 1, 2, {5})
 
 
 def test_direct_closure_of_proper_subgroup():
