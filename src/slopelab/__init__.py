@@ -2,7 +2,7 @@
 
 from .display import (DeformationSpec, Display, Stratification, charpoly,
                       charpoly_polygon, deformation, display_polygon,
-                      split_display, strata, universal_deformation)
+                      split_display, strata)
 from .errors import (CliParseError, GuardExceeded, PreconditionError,
                      SlopelabError)
 from .polygon import (NewtonPolygon, adjoin, attainable, compare, np_make,
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DeformationSpec", "Display", "Stratification", "charpoly",
     "charpoly_polygon", "deformation", "display_polygon", "split_display",
-    "strata", "universal_deformation",
+    "strata",
     "CliParseError", "GuardExceeded", "PreconditionError", "SlopelabError",
     "NewtonPolygon", "adjoin", "attainable", "compare", "np_make", "np_merge",
     "symmetric_adjoin",

@@ -4,12 +4,12 @@ The commutation rule is F a = a^sigma F, so
 
     (a F^i)(b F^j) = a b^{sigma^i} F^{i+j}.
 
-Coefficients come from a ring object with zero/one/is_zero/add/neg/sub/
-mul/sigma/ord/element_to_json.  Numeric coefficients are Witt elements and
-the WittRing itself is that object; SymCoeffOps adds formal Teichmuller
-unknowns p^y <u>^{sigma^e} with unit symbols u, enough to carry a universal
-deformation through the charpoly formula.  Symbolic coefficients support
-add/sub/sigma/ord but not products of two symbols.
+A TwistedPoly takes its coefficient ops from a ring object.  Numeric
+coefficients are Witt elements and the WittRing itself is that object;
+only it multiplies.  SymCoeffOps carries the symbolic charpoly of a
+deformation: a Witt element plus formal Teichmuller summands
+p^y <u>^{sigma^e} with unit symbols u, built by lift/symbol/add/neg,
+read by ord and element_to_json, and evaluated by specialize.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ class SymCoeff:
 
 
 class SymCoeffOps:
-    """Coefficient adapter allowing formal Teichmuller summands.
+    """Coefficient ops for formal Teichmuller summands.
 
-    Symbols are treated as units, so ord(p^y <u>) = y.  Multiplying two
-    coefficients that both carry symbols is out of scope and raises.
+    Symbols are treated as units, so ord(p^y <u>) = y.
     """
 
     __slots__ = ("ring",)
@@ -63,9 +62,6 @@ class SymCoeffOps:
 
     def zero(self) -> SymCoeff:
         return SymCoeff(self.ring.zero(), ())
-
-    def one(self) -> SymCoeff:
-        return SymCoeff(self.ring.one(), ())
 
     def is_zero(self, a: SymCoeff) -> bool:
         return a.base == self.ring.zero() and not a.terms
@@ -89,34 +85,6 @@ class SymCoeffOps:
         return SymCoeff(
             self.ring.neg(a.base),
             tuple(sorted(SymTerm(t.name, t.p_exp, t.twist, -t.sign)
-                         for t in a.terms)),
-        )
-
-    def sub(self, a: SymCoeff, b: SymCoeff) -> SymCoeff:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: SymCoeff, b: SymCoeff) -> SymCoeff:
-        if a.terms and b.terms:
-            raise NotImplementedError("product of two symbolic coefficients")
-        if b.terms:
-            a, b = b, a
-        # b is numeric here
-        base = self.ring.mul(a.base, b.base)
-        if not a.terms:
-            return SymCoeff(base, ())
-        if b.base == self.ring.zero():
-            return self.zero()
-        if b.base == self.ring.one():
-            return SymCoeff(base, a.terms)
-        if b.base == self.ring.neg(self.ring.one()):
-            return self.neg(SymCoeff(self.ring.neg(base), a.terms))
-        raise NotImplementedError(
-            "symbolic coefficient times numeric factor outside {0, 1, -1}")
-
-    def sigma(self, a: SymCoeff, k: int = 1) -> SymCoeff:
-        return SymCoeff(
-            self.ring.sigma(a.base, k),
-            tuple(sorted(SymTerm(t.name, t.p_exp, t.twist + k, t.sign)
                          for t in a.terms)),
         )
 

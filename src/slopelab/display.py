@@ -15,9 +15,10 @@ read off additively from the free entries:
 
 Deforming the free columns d..h-1 by Teichmuller parameters, through the
 T-substitution (A + TC, B + TD; C, D), realizes the universal deformation;
-restricting the parameters to the lattice points on
-or above an adjoined Newton polygon gives the one-new-slope deformation
-whose strata this module enumerates.
+restricting the parameters to the lattice points on or above an adjoined
+Newton polygon gives the one-new-slope deformation whose strata this
+module enumerates.  Since chi is additive in each free slot, the
+deformed chi is the base chi plus one formal summand per parameter.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith.twisted import SymCoeff, SymCoeffOps, TwistedPoly
+from .arith.twisted import SymCoeffOps, TwistedPoly
 from .arith.witt import WittElt, WittRing
 from .errors import PreconditionError
 from .polygon import NewtonPolygon, adjoin, attainable, np_from_points
@@ -34,12 +35,9 @@ Point = tuple[int, int]
 
 
 class Display:
-    """h x h matrix with block sizes (d, c); entries numeric or symbolic.
+    """h x h matrix over a Witt ring with block sizes (d, c)."""
 
-    The display is symbolic iff some entry is a SymCoeff; numeric entries
-    of a symbolic display are lifted."""
-
-    __slots__ = ("ring", "d", "c", "entries", "symbolic")
+    __slots__ = ("ring", "d", "c", "entries")
 
     def __init__(self, ring: WittRing, d: int, c: int, entries: dict):
         if d < 1 or c < 1:
@@ -47,13 +45,8 @@ class Display:
         self.ring = ring
         self.d = d
         self.c = c
-        self.symbolic = any(isinstance(v, SymCoeff) for v in entries.values())
-        ops = self.ops()
-        if self.symbolic:
-            entries = {pos: v if isinstance(v, SymCoeff) else ops.lift(v)
-                       for pos, v in entries.items()}
         self.entries = {
-            pos: v for pos, v in entries.items() if not ops.is_zero(v)}
+            pos: v for pos, v in entries.items() if not ring.is_zero(v)}
         for (i, j) in self.entries:
             if not (1 <= i <= self.h and 1 <= j <= self.h):
                 raise PreconditionError(f"entry position {(i, j)} out of range")
@@ -62,33 +55,21 @@ class Display:
     def h(self) -> int:
         return self.d + self.c
 
-    def ops(self):
-        return SymCoeffOps(self.ring) if self.symbolic else self.ring
-
     def entry(self, i: int, j: int):
-        return self.entries.get((i, j), self.ops().zero())
+        return self.entries.get((i, j), self.ring.zero())
 
     def free_slots(self):
         return _free_slots(self.d, self.c)
 
-    def to_symbolic(self) -> "Display":
-        if self.symbolic:
-            return self
-        ops = SymCoeffOps(self.ring)
-        return Display(self.ring, self.d, self.c,
-                       {pos: ops.lift(v) for pos, v in self.entries.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Display)
-            and (self.ring, self.d, self.c, self.symbolic)
-            == (other.ring, other.d, other.c, other.symbolic)
+            and (self.ring, self.d, self.c) == (other.ring, other.d, other.c)
             and self.entries == other.entries
         )
 
     def __repr__(self) -> str:
-        kind = "symbolic" if self.symbolic else "numeric"
-        return f"Display(d={self.d}, c={self.c}, {kind}, {len(self.entries)} entries)"
+        return f"Display(d={self.d}, c={self.c}, {len(self.entries)} entries)"
 
 
 def _free_slots(d: int, c: int) -> list[tuple[int, int]]:
@@ -123,48 +104,29 @@ def display_normal(ring: WittRing, d: int, c: int, free: dict) -> Display:
 def normal_form_check(disp: Display) -> bool:
     """Shape test: structural skeleton exact, free entries only in S, and a
     unit in the upper-right corner."""
-    ops = disp.ops()
     slots = set(disp.free_slots())
     fixed = {pos: v for pos, v in disp.entries.items() if pos not in slots}
-    skeleton = _structure(disp.ring, disp.d, disp.c)
-    if disp.symbolic:
-        skeleton = {pos: ops.lift(v) for pos, v in skeleton.items()}
-    return fixed == skeleton and ops.ord(disp.entry(1, disp.h)) == 0
+    return (fixed == _structure(disp.ring, disp.d, disp.c)
+            and disp.ring.ord(disp.entry(1, disp.h)) == 0)
 
 
 def charpoly(disp: Display) -> TwistedPoly:
-    """chi(F) = F^h - sum A_x F^{h-x} for a normal-form display."""
+    """chi(F) = F^h - sum A_x F^{h-x} for a normal-form display.
+
+    One pass over the free slots: slot (i, j) adds p^y a_ij^{sigma^{h-y-d}},
+    y = j - d, to A_x at x = j + 1 - i."""
     if not normal_form_check(disp):
         raise PreconditionError("display is not in normal form")
-    d, h = disp.d, disp.h
-    ops = disp.ops()
-    coeffs = {h: ops.one()}
-    for x in range(1, h + 1):
-        acc = ops.zero()
-        for (i, j) in disp.free_slots():
-            if j + 1 - i != x:
-                continue
-            y = j - d
-            a = disp.entry(i, j)
-            if ops.is_zero(a):
-                continue
-            term = ops.sigma(a, h - y - d)
-            if y:
-                term = _scale_p(disp.ring, term, y)
-            acc = ops.add(acc, term)
-        if not ops.is_zero(acc):
-            coeffs[h - x] = ops.neg(acc)
-    return TwistedPoly(ops, coeffs)
-
-
-def _scale_p(ring: WittRing, coeff, y: int):
-    """Multiply a coefficient by p^y."""
-    if isinstance(coeff, SymCoeff):
-        base = ring.scalar_mul(ring.field.p ** y, coeff.base)
-        terms = tuple(
-            type(t)(t.name, t.p_exp + y, t.twist, t.sign) for t in coeff.terms)
-        return SymCoeff(base, terms)
-    return ring.scalar_mul(ring.field.p ** y, coeff)
+    ring, d, h = disp.ring, disp.d, disp.h
+    coeffs = {h: ring.one()}
+    for (i, j) in disp.free_slots():
+        a = disp.entries.get((i, j))
+        if a is None:
+            continue
+        y, k = j - d, h - (j + 1 - i)
+        term = ring.scalar_mul(ring.field.p ** y, ring.sigma(a, h - y - d))
+        coeffs[k] = ring.sub(coeffs.get(k, ring.zero()), term)
+    return TwistedPoly(ring, coeffs)
 
 
 def charpoly_polygon(chi: TwistedPoly) -> NewtonPolygon:
@@ -261,12 +223,6 @@ class Stratification:
     def layer(self, j: int) -> frozenset:
         return self.layers.get(j, frozenset())
 
-    def accumulated(self, ell: int) -> frozenset:
-        """Q(ell): layers up through ell, minus the anchor point (s, r)."""
-        s, r = self.lam.denominator, self.lam.numerator
-        pts = {pt for j, layer in self.layers.items() if j <= ell for pt in layer}
-        return frozenset(pts - {(s, r)})
-
     def to_json(self) -> dict:
         return {
             "d": self.d,
@@ -308,35 +264,11 @@ def strata(d: int, c: int, np0: NewtonPolygon, lam) -> Stratification:
         {j: frozenset(v) for j, v in layers.items()})
 
 
-# -- universal and restricted deformations --------------------------------
+# -- the one-new-slope deformation -----------------------------------------
 
 
 def coord_name(x: int, y: int) -> str:
     return f"u({x},{y})"
-
-
-def universal_deformation(disp: Display) -> Display:
-    """One Teichmuller parameter in every entry of T; on a normal-form
-    display they land in the free slots of columns d..h-1, and column h
-    stays fixed."""
-    return _parametrize(disp, None)
-
-
-def _parametrize(disp: Display, points) -> Display:
-    """The T-substitution with the parameter u(x, y) at T_{i,k}.
-
-    On a normal-form display T_{i,k} lands in slot (i, j = d + k - 1),
-    which feeds coefficient index x = j + 1 - i at p-exponent y = j - d;
-    points (None for all) selects the (x, y) that get a parameter."""
-    ops = SymCoeffOps(disp.ring)
-    t_matrix = {}
-    for i in range(1, disp.d + 1):
-        for k in range(1, disp.c + 1):
-            j = disp.d + k - 1
-            x, y = j + 1 - i, j - disp.d
-            if points is None or (x, y) in points:
-                t_matrix[(i, k)] = ops.symbol(coord_name(x, y))
-    return t_substitute(disp, t_matrix)
 
 
 @dataclass(frozen=True)
@@ -344,7 +276,6 @@ class DeformationSpec:
     base: Display
     lam: Fraction
     strat: Stratification
-    display: Display        # symbolic, parameters only at active points
     chi: TwistedPoly        # symbolic charpoly of the deformed display
 
     def deformed_polygon(self) -> NewtonPolygon:
@@ -375,44 +306,30 @@ class DeformationSpec:
 
 def deformation(disp: Display, lam) -> DeformationSpec:
     """One-new-slope deformation: universal parameters restricted to the
-    active stratum of the adjoined polygon."""
+    active stratum of the adjoined polygon.
+
+    The T-substitution (A + TC, B + TD; C, D) puts the Teichmuller
+    parameter u(x, y) at T_{i,k}.  On a normal-form display, rows
+    d+1..h of (C D) hold only the skeleton 1s, row d + k having its 1 in
+    column d + k - 1; so the substitution only adds u(x, y) to the free
+    slot (i, j) with j = d + k - 1, x = j + 1 - i and y = j - d.  The
+    charpoly is additive in each free slot, so the deformed chi is the
+    base chi, lifted, minus p^y <u(x, y)>^{sigma^{h-d-y}} at F^{h-x} for
+    each active point (x, y).
+    """
     lam = Fraction(lam)
-    np0 = display_polygon(disp)
+    base = charpoly(disp)
+    np0 = charpoly_polygon(base)
     if np0.slopes() and lam >= min(np0.slopes()):
         raise PreconditionError(
             f"slope {lam} is not below the existing slopes {np0.slopes()}")
     if attainable(np0, lam) is None:
         raise PreconditionError(f"slope {lam} is not attainable from {np0}")
     strat = strata(disp.d, disp.c, np0, lam)
-    deformed = _parametrize(disp, strat.active)
-    return DeformationSpec(disp, lam, strat, deformed, charpoly(deformed))
-
-
-# -- the T-substitution ---------------------------------------------------
-
-
-def t_substitute(disp: Display, t_matrix: dict) -> Display:
-    """The deformation substitution (A + TC, B + TD; C, D).
-
-    t_matrix maps (row in [1, d], col in [1, c]) to a coefficient; absent
-    entries are zero.  Symbolic T entries promote the whole display.
-    """
-    d, c, h = disp.d, disp.c, disp.h
-    if any(isinstance(v, SymCoeff) for v in t_matrix.values()):
-        disp = disp.to_symbolic()
-    ops = disp.ops()
-    if disp.symbolic:
-        t_matrix = {pos: v if isinstance(v, SymCoeff) else ops.lift(v)
-                    for pos, v in t_matrix.items()}
-    entries = dict(disp.entries)
-    for i in range(1, d + 1):
-        for j in range(1, h + 1):
-            # (TC)_{ij} for j <= d, (TD)_{i, j-d} for j > d
-            acc = ops.zero()
-            for k in range(1, c + 1):
-                lower = disp.entries.get((d + k, j))
-                if lower is not None and (i, k) in t_matrix:
-                    acc = ops.add(acc, ops.mul(t_matrix[(i, k)], lower))
-            if not ops.is_zero(acc):
-                entries[(i, j)] = ops.add(disp.entry(i, j), acc)
-    return Display(disp.ring, d, c, entries)
+    h, d = disp.h, disp.d
+    ops = SymCoeffOps(disp.ring)
+    coeffs = {k: ops.lift(v) for k, v in base.coeffs.items()}
+    for x, y in strat.active:
+        term = ops.neg(ops.symbol(coord_name(x, y), y, h - d - y))
+        coeffs[h - x] = ops.add(coeffs.get(h - x, ops.zero()), term)
+    return DeformationSpec(disp, lam, strat, TwistedPoly(ops, coeffs))

@@ -274,7 +274,6 @@ class GradedTerm:
     kind: str               # "const" | "symbol"
     value: int | str
     u_exp: int              # p^{h-d-y} for symbols, 0 for consts
-    sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -282,9 +281,6 @@ class GradedEquation:
     """w_ell^{p^h} - w_ell^{p^{h-s}} = sum of the recorded terms."""
 
     level: int
-    p: int
-    h: int
-    s: int
     terms: tuple
 
 
@@ -309,13 +305,13 @@ def graded_equations(spec: DeformationSpec,
                 if t.kind == "const":
                     terms.append(GradedTerm(
                         j, x, p ** (h - x) - p ** h, ell - j, p ** (h - x),
-                        "const", t.value, 0, t.sign))
+                        "const", t.value, 0))
                 else:
                     y = (j + r * x) // s
                     if s * y - r * x != j:
                         raise InternalCheckFailed(f"symbol at x = {x} off level {j}")
                     terms.append(GradedTerm(
                         j, x, p ** (h - x) - p ** h, ell - j, p ** (h - x),
-                        "symbol", t.value, p ** (h - d - y), t.sign))
-        out.append(GradedEquation(ell, p, h, s, tuple(terms)))
+                        "symbol", t.value, p ** (h - d - y)))
+        out.append(GradedEquation(ell, tuple(terms)))
     return out

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from slopelab.display import Display
 from slopelab.errors import PreconditionError, SolutionFound
 from slopelab.polygon import (
     NewtonPolygon,
@@ -81,6 +82,23 @@ def frobenius_matrix(disp):
                 v = ring.scalar_mul(ring.field.p, v)
             mat[(i, j)] = v
     return mat
+
+
+def t_substitute_numeric(disp, t_matrix):
+    """The deformed display (A + TC, B + TD; C, D) by the plain matrix
+    product over the Witt ring; t_matrix maps (i, k), 1 <= i <= d and
+    1 <= k <= c, to a Witt element, absent entries zero."""
+    ring = disp.ring
+    d, c, h = disp.d, disp.c, disp.h
+    entries = dict(disp.entries)
+    for i in range(1, d + 1):
+        for j in range(1, h + 1):
+            acc = disp.entry(i, j)
+            for k in range(1, c + 1):
+                t = t_matrix.get((i, k), ring.zero())
+                acc = ring.add(acc, ring.mul(t, disp.entry(d + k, j)))
+            entries[(i, j)] = acc
+    return Display(ring, d, c, entries)
 
 
 def apply_frobenius(disp, mat, vec):

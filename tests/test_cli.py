@@ -113,7 +113,13 @@ def test_deform_json_contract(capsys, tmp_path):
      "1e32dccb2eaff68dc8bfff1ecf42d2ab8019261d65b6b8f347a59f89344647fb"),
     (("--base", "ss8", "--lambda", "1/4", "--p", "2"),
      "6d63d5b2dbdd7f228858efad4da25aafbd58e85a9c04144ff657a4d1ae1f8e24"),
-], ids=["ss6", "H1/3+ss4", "ss8-p2"])
+    (("--base", "H4/5+H4/5", "--lambda", "3/5"),
+     "9de92148d6bf246a4badd224da945ffc4c3d40d3a5bd85928a59a872607072c0"),
+    (("--base", "ss10", "--lambda", "2/5"),
+     "931354740db94cba25119e1cd0474b9c6e5b2c0162bec48ad777f551b243aa5e"),
+    (("--base", "ss6", "--lambda", "1/3", "--precision", "9", "--seed", "2"),
+     "1fae1900f0a777230ebaf2600431ffd70940bdaac5b9a29c9adf0ca3af091449"),
+], ids=["ss6", "H1/3+ss4", "ss8-p2", "H4/5+H4/5", "ss10", "ss6-prec9-seed2"])
 def test_deform_json_bytes_are_pinned(capsys, argv, digest):
     # the strata, the symbolic charpoly and the equation, byte for byte
     rc, out = run(capsys, "deform", *argv, "--format", "json")
@@ -164,7 +170,9 @@ def test_as_json_bytes_are_pinned(capsys):
      "82ea876a5bb9dd03357c1f5a8f84db4c70965a0311539a3133af080d56a46577"),
     (("--base", "ss8", "--lambda", "1/4", "--p", "3"), 3,
      "8028b76bab9aa935e3343ad2eb20ef3e01aeaf8b0f5d465f98ea6d6bea918226"),
-], ids=["ss6", "ss6-p2", "ss8-p3"])
+    (("--base", "H4/5+H4/5", "--lambda", "3/5"), 3,
+     "8300a483a3f8461efb94ea93318f16311dd24f6868e4e5ce73b75f96db6ca4f3"),
+], ids=["ss6", "ss6-p2", "ss8-p3", "H4/5+H4/5"])
 def test_certify_json_bytes_are_pinned(capsys, argv, code, digest):
     # all three legs; the closure leg multiplies in the ramified order
     rc, out = run(capsys, "certify", *argv, "--format", "json", "--seed", "0")

@@ -19,13 +19,11 @@ from slopelab.display import (
     parallelogram,
     split_display,
     strata,
-    t_substitute,
-    universal_deformation,
 )
 from slopelab.errors import PreconditionError
 from slopelab.polygon import np_make, np_merge
 
-from oracles import cayley_hamilton_holds
+from oracles import cayley_hamilton_holds, t_substitute_numeric
 
 F = Fraction
 
@@ -46,8 +44,6 @@ def test_normal_form_check_examples():
 
     bad = display_normal(W, 1, 2, {(1, 3): W.from_int(3)})
     assert not normal_form_check(bad)
-
-    assert normal_form_check(universal_deformation(disp))
 
     # free entry outside S is rejected at construction
     with pytest.raises(PreconditionError):
@@ -162,9 +158,6 @@ def test_strata_running_instance():
         assert not (union & layer)
         union |= layer
     assert union == st.active
-    assert st.accumulated(0) == set()
-    assert st.accumulated(1) == {(2, 1)}
-    assert st.accumulated(3) == {(2, 1), (4, 2), (3, 2)}
 
 
 def test_strata_anchor_layer():
@@ -180,34 +173,43 @@ def test_strata_anchor_layer():
             assert st.layer(0) == {(s, r)}, (s, r, d, c)
 
 
-def test_universal_deformation_charpoly_structure():
-    W = witt_for(3, 2, 6)
-    disp = split_display(W, [(1, 2), (1, 2), (1, 2)])
-    univ = universal_deformation(disp)
-    chi = charpoly(univ)
-    h, d, c = 6, 3, 3
+@pytest.mark.parametrize("p, pieces, lam", [
+    (2, [(1, 2)] * 3, F(1, 3)),
+    (3, [(1, 2)] * 3, F(1, 3)),
+    (3, [(1, 3), (1, 2), (1, 2)], F(1, 4)),
+    (3, [(4, 5), (4, 5)], F(3, 5)),
+    (3, [(1, 2)] * 5, F(2, 5)),
+], ids=["ss6-p2", "ss6-p3", "H1/3+ss4", "H4/5+H4/5", "ss10"])
+def test_deformation_chi_is_the_charpoly_of_the_t_substitution(p, pieces,
+                                                               lam):
+    # deformation() writes its parameters into chi without forming the
+    # deformed display; here the display is formed by the full product
+    # (A + TC, B + TD) and its chi compared at seeded parameter values
+    s = lam.denominator
+    W = witt_for(p, s, 2 * s + 2)
+    disp = split_display(W, pieces)
+    spec = deformation(disp, lam)
+    d, h = disp.d, disp.h
     seen = {}
-    for k, coeff in chi.coeffs.items():
+    for k, coeff in spec.chi.coeffs.items():
         for t in coeff.terms:
+            assert t.name not in seen
             seen[t.name] = (h - k, t.p_exp, t.twist, t.sign)
-    for (x, y) in parallelogram(d, c):
-        name = coord_name(x, y)
-        assert seen[name] == (x, y, h - d - y, -1), name
-    assert len(seen) == len(parallelogram(d, c))
+    assert seen == {coord_name(x, y): (x, y, h - d - y, -1)
+                    for x, y in spec.strat.active}
 
-
-def test_universal_deformation_is_the_full_t_substitution():
-    W = witt_for(3, 2, 6)
-    from slopelab.arith.twisted import SymCoeffOps
-    disp = split_display(W, [(1, 2), (1, 2)])
-    ops = SymCoeffOps(W)
-    d, c = disp.d, disp.c
-    t_matrix = {
-        (i, k): ops.symbol(coord_name(d + k - i, k - 1))
-        for i in range(1, d + 1) for k in range(1, c + 1)
-        if 1 <= d + k - i
-    }
-    assert t_substitute(disp, t_matrix) == universal_deformation(disp)
+    rng = random.Random(p * 100 + s)
+    for _ in range(2):
+        values = {pt: rng.randrange(W.field.q) for pt in spec.strat.active}
+        # u(x, y) sits at T_{i,k} with k = y + 1 and i = d + y + 1 - x
+        t_matrix = {(d + y + 1 - x, y + 1):
+                    W.teichmuller(v) if v else W.zero()
+                    for (x, y), v in values.items()}
+        deformed = t_substitute_numeric(disp, t_matrix)
+        assert normal_form_check(deformed)
+        chi = spec.specialize(values)
+        assert chi == charpoly(deformed)
+        assert cayley_hamilton_holds(deformed, chi)
 
 
 def test_deformation_running_instance():

@@ -33,6 +33,16 @@ def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["exit"] == 0
+    # the per-layer view still sees the display layer of a deformation
+    proc = subprocess.run(
+        [sys.executable, os.path.join(bench, "trace.py"), "--out", str(out),
+         "--run-id", "t", "cli", "deform", "--base", "ss6", "--lambda", "1/3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(out.read_text())
+    assert data["exit"] == 0
+    spans = {rec[0] for rec in data["spans"]}
+    assert {"display.deformation", "display.charpoly"} <= spans
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "kernels", os.path.join(bench, "kernels.py"))

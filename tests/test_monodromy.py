@@ -263,6 +263,24 @@ def test_graded_rejects_symbol_off_its_level():
         graded_equations(spec, eq)
 
 
+@pytest.mark.parametrize("p, pieces, lam", [
+    (3, [(1, 2)] * 3, Fraction(1, 3)),
+    (5, [(1, 2)] * 3, Fraction(1, 3)),
+    (3, [(1, 2)] * 4, Fraction(1, 4)),
+    (3, [(1, 3), (1, 2), (1, 2)], Fraction(1, 4)),
+    (3, [(4, 5), (4, 5)], Fraction(3, 5)),
+], ids=["ss6-p3", "ss6-p5", "ss8", "H1/3+ss4", "H4/5+H4/5"])
+def test_every_symbol_enters_the_equation_with_sign_plus_one(p, pieces, lam):
+    # chi = F^h - sum A_x F^{h-x} carries each parameter with sign -1, and
+    # a_x = -A_x flips it, so the graded leg builds B from t.value alone
+    s = lam.denominator
+    ring = witt_for(p, s, 2 * s + 2)
+    eq = monodromy_equation(deformation(split_display(ring, pieces), lam))
+    symbols = [t for ts in eq.terms.values() for t in ts if t.kind == "symbol"]
+    assert symbols
+    assert all(t.sign == 1 for t in symbols)
+
+
 def test_graded_references_only_earlier_unknowns():
     _, _, spec = running_instance()
     strat = spec.strat
@@ -274,7 +292,9 @@ def test_graded_references_only_earlier_unknowns():
                 x = t.x
                 y = next(y for (xx, y) in strat.region if xx == x
                          and t.value == f"u({x},{y})")
-                assert (x, y) in strat.accumulated(g.level) | {anchor}
+                earlier = {pt for j, layer in strat.layers.items()
+                           if j <= g.level for pt in layer}
+                assert (x, y) in earlier | {anchor}
 
 
 def test_equation_json_round_trip():

@@ -72,25 +72,26 @@ def test_symbolic_coefficients():
     assert ops.ord(u) == 1
     assert ops.ord(ops.zero()) is None
 
-    bumped = ops.sigma(u, 3)
-    assert bumped.terms[0].twist == 5
-
     lifted = ops.lift(W.from_int(9))
     total = ops.add(lifted, u)
     assert ops.ord(total) == 1      # min(ord 9 = 2, p_exp 1)
 
-    with pytest.raises(NotImplementedError):
-        ops.mul(u, v)
+    # a term and its negation cancel, and neg flips every sign
+    assert ops.is_zero(ops.add(u, ops.neg(u)))
+    assert [t.sign for t in ops.neg(w).terms] == [-1, -1]
+    assert ops.add(total, ops.neg(u)) == lifted
 
 
-def test_symbolic_in_twisted_product_with_unit_scalars():
+def test_symbol_twist_is_the_f_commutation():
+    # F^2 <u> = <u>^{sigma^2} F^2: the twist a symbol carries is the
+    # power of sigma its specialization picks up
     W = witt_for(3, 2, 3)
     ops = SymCoeffOps(W)
-    u = ops.symbol("u")
-    # multiplying a symbolic constant by F^k twists the symbol
-    prod = TwistedPoly(ops, {2: ops.one()}).mul(TwistedPoly(ops, {0: u}))
-    (term,) = prod.coeff(2).terms
-    assert term.twist == 2
+    a = W.field.generator()
+    u = ops.specialize(ops.symbol("u"), {"u": a})
+    prod = TwistedPoly(W, {2: W.one()}).mul(TwistedPoly(W, {0: u}))
+    twisted = ops.specialize(ops.symbol("u", twist=2), {"u": a})
+    assert prod == TwistedPoly(W, {2: twisted})
 
 
 def test_specialize_lifts_each_symbol_in_the_base_ring():
@@ -100,7 +101,8 @@ def test_specialize_lifts_each_symbol_in_the_base_ring():
     assert ops.specialize(ops.symbol("u"), {"u": 1}) == W.one()
     # 1 + p <u>^sigma - <v>: each symbol becomes its signed, p-scaled and
     # twisted Teichmuller lift; a zero value drops the term
-    coeff = ops.sub(ops.add(ops.one(), ops.symbol("u", 1, 1)), ops.symbol("v"))
+    coeff = ops.add(ops.add(ops.lift(W.one()), ops.symbol("u", 1, 1)),
+                    ops.neg(ops.symbol("v")))
     want = W.sub(W.add(W.one(), W.scalar_mul(3, W.teichmuller(K.frobenius(a)))),
                  W.teichmuller(a))
     assert ops.specialize(coeff, {"u": a, "v": a}) == want
