@@ -3,7 +3,7 @@ ramified slope order, and sigma-twisted polynomials."""
 
 from .fields import FieldSpec, field_make
 from .ramified import RamifiedOrder, order_make, order_over
-from .twisted import SymCoeff, SymCoeffOps, SymTerm, TwistedPoly
+from .twisted import TwistedPoly
 from .witt import WittRing, witt_for, witt_make
 
 __all__ = [
@@ -12,9 +12,6 @@ __all__ = [
     "RamifiedOrder",
     "order_make",
     "order_over",
-    "SymCoeff",
-    "SymCoeffOps",
-    "SymTerm",
     "TwistedPoly",
     "WittRing",
     "witt_for",

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .arith.fields import field_make, prime_power
 from .arith.ramified import order_over
 from .arith.witt import witt_for
-from .display import deformation, display_polygon, split_display, strata
+from .display import deformation, split_display, strata
 from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
                      PreconditionError, SolutionFound)
 from .monodromy import (as_reducible, as_reducible_oracle, check_slope_shape,
@@ -242,21 +242,22 @@ def _build_deformation(cfg: RunConfig, args):
 def cmd_deform(cfg: RunConfig, args) -> int:
     spec = _build_deformation(cfg, args)
     eq = monodromy_equation(spec)
-    st = spec.strat
+    deformed = spec.to_json()
     # count the coefficients below the monic leading term
-    terms = sum(1 for k in spec.chi.coeffs if k != spec.base.h)
+    terms = len(deformed["chi"]) - 1
+    np_star = spec.deformed_polygon()
     report = {
         "base": {"d": spec.base.d, "c": spec.base.c,
-                 "polygon": display_polygon(spec.base).to_json()},
+                 "polygon": spec.np0.to_json()},
         "slope": str(spec.lam),
-        "deformation": spec.to_json(),
+        "deformation": deformed,
         "chi_terms": terms,
-        "deformed_polygon": spec.deformed_polygon().to_json(),
+        "deformed_polygon": np_star.to_json(),
         "equation": eq.to_json(),
     }
     text = "\n".join([
-        f"strata {_point_set(st.active)} and {terms}-term chi",
-        f"np(*) = {spec.deformed_polygon()}",
+        f"strata {_point_set(spec.strat.active)} and {terms}-term chi",
+        f"np(*) = {np_star}",
         f"equation terms at F-offsets {sorted(eq.terms)}",
     ])
     _report(cfg, report, text)

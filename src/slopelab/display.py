@@ -18,7 +18,9 @@ T-substitution (A + TC, B + TD; C, D), realizes the universal deformation;
 restricting the parameters to the lattice points on or above an adjoined
 Newton polygon gives the one-new-slope deformation whose strata this
 module enumerates.  Since chi is additive in each free slot, the
-deformed chi is the base chi plus one formal summand per parameter.
+deformation is its base chi plus its active points: point (x, y) is the
+parameter u(x, y), which enters chi once, as -p^y <u(x, y)>^{sigma^{h-d-y}}
+at F^{h-x}.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith.twisted import SymCoeffOps, TwistedPoly
+from .arith.twisted import TwistedPoly
 from .arith.witt import WittElt, WittRing
 from .errors import PreconditionError
 from .polygon import NewtonPolygon, adjoin, attainable, np_from_points
@@ -60,13 +62,6 @@ class Display:
 
     def free_slots(self):
         return _free_slots(self.d, self.c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Display)
-            and (self.ring, self.d, self.c) == (other.ring, other.d, other.c)
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"Display(d={self.d}, c={self.c}, {len(self.entries)} entries)"
@@ -130,14 +125,14 @@ def charpoly(disp: Display) -> TwistedPoly:
 
 
 def charpoly_polygon(chi: TwistedPoly) -> NewtonPolygon:
-    """Newton polygon of chi from coefficient valuations, symbols as units."""
+    """Newton polygon of chi from coefficient valuations."""
     h = chi.degree()
     pts = [(0, 0)]
     for k, v in chi.ord_map().items():
         if k == h or v is None:
             continue
         pts.append((h - k, v))
-    if chi.ops.ord(chi.coeff(0)) is None:
+    if chi.ring.ord(chi.coeff(0)) is None:
         raise PreconditionError("constant coefficient vanishes at this precision")
     return np_from_points(pts)
 
@@ -273,34 +268,53 @@ def coord_name(x: int, y: int) -> str:
 
 @dataclass(frozen=True)
 class DeformationSpec:
+    """A display, its charpoly chi and polygon np0, and the strata of a
+    new slope lam; the active points of the strata are the parameters."""
+
     base: Display
     lam: Fraction
     strat: Stratification
-    chi: TwistedPoly        # symbolic charpoly of the deformed display
+    chi: TwistedPoly        # charpoly of the base display
+    np0: NewtonPolygon      # Newton polygon of chi
+
+    def parameters(self) -> list[tuple[int, int, int]]:
+        """(x, y, twist) per active point, sorted by coord_name: u(x, y)
+        enters chi as -p^y <u(x, y)>^{sigma^twist} at F^{h-x}."""
+        h, d = self.base.h, self.base.d
+        return [(x, y, h - d - y) for x, y in
+                sorted(self.strat.active, key=lambda pt: coord_name(*pt))]
 
     def deformed_polygon(self) -> NewtonPolygon:
-        return charpoly_polygon(self.chi)
+        """Polygon of the deformed chi, parameters counted as units: the
+        lower hull of np0 and the active points."""
+        return np_from_points(self.np0.breakpoints() + tuple(self.strat.active))
 
     def specialize(self, values: dict) -> TwistedPoly:
-        """Numeric charpoly at given parameter values: (x, y) or name ->
-        element of the base ring's field."""
-        named = {coord_name(*key) if isinstance(key, tuple) else key: v
-                 for key, v in values.items()}
-        ops = SymCoeffOps(self.base.ring)
-        out = {}
-        for k, coeff in self.chi.coeffs.items():
-            missing = [t.name for t in coeff.terms if t.name not in named]
-            if missing:
-                raise PreconditionError(f"no value for symbols {missing}")
-            out[k] = ops.specialize(coeff, named)
-        return TwistedPoly(self.base.ring, out)
+        """Deformed charpoly at parameter values {(x, y): element of the
+        base ring's field}."""
+        ring, h = self.base.ring, self.base.h
+        out = dict(self.chi.coeffs)
+        for x, y, twist in self.parameters():
+            if (x, y) not in values:
+                raise PreconditionError(f"no value for {coord_name(x, y)}")
+            lift = ring.teichmuller(ring.field.frobenius(values[x, y], twist))
+            out[h - x] = ring.sub(out.get(h - x, ring.zero()),
+                                  ring.scalar_mul(ring.field.p ** y, lift))
+        return TwistedPoly(ring, out)
 
     def to_json(self) -> dict:
+        ring, h = self.base.ring, self.base.h
+        terms: dict[int, list] = {}
+        for x, y, twist in self.parameters():
+            terms.setdefault(h - x, []).append(
+                {"name": coord_name(x, y), "p_exp": y, "twist": twist,
+                 "sign": -1})
         return {
             "slope": str(self.lam),
             "strata": self.strat.to_json(),
-            "chi": {str(k): self.chi.ops.element_to_json(v)
-                    for k, v in sorted(self.chi.coeffs.items())},
+            "chi": {str(k): {"base": ring.element_to_json(self.chi.coeff(k)),
+                             "terms": terms.get(k, [])}
+                    for k in sorted(self.chi.coeffs.keys() | terms.keys())},
         }
 
 
@@ -314,22 +328,16 @@ def deformation(disp: Display, lam) -> DeformationSpec:
     column d + k - 1; so the substitution only adds u(x, y) to the free
     slot (i, j) with j = d + k - 1, x = j + 1 - i and y = j - d.  The
     charpoly is additive in each free slot, so the deformed chi is the
-    base chi, lifted, minus p^y <u(x, y)>^{sigma^{h-d-y}} at F^{h-x} for
-    each active point (x, y).
+    base chi minus p^y <u(x, y)>^{sigma^{h-d-y}} at F^{h-x} for each
+    active point (x, y): the spec keeps the base chi and the strata.
     """
     lam = Fraction(lam)
-    base = charpoly(disp)
-    np0 = charpoly_polygon(base)
+    chi = charpoly(disp)
+    np0 = charpoly_polygon(chi)
     if np0.slopes() and lam >= min(np0.slopes()):
         raise PreconditionError(
             f"slope {lam} is not below the existing slopes {np0.slopes()}")
     if attainable(np0, lam) is None:
         raise PreconditionError(f"slope {lam} is not attainable from {np0}")
     strat = strata(disp.d, disp.c, np0, lam)
-    h, d = disp.h, disp.d
-    ops = SymCoeffOps(disp.ring)
-    coeffs = {k: ops.lift(v) for k, v in base.coeffs.items()}
-    for x, y in strat.active:
-        term = ops.neg(ops.symbol(coord_name(x, y), y, h - d - y))
-        coeffs[h - x] = ops.add(coeffs.get(h - x, ops.zero()), term)
-    return DeformationSpec(disp, lam, strat, TwistedPoly(ops, coeffs))
+    return DeformationSpec(disp, lam, strat, chi, np0)

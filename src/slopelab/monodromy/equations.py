@@ -21,27 +21,22 @@ from fractions import Fraction
 
 from ..arith.fields import (_factor, base_p_digits, field_modulus, polymulmod,
                             power)
-from ..arith.twisted import SymCoeff, TwistedPoly
-from ..display import DeformationSpec, display_polygon
+from ..arith.twisted import TwistedPoly
+from ..display import DeformationSpec, coord_name
 from ..errors import InternalCheckFailed, PreconditionError
 
 
 @dataclass(frozen=True)
 class DemazureData:
     lam: Fraction
-    coeffs: dict | None     # x -> ramified-order digits of a_x; None if symbolic
+    coeffs: dict            # x -> pi-digits of a_x below pi^{2s}
 
 
 def demazure_slope(chi: TwistedPoly) -> DemazureData:
-    """Least slope lam = min_x ord(A_x)/x, with a_x = A_x p^{-lam x}.
-
-    Symbolic coefficients contribute their ords with symbols as units; the
-    normalized digit data is only produced for numeric input (and only
-    when the slope denominator exceeds 1, else the Witt digits already are
-    the answer).
-    """
+    """Least slope lam = min_x ord(A_x)/x, with the pi-digits of the
+    normalized a_x = A_x p^{-lam x}."""
     h = chi.degree()
-    if h is None or chi.ops.ord(chi.coeff(h)) != 0:
+    if h is None or chi.ring.ord(chi.coeff(h)) != 0:
         raise PreconditionError("charpoly must be monic in F")
     pairs = []
     for k, v in chi.ord_map().items():
@@ -51,10 +46,7 @@ def demazure_slope(chi: TwistedPoly) -> DemazureData:
     if not pairs:
         raise PreconditionError("all lower coefficients vanish: slope undefined")
     lam = min(Fraction(v, x) for x, v in pairs)
-    symbolic = any(isinstance(c, SymCoeff) for c in chi.coeffs.values())
-    if symbolic:
-        return DemazureData(lam, None)
-    ring = chi.ops
+    ring = chi.ring
     out = {}
     for x, _ in pairs:
         ax = ring.neg(chi.coeff(h - x))
@@ -89,15 +81,15 @@ class EqTerm:
     j: int                  # pi-exponent; fractional exponent is j/s
     value: int | str        # field element (const) or symbol name
     twist: int              # Frobenius twist on the symbol; 0 for consts
-    sign: int = 1
 
     def to_json(self) -> dict:
+        # every term enters with sign +1; docs/certificates.md says why
         return {
             "kind": self.kind,
             "level": self.j,
             "value": self.value,
             "twist": self.twist,
-            "sign": self.sign,
+            "sign": 1,
         }
 
 
@@ -143,28 +135,27 @@ def monodromy_equation(spec: DeformationSpec) -> MonodromyEquation:
     """
     lam = spec.lam
     s, r = lam.denominator, lam.numerator
-    base_np = display_polygon(spec.base)
-    if base_np.slopes() and lam >= min(base_np.slopes()):
+    if spec.np0.slopes() and lam >= min(spec.np0.slopes()):
         raise PreconditionError(
             f"slope {lam} is not strictly below the base slopes")
     ring = spec.base.ring
     h, d = spec.base.h, spec.base.d
+    # a_x = -chi_{h-x}: the base constants, and each parameter with sign +1
+    symbols: dict[int, list[EqTerm]] = {}
+    for x, y, twist in spec.parameters():
+        symbols.setdefault(x, []).append(
+            EqTerm("symbol", s * y - r * x, coord_name(x, y), twist))
     terms: dict[int, list[EqTerm]] = {}
     for x in range(1, h + 1):
-        coeff = spec.chi.coeff(h - x)
-        ops = spec.chi.ops
-        ax = ops.neg(coeff)
-        bucket: list[EqTerm] = []
-        digit_map = _pi_digits(ring, ax.base, x, lam) if ax.base != ring.zero() else {}
+        ax = ring.neg(spec.chi.coeff(h - x))
+        digit_map = _pi_digits(ring, ax, x, lam) if not ring.is_zero(ax) else {}
         if digit_map.get(0):
             raise PreconditionError(
                 f"residue constant a_({x},0) = {digit_map[0]} nonzero; "
                 "the base polygon touches the slope line")
-        for j, digit in sorted(digit_map.items()):
-            bucket.append(EqTerm("const", j, digit, 0))
-        for t in ax.terms:
-            j = s * t.p_exp - r * x
-            bucket.append(EqTerm("symbol", j, t.name, t.twist, t.sign))
+        bucket = [EqTerm("const", j, digit, 0)
+                  for j, digit in sorted(digit_map.items())]
+        bucket += symbols.get(x, [])
         if bucket:
             terms[x] = tuple(sorted(bucket, key=lambda t: (t.j, t.kind, str(t.value))))
     return MonodromyEquation(h, d, lam, terms)

@@ -119,10 +119,30 @@ def test_deform_json_contract(capsys, tmp_path):
      "931354740db94cba25119e1cd0474b9c6e5b2c0162bec48ad777f551b243aa5e"),
     (("--base", "ss6", "--lambda", "1/3", "--precision", "9", "--seed", "2"),
      "1fae1900f0a777230ebaf2600431ffd70940bdaac5b9a29c9adf0ca3af091449"),
-], ids=["ss6", "H1/3+ss4", "ss8-p2", "H4/5+H4/5", "ss10", "ss6-prec9-seed2"])
+    (("--base", "ss14", "--lambda", "2/7"),
+     "433bd977fb96fc70ad15617ef24a0b8203e87f99d131341ed6dca81c468b96f5"),
+    (("--base", "ss14", "--lambda", "3/7"),
+     "037ca810c69dec519cbb03bde42998e2dd089f4353c769f54d8b49ce8989ed50"),
+    (("--base", "H2/3+H2/3", "--lambda", "3/5"),
+     "e3f61396b563a555aed48a1c31da2c0fb93279a6d51f327ef60621ab424e92a0"),
+], ids=["ss6", "H1/3+ss4", "ss8-p2", "H4/5+H4/5", "ss10", "ss6-prec9-seed2",
+        "ss14-2/7", "ss14-3/7", "H2/3+H2/3"])
 def test_deform_json_bytes_are_pinned(capsys, argv, digest):
     # the strata, the symbolic charpoly and the equation, byte for byte
     rc, out = run(capsys, "deform", *argv, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--base", "ss14", "--lambda", "2/7"),
+     "5484d217de7dcc92ef94526d907eef486f2248c4a92c41452072c910bbb65941"),
+    (("--base", "H4/5+H4/5", "--lambda", "3/5"),
+     "9cec7c0af3782a38b057aa555f00c34127909ea4287fcab070be121d502a5f2f"),
+], ids=["ss14-2/7", "H4/5+H4/5"])
+def test_deform_text_bytes_are_pinned(capsys, argv, digest):
+    # the strata, the chi term count, np(*) and the equation offsets
+    rc, out = run(capsys, "deform", *argv, "--format", "text")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

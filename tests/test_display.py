@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab.arith import witt_for
-from slopelab.arith.twisted import SymTerm, TwistedPoly
+from slopelab.arith.twisted import TwistedPoly
 from slopelab.display import (
     DeformationSpec,
     Display,
@@ -190,13 +190,11 @@ def test_deformation_chi_is_the_charpoly_of_the_t_substitution(p, pieces,
     disp = split_display(W, pieces)
     spec = deformation(disp, lam)
     d, h = disp.d, disp.h
-    seen = {}
-    for k, coeff in spec.chi.coeffs.items():
-        for t in coeff.terms:
-            assert t.name not in seen
-            seen[t.name] = (h - k, t.p_exp, t.twist, t.sign)
-    assert seen == {coord_name(x, y): (x, y, h - d - y, -1)
-                    for x, y in spec.strat.active}
+    params = spec.parameters()
+    assert [coord_name(x, y) for x, y, _ in params] == \
+        sorted(coord_name(x, y) for x, y in spec.strat.active)
+    assert {(x, y): twist for x, y, twist in params} == \
+        {(x, y): h - d - y for x, y in spec.strat.active}
 
     rng = random.Random(p * 100 + s)
     for _ in range(2):
@@ -216,12 +214,7 @@ def test_deformation_running_instance():
     W = witt_for(3, 2, 8)
     disp = split_display(W, [(1, 2), (1, 2), (1, 2)])
     spec = deformation(disp, F(1, 3))
-    h = 6
-    sym_terms = []
-    for k, coeff in spec.chi.coeffs.items():
-        for t in coeff.terms:
-            sym_terms.append((h - k, t.p_exp, t.twist))
-    assert sorted(sym_terms) == sorted(
+    assert sorted(spec.parameters()) == sorted(
         [(3, 1, 2), (2, 1, 2), (3, 2, 1), (4, 2, 1)])
     assert spec.deformed_polygon() == np_make([(F(1, 3), 3), (F(2, 3), 3)])
 

@@ -41,8 +41,10 @@ def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert data["exit"] == 0
-    spans = {rec[0] for rec in data["spans"]}
-    assert {"display.deformation", "display.charpoly"} <= spans
+    spans = [rec[0] for rec in data["spans"]]
+    assert "display.deformation" in spans
+    # the base charpoly is computed once and read from the spec after
+    assert spans.count("display.charpoly") == 1
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "kernels", os.path.join(bench, "kernels.py"))

@@ -32,23 +32,15 @@ def running_instance(m=8):
 
 def test_demazure_examples():
     ring = witt_for(3, 3, 6)
-    ops = ring
     p = 3
-    chi = TwistedPoly(ops, {3: ring.one(), 0: ring.neg(ring.from_int(p * p))})
+    chi = TwistedPoly(ring, {3: ring.one(), 0: ring.neg(ring.from_int(p * p))})
     assert demazure_slope(chi).lam == Fraction(2, 3)
-    chi2 = TwistedPoly(ops, {
+    chi2 = TwistedPoly(ring, {
         2: ring.one(),
         1: ring.neg(ring.from_int(p)),
         0: ring.neg(ring.from_int(p ** 3)),
     })
     assert demazure_slope(chi2).lam == 1
-
-
-def test_demazure_symbolic_running_instance():
-    _, _, spec = running_instance()
-    data = demazure_slope(spec.chi)
-    assert data.lam == Fraction(1, 3)
-    assert data.coeffs is None      # symbols present, no digit data
 
 
 def test_demazure_normalized_digits():
@@ -62,8 +54,7 @@ def test_demazure_normalized_digits():
 
 def test_demazure_all_zero_rejected():
     ring = witt_for(3, 2, 4)
-    ops = ring
-    chi = TwistedPoly(ops, {2: ring.one()})
+    chi = TwistedPoly(ring, {2: ring.one()})
     with pytest.raises(PreconditionError):
         demazure_slope(chi)
 
@@ -271,14 +262,27 @@ def test_graded_rejects_symbol_off_its_level():
     (3, [(4, 5), (4, 5)], Fraction(3, 5)),
 ], ids=["ss6-p3", "ss6-p5", "ss8", "H1/3+ss4", "H4/5+H4/5"])
 def test_every_symbol_enters_the_equation_with_sign_plus_one(p, pieces, lam):
-    # chi = F^h - sum A_x F^{h-x} carries each parameter with sign -1, and
-    # a_x = -A_x flips it, so the graded leg builds B from t.value alone
-    s = lam.denominator
+    # the graded leg builds B from t.value alone, so setting u(x, y) = g
+    # must change a_x = -A_x by +p^y <g^{p^twist}>, the other parameters
+    # at 0; chi = F^h - sum A_x F^{h-x} carries the parameter with sign -1
+    s, r = lam.denominator, lam.numerator
     ring = witt_for(p, s, 2 * s + 2)
-    eq = monodromy_equation(deformation(split_display(ring, pieces), lam))
-    symbols = [t for ts in eq.terms.values() for t in ts if t.kind == "symbol"]
-    assert symbols
-    assert all(t.sign == 1 for t in symbols)
+    spec = deformation(split_display(ring, pieces), lam)
+    eq = monodromy_equation(spec)
+    h, g = spec.base.h, ring.field.generator()
+    symbols = [(x, t) for x, ts in eq.terms.items() for t in ts
+               if t.kind == "symbol"]
+    assert len(symbols) == len(spec.strat.active)
+    for x, t in symbols:
+        y, rest = divmod(t.j + r * x, s)
+        assert rest == 0 and t.value == f"u({x},{y})"
+        values = dict.fromkeys(spec.strat.active, 0)
+        values[x, y] = g
+        a_x = ring.neg(spec.specialize(values).coeff(h - x))
+        change = ring.sub(a_x, ring.neg(spec.chi.coeff(h - x)))
+        lift = ring.teichmuller(ring.field.frobenius(g, t.twist))
+        assert change == ring.scalar_mul(p ** y, lift)
+        assert t.to_json()["sign"] == 1
 
 
 def test_graded_references_only_earlier_unknowns():
