@@ -1,19 +1,12 @@
 """Exact base arithmetic: finite fields, truncated Witt vectors, the
-ramified slope order, and sigma-twisted polynomials."""
+ramified slope order, and sigma-twisted polynomials.  Names load on first
+use, as in `slopelab`."""
 
-from .fields import FieldSpec, field_make
-from .ramified import RamifiedOrder, order_make, order_over
-from .twisted import TwistedPoly
-from .witt import WittRing, witt_for, witt_make
+from .. import _lazy_exports
 
-__all__ = [
-    "FieldSpec",
-    "field_make",
-    "RamifiedOrder",
-    "order_make",
-    "order_over",
-    "TwistedPoly",
-    "WittRing",
-    "witt_for",
-    "witt_make",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "fields": ("FieldSpec", "field_make"),
+    "ramified": ("RamifiedOrder", "order_make", "order_over"),
+    "twisted": ("TwistedPoly",),
+    "witt": ("WittRing", "witt_for", "witt_make"),
+})

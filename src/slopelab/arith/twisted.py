@@ -21,21 +21,11 @@ class TwistedPoly:
         self.ring = ring
         self.coeffs = {k: c for k, c in coeffs.items() if not ring.is_zero(c)}
 
-    @classmethod
-    def zero(cls, ring: WittRing) -> "TwistedPoly":
-        return cls(ring, {})
-
     def degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 
     def coeff(self, k: int):
         return self.coeffs.get(k, self.ring.zero())
-
-    def add(self, other: "TwistedPoly") -> "TwistedPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = self.ring.add(out[k], c) if k in out else c
-        return TwistedPoly(self.ring, out)
 
     def mul(self, other: "TwistedPoly") -> "TwistedPoly":
         out: dict = {}

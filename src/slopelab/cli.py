@@ -29,28 +29,21 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith.fields import field_make, prime_power
-from .arith.ramified import order_over
-from .arith.witt import witt_for
-from .display import deformation, split_display, strata
 from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
                      PreconditionError, SolutionFound)
-from .monodromy import (as_reducible, as_reducible_oracle, check_slope_shape,
-                        largeness_certificate, monodromy_equation)
-from .polygon import adjoin, attainable, compare, np_make, symmetric_adjoin
-from .serialize import canonical_dumps, np_from_json
-from .unitgroup import (commutator_class, commutator_span, generation_report,
-                        p2_power_report, pth_power_check, quotient_order)
+from .serialize import canonical_dumps
+
+# Each command imports the modules it runs when it runs, so that a run
+# loads only the code on its path.
 
 SCALE = 20          # svg units per lattice step
 PAD = 30
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int
     precision: int | None
     guard: int
@@ -65,6 +58,8 @@ _SEGMENT = re.compile(r"^(\d+(?:/\d+)?)x(\d+)$")
 
 
 def parse_polygon(text: str):
+    from .polygon import np_make
+    from .serialize import np_from_json
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -135,6 +130,7 @@ def parse_field_name(text: str) -> int:
 def check_prime(p: int, guard: int) -> None:
     """Refuse p above the guard (exit 2) before trial division decides
     whether it is prime (exit 4)."""
+    from .arith.fields import prime_power
     if p > guard:
         raise GuardExceeded(f"p = {p} exceeds guard {guard}")
     if prime_power(p) != (p, 1):
@@ -192,6 +188,7 @@ def _point_set(points) -> str:
 
 
 def cmd_np(cfg: RunConfig, args) -> int:
+    from .polygon import adjoin, attainable, compare, symmetric_adjoin
     if args.action == "compare":
         a, b = parse_polygon(args.a), parse_polygon(args.b)
         rel = compare(a, b)
@@ -225,6 +222,8 @@ def cmd_np(cfg: RunConfig, args) -> int:
 
 
 def _build_deformation(cfg: RunConfig, args):
+    from .arith.witt import witt_for
+    from .display import deformation, split_display
     pieces = parse_base(args.base)
     lam = parse_fraction(args.lam)
     if not 0 < lam < 1:
@@ -240,6 +239,7 @@ def _build_deformation(cfg: RunConfig, args):
 
 
 def cmd_deform(cfg: RunConfig, args) -> int:
+    from .monodromy.equations import monodromy_equation
     spec = _build_deformation(cfg, args)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
@@ -265,6 +265,7 @@ def cmd_deform(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
+    from .monodromy.certify import check_slope_shape, largeness_certificate
     # screen the slope shape before the deformation rejects it for
     # a less specific reason
     check_slope_shape(parse_fraction(args.lam))
@@ -284,6 +285,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_as(cfg: RunConfig, args) -> int:
+    from .arith.fields import field_make, prime_power
+    from .monodromy.artinschreier import as_reducible, as_reducible_oracle
     q = parse_field_name(args.field)
     if q > cfg.guard:
         raise GuardExceeded(f"F_{q} exceeds guard {cfg.guard}")
@@ -321,6 +324,11 @@ def cmd_as(cfg: RunConfig, args) -> int:
 
 
 def cmd_units(cfg: RunConfig, args) -> int:
+    from .arith.fields import field_make
+    from .arith.ramified import order_over
+    from .unitgroup import (commutator_class, commutator_span,
+                            generation_report, p2_power_report,
+                            pth_power_check, quotient_order)
     p, s, r, n = args.p, args.s, args.r, args.n
     if not (0 < r < s and math.gcd(r, s) == 1):
         raise PreconditionError(f"slope {r}/{s} must be reduced and in (0, 1)")
@@ -406,6 +414,8 @@ def _polyline(points, stroke: str, dash: str = "") -> str:
 
 
 def cmd_plot(cfg: RunConfig, args) -> int:
+    from .display import strata
+    from .polygon import np_make
     if cfg.fmt != "svg":
         raise CliParseError("plot only emits svg")
     if args.d is not None or args.c is not None or args.lam is not None:

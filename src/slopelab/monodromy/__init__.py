@@ -1,22 +1,17 @@
-"""Monodromy-equation tower, reducibility criteria, and certificates."""
+"""Monodromy-equation tower, reducibility criteria, and certificates.
+Names load on first use, as in `slopelab`."""
 
-from .artinschreier import (AdditivePolynomial, additive_make, as_reducible,
-                            as_reducible_oracle)
-from .certify import check_slope_shape, largeness_certificate
-from .equations import (DemazureData, EqTerm, FirstWittData, GradedEquation,
-                        GradedTerm, MonodromyEquation, demazure_slope,
-                        first_witt_equation, graded_equations,
-                        monodromy_equation)
-from .slab import (CertificateInapplicable, LaurentSlab, laurent_projector,
-                   no_solution_certificate, slab_add, slab_make, slab_mul,
-                   slab_pow_p, slab_scale, slab_to_w_poly)
+from .. import _lazy_exports
 
-__all__ = [
-    "AdditivePolynomial", "additive_make", "as_reducible",
-    "as_reducible_oracle", "check_slope_shape", "largeness_certificate",
-    "DemazureData", "EqTerm", "FirstWittData", "GradedEquation", "GradedTerm",
-    "MonodromyEquation", "demazure_slope", "first_witt_equation",
-    "graded_equations", "monodromy_equation", "CertificateInapplicable",
-    "LaurentSlab", "laurent_projector", "no_solution_certificate", "slab_add",
-    "slab_make", "slab_mul", "slab_pow_p", "slab_scale", "slab_to_w_poly",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "artinschreier": ("AdditivePolynomial", "additive_make", "as_reducible",
+                      "as_reducible_oracle"),
+    "certify": ("check_slope_shape", "largeness_certificate"),
+    "equations": ("DemazureData", "EqTerm", "FirstWittData", "GradedEquation",
+                  "GradedTerm", "MonodromyEquation", "demazure_slope",
+                  "first_witt_equation", "graded_equations",
+                  "monodromy_equation"),
+    "slab": ("CertificateInapplicable", "LaurentSlab", "laurent_projector",
+             "no_solution_certificate", "slab_add", "slab_make", "slab_mul",
+             "slab_pow_p", "slab_scale", "slab_to_w_poly"),
+})

@@ -10,15 +10,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .polygon import NewtonPolygon, np_make
-
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def np_from_json(data) -> NewtonPolygon:
-    """Inverse of NewtonPolygon.to_json (revalidates)."""
+def np_from_json(data):
+    """Inverse of NewtonPolygon.to_json (revalidates).  `polygon` is
+    imported here, so that `canonical_dumps` alone does not load it."""
+    from .polygon import np_make
     segments = [(Fraction(seg["slope"]), int(seg["width"]))
                 for seg in data["segments"]]
     return np_make(segments)

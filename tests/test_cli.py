@@ -9,8 +9,8 @@ import time
 
 import pytest
 
+import slopelab.arith.fields as fields
 import slopelab.arith.witt as witt
-import slopelab.cli as cli
 import slopelab.monodromy.certify as certify
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
@@ -226,7 +226,7 @@ def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):
     # 2 (s+1) q^2 commutators at q = 27, s = 3 use only the units
     # 1 - pi<x> and 1 - pi^n<y>, n <= s + 1: at most q + (s+1) q inverses
     inverted, inside = [], []
-    inv, commutator_class = RamifiedOrder.inv, cli.commutator_class
+    inv, commutator_class = RamifiedOrder.inv, unitgroup.commutator_class
 
     def counted_inv(self, a):
         if inside:
@@ -241,7 +241,7 @@ def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):
             inside.pop()
     unitgroup._unit_and_inverse.cache_clear()
     monkeypatch.setattr(RamifiedOrder, "inv", counted_inv)
-    monkeypatch.setattr(cli, "commutator_class", marked)
+    monkeypatch.setattr(unitgroup, "commutator_class", marked)
     assert main(["units", "verify", "--p", "3", "--s", "3", "--n", "3"]) == 0
     assert 0 < len(inverted) <= 27 + 4 * 27
 
@@ -258,7 +258,7 @@ def test_certify_small_guard_is_honestly_inconclusive(capsys):
 def test_certify_solution_found_exits_3(capsys, monkeypatch):
     def found(*args, **kwargs):
         raise SolutionFound("projected equation has a solution")
-    monkeypatch.setattr(cli, "largeness_certificate", found)
+    monkeypatch.setattr(certify, "largeness_certificate", found)
     assert main(["certify", "--base", "ss6", "--lambda", "1/3"]) == 3
     assert "no certificate" in capsys.readouterr().err
 
@@ -327,7 +327,7 @@ def test_as_rejects_non_subfield(capsys):
 def test_as_huge_field_name_exits_2_before_decoding_it(capsys, monkeypatch,
                                                        name):
     decoded = []
-    monkeypatch.setattr(cli, "prime_power", lambda q: decoded.append(q))
+    monkeypatch.setattr(fields, "prime_power", lambda q: decoded.append(q))
     t0 = time.monotonic()
     assert main(["as", "test", "--q", "2", "--field", name, "--all"]) == 2
     assert time.monotonic() - t0 < 3.0
@@ -341,12 +341,12 @@ def test_as_field_name_that_is_no_prime_power_exits_4(capsys):
 
 
 def test_as_field_above_guard_exits_2_before_building_it(capsys, monkeypatch):
-    built, make = [], cli.field_make
+    built, make = [], fields.field_make
 
     def spy(*args):
         built.append(args)
         return make(*args)
-    monkeypatch.setattr(cli, "field_make", spy)
+    monkeypatch.setattr(fields, "field_make", spy)
     assert main(["as", "test", "--q", "9", "--field", "F729", "--all",
                  "--guard", "728"]) == 2
     assert built == []
@@ -391,7 +391,7 @@ def test_units_verify_p2_reports_depth_one_finding(capsys):
 def test_units_verify_above_guard_exits_2_before_any_commutator(
         capsys, monkeypatch, n, message):
     called = []
-    monkeypatch.setattr(cli, "commutator_class",
+    monkeypatch.setattr(unitgroup, "commutator_class",
                         lambda *args: called.append(args))
     t0 = time.monotonic()
     assert main(["units", "verify", "--p", "3", "--s", "6", "--n", n,
@@ -405,7 +405,7 @@ def test_units_verify_above_guard_exits_2_before_any_commutator(
 def test_units_verify_large_field_exits_2_before_building_it(
         capsys, monkeypatch, p, s):
     built = []
-    monkeypatch.setattr(cli, "field_make", lambda *args: built.append(args))
+    monkeypatch.setattr(fields, "field_make", lambda *args: built.append(args))
     t0 = time.monotonic()
     assert main(["units", "verify", "--p", p, "--s", s, "--n", "1",
                  "--guard", "10"]) == 2
@@ -433,7 +433,7 @@ def test_non_prime_p_is_a_parse_error(capsys, command):
 def test_p_above_guard_exits_2_before_testing_primality(capsys, monkeypatch,
                                                         command):
     decoded = []
-    monkeypatch.setattr(cli, "prime_power", lambda q: decoded.append(q))
+    monkeypatch.setattr(fields, "prime_power", lambda q: decoded.append(q))
     assert main([*_P_COMMANDS[command], "--p", "1000000007",
                  "--guard", "1000"]) == 2
     assert decoded == []
@@ -450,7 +450,7 @@ def test_certify_field_above_guard_exits_2_before_building_it(
     # q = p^s is refused before F_q is built; a long s is refused by
     # 2^s > guard, before p^s is formed
     built = []
-    for mod in (cli, witt, certify):
+    for mod in (fields, witt, certify):
         monkeypatch.setattr(mod, "field_make", lambda *args: built.append(args))
     t0 = time.monotonic()
     assert main(["certify", "--base", "ss6", *argv]) == 2

@@ -8,24 +8,85 @@ import sys
 import pytest
 
 
-@pytest.mark.parametrize("name", ["slopelab", "slopelab.arith",
-                                  "slopelab.monodromy"])
+_PACKAGES = ("slopelab", "slopelab.arith", "slopelab.monodromy")
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+@pytest.mark.parametrize("name", _PACKAGES)
 def test_exports_resolve(name):
     # a name left in __all__ after its definition is gone breaks
     # `from package import *`
     package = importlib.import_module(name)
+    assert set(package.__all__) <= set(dir(package))
     missing = [attr for attr in package.__all__ if not hasattr(package, attr)]
     assert missing == []
+    # the package hands out the defining module's object, not a copy
+    for attr in package.__all__:
+        value = getattr(package, attr)
+        home = sys.modules[getattr(value, "__module__", name)]
+        assert getattr(home, attr) is value, attr
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    assert all(namespace[attr] is getattr(package, attr)
+               for attr in package.__all__)
+    with pytest.raises(AttributeError):
+        getattr(package, "no_such_name")
+
+
+# Runs one import or one CLI command in a fresh interpreter and prints the
+# modules it loaded beyond those present at start-up.
+_LOADED = """
+import contextlib, io, sys
+before = set(sys.modules)
+code = 0
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+else:
+    from slopelab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def _loaded(argv) -> set:
+    env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("name", _PACKAGES)
+def test_importing_a_package_loads_none_of_its_modules(name):
+    loaded = {m for m in _loaded(["import", name]) if m.startswith("slopelab")}
+    assert loaded <= {"slopelab", name, "slopelab.errors"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["units", "verify", "--p", "3", "--s", "2", "--n", "2"],
+     ["slopelab.display", "slopelab.polygon", "slopelab.monodromy",
+      "slopelab.arith.twisted", "dataclasses"]),
+    (["as", "test", "--q", "3", "--field", "F9", "--all"],
+     ["slopelab.arith.witt", "slopelab.arith.ramified", "slopelab.unitgroup",
+      "slopelab.display", "slopelab.monodromy.equations",
+      "slopelab.monodromy.certify", "slopelab.monodromy.slab"]),
+    (["np", "compare", "1/2x2", "1/2x2"], ["slopelab.arith"]),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, unused):
+    loaded = sorted(m for m in _loaded(argv) for u in unused
+                    if m == u or m.startswith(u + "."))
+    assert loaded == []
 
 
 def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
     # perfbench/trace.py wraps library functions by name (closure_direct
     # among them) and perfbench/kernels.py imports them; a renamed or
     # deleted name would break `--trace 1` runs without failing a workload
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    bench = os.path.join(root, "perfbench")
+    bench = os.path.join(_ROOT, "perfbench")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), bench]))
+               PYTHONPATH=os.pathsep.join([os.path.join(_ROOT, "src"), bench]))
     out = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(bench, "trace.py"), "--out", str(out),
