@@ -36,8 +36,8 @@ def _lazy_exports(namespace: dict, table: dict):
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "display": ("DeformationSpec", "Display", "Stratification", "charpoly",
-                "charpoly_polygon", "deformation", "display_polygon",
-                "split_display", "strata"),
+                "charpoly_polygon", "deformation", "split_display",
+                "strata"),
     "errors": ("CliParseError", "GuardExceeded", "PreconditionError",
                "SlopelabError"),
     "polygon": ("NewtonPolygon", "adjoin", "attainable", "compare", "np_make",

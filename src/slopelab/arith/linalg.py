@@ -15,8 +15,6 @@ least code in the coset v + span.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-
 
 class Echelon:
     """Row echelon basis over F_p of the span of the inserted vectors."""
@@ -64,29 +62,3 @@ class Echelon:
         the span."""
         r, c = self.reduce(v)
         return None if any(r) else c
-
-
-def combine(p: int, coeffs, vectors) -> list[int]:
-    """sum_k coeffs[k] vectors[k] over F_p; vectors share one length."""
-    out = [0] * len(vectors[0]) if vectors else []
-    for x, vec in zip(coeffs, vectors):
-        if x:
-            out = [(a + x * b) % p for a, b in zip(out, vec)]
-    return out
-
-
-def rref_bases(p: int, t: int):
-    """Every reduced row-echelon basis of a subspace of F_p^t, one per
-    subspace: rows with pivot 1 at their highest nonzero coordinate, zero
-    at the other rows' pivots."""
-    for k in range(t + 1):
-        for pivots in combinations(range(t), k):
-            free = [(j, i) for j, pj in enumerate(pivots)
-                    for i in range(pj) if i not in pivots]
-            for values in product(range(p), repeat=len(free)):
-                rows = [[0] * t for _ in pivots]
-                for j, pj in enumerate(pivots):
-                    rows[j][pj] = 1
-                for (j, i), x in zip(free, values):
-                    rows[j][i] = x
-                yield rows

@@ -335,8 +335,10 @@ def cmd_units(cfg: RunConfig, args) -> int:
     check_prime(p, cfg.guard)
     quotient_order(p, s, n, cfg.guard)      # refuse before building F_q
     K = field_make(p, s, cfg.seed)
-    covered = parse_covered(args.covered) if args.covered else [0, 1]
-    covered = [i for i in covered if i < n]
+    # only the default is clipped; generation_report refuses explicit
+    # pieces outside [0, n)
+    covered = (parse_covered(args.covered) if args.covered
+               else [i for i in (0, 1) if i < n])
 
     depths = []
     ctx = order_over(K, r, s + 3)

@@ -137,10 +137,6 @@ def charpoly_polygon(chi: TwistedPoly) -> NewtonPolygon:
     return np_from_points(pts)
 
 
-def display_polygon(disp: Display) -> NewtonPolygon:
-    return charpoly_polygon(charpoly(disp))
-
-
 def display_from_charpoly(ring: WittRing, d: int,
                           coeffs: dict[int, WittElt]) -> Display:
     """Companion-style normal display with prescribed A_x, x in [1, h].

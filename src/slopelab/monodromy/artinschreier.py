@@ -6,12 +6,14 @@ degree and any proper factorization is governed by the additive subgroups
 of F_q: the polynomial is reducible over K exactly when A = f_G(a) for
 some a in K and some nonzero subgroup G, where f_G = prod_{g in G}(X - g).
 
-f_G is F_p-linear on K with kernel G, so the criterion is linear algebra:
-for each G, A is tested for membership in the image of f_G, spanned by
-f_G(x^i) for i < s, and a preimage a0 gives every solution a0 + G.  f_G
-is built along a basis of G by f_{G + F_p g} = f_G^p - f_G(g)^(p-1) f_G,
-since prod_{c in F_p}(Y - c b) = Y^p - b^(p-1) Y.  The factoring-based
-check in `as_reducible_oracle` shares no code with the subgroup
+For a line L of G, f_G = f_{f_L(G)} o f_L with |f_L(G)| = |G|/p, so
+descending from any G that works reaches a line that works: the lines
+L = F_p g suffice, and the first witness in (size, elements) order is
+one of them (docs/certificates.md).  f_L = X^p - g^(p-1) X is F_p-linear
+on K with kernel L, so the criterion is linear algebra: for each L, A is
+tested for membership in the image of f_L, spanned by f_L(x^i) for
+i < s, and a preimage a0 gives every solution a0 + L.  The factoring-
+based check in `as_reducible_oracle` shares no code with the line
 criterion; it raises polynomials only to powers of |K| = p^s, which are
 s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
 """
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from ..arith import fields
 from ..arith.fields import FieldSpec
-from ..arith.linalg import Echelon, combine, rref_bases
+from ..arith.linalg import Echelon
 from ..errors import InternalCheckFailed, PreconditionError
 
 
@@ -62,35 +63,6 @@ def additive_make(field: FieldSpec, coeffs: dict) -> AdditivePolynomial:
     return AdditivePolynomial(field, pairs)
 
 
-def _subgroups_with_bases(field: FieldSpec, ambient) -> list[tuple]:
-    """(G, codes of an F_p-basis of G) for every additive subgroup G of
-    the F_p-span of `ambient`, sorted by (size, elements): one per reduced
-    row-echelon basis over a basis of that span."""
-    p = field.p
-    basis_of = Echelon(p)
-    basis = [v for v in map(field.coeffs, ambient) if basis_of.insert(v)]
-    out = []
-    for rows in rref_bases(p, len(basis)):
-        gens = [combine(p, row, basis) for row in rows]
-        G = frozenset(field.encode(combine(p, c, gens))
-                      for c in product(range(p), repeat=len(gens)))
-        out.append((G, [field.encode(g) for g in gens]))
-    return sorted(out, key=lambda entry: (len(entry[0]), sorted(entry[0])))
-
-
-def _span_polynomial(K: FieldSpec, gens) -> AdditivePolynomial:
-    """f_G for G spanned by the F_p-independent codes `gens`, by
-    f_{G + F_p g} = f_G^p - f_G(g)^(p-1) f_G from f_0 = X."""
-    f = additive_make(K, {0: 1})
-    for g in gens:
-        b = K.pow(f.eval(g), K.p - 1)
-        coeffs = {j + 1: K.frobenius(c) for j, c in f.coeffs}
-        for j, c in f.coeffs:
-            coeffs[j] = K.sub(coeffs.get(j, 0), K.mul(b, c))
-        f = additive_make(K, coeffs)
-    return f
-
-
 def _check_subfield(K: FieldSpec, q: int) -> None:
     pt = fields.prime_power(q) if 1 < q <= K.q else None
     if pt is None or pt[0] != K.p or K.s % pt[1] != 0:
@@ -99,29 +71,32 @@ def _check_subfield(K: FieldSpec, q: int) -> None:
 
 @lru_cache(maxsize=64)
 def _image_table(K: FieldSpec, q: int) -> tuple:
-    """(G, f_G, echelon of f_G(x^i) for i < s) for each nontrivial
-    subgroup G of the copy of F_q in K, in (size, elements) order.
-    x^i has code p^i, so a membership combination c is the code of a
-    preimage.  The tests compare each f_G with the product of its linear
-    factors, `subgroup_polynomial` in tests/oracles.py."""
+    """(L, f_L, echelon of f_L(x^i) for i < s) for each line L = F_p g of
+    the copy of F_q in K, sorted by elements.  f_L = X^p - g^(p-1) X for
+    every generator g of L, since c^(p-1) = 1 for c in F_p^x.  x^i has
+    code p^i, so a membership combination c is the code of a preimage.
+    The tests compare each f_L with the product of its linear factors,
+    `subgroup_polynomial` in tests/oracles.py."""
+    p = K.p
+    lines = {frozenset(K.mul(c, g) for c in range(p)): g
+             for g in K.subfield_elements(q) if g}
     table = []
-    for G, gens in _subgroups_with_bases(K, K.subfield_elements(q)):
-        if not gens:
-            continue
-        f = _span_polynomial(K, gens)
-        image = Echelon(K.p)
+    for L in sorted(lines, key=sorted):
+        f = additive_make(K, {0: K.neg(K.pow(lines[L], p - 1)), 1: 1})
+        image = Echelon(p)
         for i in range(K.s):
-            image.insert(K.coeffs(f.eval(K.p ** i)))
-        table.append((G, f, image))
+            image.insert(K.coeffs(f.eval(p ** i)))
+        table.append((L, f, image))
     return tuple(table)
 
 
 def as_reducible(K: FieldSpec, q: int, A: int):
-    """Subgroup-image criterion for reducibility of X^q - X - A over K.
+    """Line-image criterion for reducibility of X^q - X - A over K.
 
     Returns (True, (G, a)) with a witness f_G(a) = A, or (False, None).
-    G is the first subgroup in (size, elements) order whose f_G hits
-    A, and a is the least code among the preimages a0 + G.
+    G is the first line in sorted order whose f_G hits A, which is also
+    the first such nonzero subgroup in (size, elements) order, and a is
+    the least code among the preimages a0 + G.
     """
     _check_subfield(K, q)
     if not 0 <= A < K.q:

@@ -268,7 +268,7 @@ def additive_from_dense(field, dense):
 
 def subgroup_polynomial(field, G):
     """f_G = prod_{g in G}(X - g) as a product of linear factors, verified
-    additive: the reference for the basis recurrence of `as_reducible`."""
+    additive: the reference for the line polynomials of `as_reducible`."""
     G = frozenset(G)
     for a in G:
         for b in G:

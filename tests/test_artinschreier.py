@@ -10,9 +10,7 @@ from oracles import (additive_from_dense, additive_subgroups,
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
 from slopelab.errors import PreconditionError
-from slopelab.monodromy.artinschreier import (_image_table,
-                                              _subgroups_with_bases,
-                                              as_reducible,
+from slopelab.monodromy.artinschreier import (_image_table, as_reducible,
                                               as_reducible_oracle)
 
 F2 = field_make(2, 1)
@@ -23,9 +21,9 @@ F16 = field_make(2, 4)
 
 
 def enumerate_subgroups(K):
-    """Every additive subgroup of K, in the library's (size, elements)
-    order."""
-    return [G for G, _ in _subgroups_with_bases(K, K.elements())]
+    """Every additive subgroup of K, in (size, elements) order, as the
+    exhaustive reference enumerates them."""
+    return additive_subgroups(K, tuple(K.elements()))
 
 
 def test_trivial_subgroup_polynomial_is_x():
@@ -68,7 +66,6 @@ def test_subgroup_count_is_a_sum_of_gaussian_binomials():
         subgroups = enumerate_subgroups(K)
         assert len(subgroups) == len(set(subgroups)) == \
             sum(gaussian_binomial(t, k, p) for k in range(t + 1)), (p, t)
-        assert subgroups == additive_subgroups(K, tuple(K.elements()))
 
 
 def test_non_subgroup_rejected():
@@ -124,16 +121,48 @@ def test_vanishing_on_subgroup():
             assert f.degree == len(G)
 
 
-def test_basis_recurrence_matches_the_product_of_linear_factors():
-    # the f_G that as_reducible tests against, built along a basis of G,
-    # equals prod_{g in G}(X - g) for every nontrivial subgroup, |K| <= 81
-    for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
-                 (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)):
+SMALL_FIELDS = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+                (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2))
+
+
+def test_line_polynomial_matches_the_product_of_linear_factors():
+    # the f_L that as_reducible tests against, X^p - g^(p-1) X, equals
+    # prod_{g in L}(X - g) for every line L of K, |K| <= 81
+    for p, s in SMALL_FIELDS:
+        K = field_make(p, s)
+        for L, f, _ in _image_table(K, K.q):
+            assert f == subgroup_polynomial(K, L), (K, sorted(L))
+
+
+def test_image_table_lists_the_lines_of_f_q_in_sorted_order():
+    # (q-1)/(p-1) lines of size p for every F_q inside K, and exactly the
+    # size-p subgroups of the reference enumeration, in its order
+    for p, s in SMALL_FIELDS:
+        K = field_make(p, s, 1)
+        for t in (t for t in range(1, s + 1) if s % t == 0):
+            q = p ** t
+            lines = [L for L, _, _ in _image_table(K, q)]
+            assert len(lines) == (q - 1) // (p - 1), (K, q)
+            assert all(len(L) == p for L in lines), (K, q)
+            assert lines == sorted(lines, key=sorted), (K, q)
+            copy = tuple(a for a in K.elements() if K.pow(a, q) == a)
+            assert lines == [G for G in additive_subgroups(K, copy)
+                             if len(G) == p], (K, q)
+
+
+def test_line_image_is_the_trace_zero_hyperplane_twisted_by_g():
+    # f_L(g y) = g^p (y^p - y), and y^p - y hits exactly the trace-zero
+    # elements (additive Hilbert 90): A is in the image of f_L iff
+    # Tr_{K/F_p}(A g^(-p)) = 0, for every generator g of L
+    for p, s in SMALL_FIELDS:
         K = field_make(p, s)
         table = _image_table(K, K.q)
-        assert [G for G, _, _ in table] == enumerate_subgroups(K)[1:]
-        for G, f, _ in table:
-            assert f == subgroup_polynomial(K, G), (K, sorted(G))
+        for g in range(1, K.q):
+            _, _, image = next(entry for entry in table if g in entry[0])
+            twist = K.inv(K.pow(g, p))
+            for A in K.elements():
+                hit = image.member(K.coeffs(A)) is not None
+                assert hit == (_trace(K, K.mul(A, twist)) == 0), (K, g, A)
 
 
 def test_additive_from_dense_rejects_stray_monomial():

@@ -174,13 +174,33 @@ def test_deform_smallest_sufficient_precision_runs(capsys):
         "strata {(2,1),(3,1),(3,2),(4,2)} and 4-term chi"
 
 
-def test_as_json_bytes_are_pinned(capsys):
-    # every A over F_729: the criterion's witnesses and the oracle's verdicts
-    rc, out = run(capsys, "as", "test", "--q", "9", "--field", "F729",
-                  "--all", "--format", "json", "--seed", "0")
+@pytest.mark.parametrize("argv, digest", [
+    (("--q", "9", "--field", "F729", "--all"),
+     "ee9d051a35be4f31e99455559840462bee20cb230e4b2fdb99a7ee4980a633d5"),
+    (("--q", "64", "--field", "F64", "--all"),
+     "1891b04e1ed39de3ed94ad4eb2ab12560a3a4ae3ce95f94cd8084fb63f7c533a"),
+    (("--q", "16", "--field", "F256", "--all"),
+     "e99f04b23d02bd24578252f1119b0a9716f96c9daea23081b6b71e8a05300414"),
+    (("--q", "729", "--field", "F729", "--a", "7"),
+     "16eeb623e86e32cd234878fee29d036f6579d9f446d6a57d5744e6544457f748"),
+], ids=["F9-in-F729", "F64", "F16-in-F256", "F729-a7"])
+def test_as_json_bytes_are_pinned(capsys, argv, digest):
+    # the criterion's witnesses and the oracle's verdicts; the digests
+    # come from the exhaustive walk over every subgroup of F_q
+    rc, out = run(capsys, "as", "test", *argv, "--format", "json",
+                  "--seed", "0")
     assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_as_over_f256_with_q_256_agrees(capsys):
+    # all 255 lines of F_256, against the factoring oracle; digest as above
+    rc, out = run(capsys, "as", "test", "--q", "256", "--field", "F256",
+                  "--a", "7", "--format", "json", "--seed", "0")
+    assert rc == 0
+    assert json.loads(out)["agree"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "ee9d051a35be4f31e99455559840462bee20cb230e4b2fdb99a7ee4980a633d5"
+        "b29260aad2a5418b5e23708022e9e86b009ec00498a97f376113d5c0ecfb4ddd"
 
 
 @pytest.mark.parametrize("argv, code, digest", [
@@ -371,6 +391,19 @@ def test_units_verify_residue_only_fails(capsys):
                   "--n", "2", "--covered", "0")
     assert rc == 3
     assert "generation false (order 8)" in out
+
+
+@pytest.mark.parametrize("covered", ["5", "-1", "0,1,3"])
+def test_units_verify_covered_piece_out_of_range_exits_2(capsys, covered):
+    # an explicit piece is never dropped; only the default [0, 1] is
+    # clipped to the pieces below n
+    assert main(["units", "verify", "--p", "3", "--s", "2", "--n", "3",
+                 f"--covered={covered}"]) == 2
+    assert "covered pieces must lie in [0, 3)" in capsys.readouterr().err
+    rc, out = run(capsys, "units", "verify", "--p", "3", "--s", "2",
+                  "--n", "1", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["covered"] == [0]
 
 
 def test_units_verify_p2_reports_depth_one_finding(capsys):

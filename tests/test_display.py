@@ -14,7 +14,6 @@ from slopelab.display import (
     deformation,
     display_from_charpoly,
     display_normal,
-    display_polygon,
     normal_form_check,
     parallelogram,
     split_display,
@@ -112,7 +111,7 @@ def test_split_display_polygon_matches_sum():
         disp = split_display(W, pieces)
         assert normal_form_check(disp)
         parts = [np_make([(F(r, s), s)]) for r, s in pieces]
-        assert display_polygon(disp) == np_merge(*parts)
+        assert charpoly_polygon(charpoly(disp)) == np_merge(*parts)
 
 
 def test_display_from_charpoly_round_trip():
