@@ -336,9 +336,10 @@ def cmd_units(cfg: RunConfig, args) -> int:
     quotient_order(p, s, n, cfg.guard)      # refuse before building F_q
     K = field_make(p, s, cfg.seed)
     # only the default is clipped; generation_report refuses explicit
-    # pieces outside [0, n)
+    # pieces outside [0, n), so it runs before the other stages
     covered = (parse_covered(args.covered) if args.covered
                else [i for i in (0, 1) if i < n])
+    gen = generation_report(K, r, n, covered, guard=cfg.guard)
 
     depths = []
     ctx = order_over(K, r, s + 3)
@@ -365,15 +366,7 @@ def cmd_units(cfg: RunConfig, args) -> int:
                    for alpha in K.elements() for beta in betas)
     power = {"depth": power_depth, "alphas": K.q, "ok": power_ok}
     if p == 2:
-        finding = p2_power_report(s, 1, cfg.seed)
-        power["depth_one_finding"] = {
-            "level": finding["level"],
-            "observed_law": "alpha + alpha^2",
-            "holds": finding["all_match_alpha_plus_square"],
-            "failing_alphas": finding["failing_alphas"],
-        }
-
-    gen = generation_report(K, r, n, covered, guard=cfg.guard)
+        power["depth_one_finding"] = p2_power_report(s, 1, cfg.seed)
 
     ok = commutator_ok and power_ok and gen["generates"]
     report = {"p": p, "s": s, "q": K.q, "lambda": f"{r}/{s}", "n": n,

@@ -12,6 +12,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
                   "first_witt_equation", "graded_equations",
                   "monodromy_equation"),
     "slab": ("CertificateInapplicable", "LaurentSlab", "laurent_projector",
-             "no_solution_certificate", "slab_add", "slab_make", "slab_mul",
-             "slab_pow_p", "slab_scale", "slab_to_w_poly"),
+             "no_solution_certificate", "slab_make"),
 })

@@ -19,9 +19,6 @@ that broke, and the verdict is "large" only when every leg certifies.
 
 from __future__ import annotations
 
-import random
-from math import gcd
-
 from .. import unitgroup
 from ..arith.fields import field_make
 from ..display import DeformationSpec, normal_form_check
@@ -57,7 +54,17 @@ def _first_leg(spec: DeformationSpec, eq, seed: int) -> dict:
 
 
 def _graded_leg(spec: DeformationSpec, eq, graded, ell: int,
-                guard: int, seed: int) -> dict:
+                guard: int) -> dict:
+    """Certify piece ell from the distinguished monomial z_1^M t^{-N} of
+    its graded equation, for the first point of P(ell) that admits it.
+
+    A is that monomial alone and B is zero.  The leg reads every other
+    term as z_1-free, its foreign unknowns as constants, and each sits at
+    t^(p^(h-x) - p^h) with x >= 1, a negative exponent.  The window
+    projector keeps only the z_1^0 monomials at t^0, so B projects to
+    zero whatever values those unknowns take ("Why the graded legs pass
+    no B" in docs/certificates.md).
+    """
     field = spec.base.ring.field
     p = field.p
     h, d = eq.h, eq.d
@@ -70,62 +77,28 @@ def _graded_leg(spec: DeformationSpec, eq, graded, ell: int,
     if geq.level != ell:
         raise InternalCheckFailed(f"graded equation {ell} has level {geq.level}")
     frob = additive_make(field, {s: 1, 0: field.neg(1)})
+    B = slab_make(field, 1, {})
     feedback = []
     for (x0, y0) in points:
         M = p ** (h - d - y0)
         N = p ** h - p ** (h - x0)
-
-        def distinguished(t):
-            return (t.kind == "symbol" and t.w_sub == 0 and t.x == x0
-                    and t.u_exp == M and -t.t_exp == N)
-
-        if not any(distinguished(t) for t in geq.terms):
+        if not any(t.kind == "symbol" and t.w_sub == 0 and t.x == x0
+                   and t.u_exp == M and -t.t_exp == N for t in geq.terms):
             feedback.append({"point": [x0, y0],
                              "error": "distinguished monomial missing"})
             continue
-        # everything else on the right side, with foreign unknowns pinned
-        # to seeded residue constants, stays out of z_1
-        rng_val = _seeded_units(field, seed, geq)
-        b_terms: dict = {}
-        for t in geq.terms:
-            if distinguished(t):
-                continue
-            if t.kind == "const":
-                coeff = t.value
-            else:
-                coeff = field.pow(rng_val[t.value], t.u_exp)
-            if t.w_sub > 0:
-                coeff = field.mul(coeff, field.pow(
-                    rng_val[f"w_{t.w_sub}"], t.w_exp))
-            key = ((0,), t.t_exp)
-            b_terms[key] = field.add(b_terms.get(key, 0), coeff)
         A = slab_make(field, 1, {((M,), -N): 1})
-        B = slab_make(field, 1, b_terms)
         try:
             cert = no_solution_certificate(frob, A, B, M, N, guard=guard)
         except (CertificateInapplicable, GuardExceeded) as err:
             feedback.append({"point": [x0, y0], "error": str(err)})
             continue
-        e = gcd(M, N)
         return {"piece": ell, "status": "certified",
-                "evidence": {"point": [x0, y0], "M": M, "N": N, "e": e,
-                             "certificate": cert}}
+                "evidence": {"point": [x0, y0], "M": M, "N": N,
+                             "e": cert["e"], "certificate": cert}}
     return {"piece": ell, "status": "failed",
             "evidence": {"stratum": [[x, y] for x, y in points],
                          "attempts": feedback}}
-
-
-def _seeded_units(field, seed: int, geq) -> dict:
-    """Deterministic nonzero residue values for every foreign name the
-    graded equation mentions."""
-    rng = random.Random(seed)
-    names = set()
-    for t in geq.terms:
-        if t.kind == "symbol":
-            names.add(t.value)
-        if t.w_sub > 0:
-            names.add(f"w_{t.w_sub}")
-    return {name: rng.randrange(1, field.q) for name in sorted(names)}
 
 
 def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
@@ -167,7 +140,7 @@ def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
     graded = graded_equations(spec, eq)
     legs = [_first_leg(spec, eq, seed)]
     for ell in (1, s):
-        legs.append(_graded_leg(spec, eq, graded, ell, guard, seed))
+        legs.append(_graded_leg(spec, eq, graded, ell, guard))
     legs.append(_closure_leg(spec, guard))
     verdict = "large" if all(l["status"] == "certified" for l in legs) \
         else "inconclusive"

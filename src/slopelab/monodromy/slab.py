@@ -44,10 +44,6 @@ class LaurentSlab:
                 return c
         return 0
 
-    def is_zero(self) -> bool:
-        return not self.data
-
-
 
 def slab_make(field: FieldSpec, nvars: int, terms: dict) -> LaurentSlab:
     acc = {}
@@ -63,44 +59,6 @@ def slab_make(field: FieldSpec, nvars: int, terms: dict) -> LaurentSlab:
     return LaurentSlab(field, nvars, tuple(sorted(acc.items())))
 
 
-def slab_add(a: LaurentSlab, b: LaurentSlab) -> LaurentSlab:
-    K = a.field
-    acc = dict(a.data)
-    for k, c in b.data:
-        acc[k] = K.add(acc.get(k, 0), c)
-    acc = {k: v for k, v in acc.items() if v != 0}
-    return LaurentSlab(K, a.nvars, tuple(sorted(acc.items())))
-
-
-def slab_scale(c: int, a: LaurentSlab) -> LaurentSlab:
-    K = a.field
-    acc = {k: K.mul(c, v) for k, v in a.data}
-    acc = {k: v for k, v in acc.items() if v != 0}
-    return LaurentSlab(K, a.nvars, tuple(sorted(acc.items())))
-
-
-def slab_mul(a: LaurentSlab, b: LaurentSlab) -> LaurentSlab:
-    K = a.field
-    acc = {}
-    for (za, ta), ca in a.data:
-        for (zb, tb), cb in b.data:
-            key = (tuple(x + y for x, y in zip(za, zb)), ta + tb)
-            acc[key] = K.add(acc.get(key, 0), K.mul(ca, cb))
-    acc = {k: v for k, v in acc.items() if v != 0}
-    return LaurentSlab(K, a.nvars, tuple(sorted(acc.items())))
-
-
-def slab_pow_p(a: LaurentSlab, k: int = 1) -> LaurentSlab:
-    """x -> x^{p^k}; exact in characteristic p, monomial by monomial."""
-    K = a.field
-    pk = K.p ** k
-    acc = {}
-    for (z, t), c in a.data:
-        key = (tuple(e * pk for e in z), t * pk)
-        acc[key] = K.pow(c, pk)
-    return LaurentSlab(K, a.nvars, tuple(sorted(acc.items())))
-
-
 def laurent_projector(slab: LaurentSlab, M: int, N: int) -> LaurentSlab:
     """Keep monomials z_1^i t^j (no other variables) with i N + j M = 0."""
     if M <= 0 or N <= 0:
@@ -113,27 +71,6 @@ def laurent_projector(slab: LaurentSlab, M: int, N: int) -> LaurentSlab:
         if i * N + t * M == 0:
             keep.append(((z, t), c))
     return LaurentSlab(slab.field, slab.nvars, tuple(keep))
-
-
-def slab_to_w_poly(slab: LaurentSlab, M: int, N: int) -> dict:
-    """Rewrite a projected slab as a polynomial in w = z_1^{M/g} t^{-N/g}.
-
-    Fails if some monomial is not a nonnegative power of w.
-    """
-    g = gcd(M, N)
-    m, n = M // g, N // g
-    out = {}
-    for (z, t), c in slab.data:
-        if any(z[1:]):
-            raise ValueError("not pure z_1")
-        i = z[0] if z else 0
-        if i % m != 0:
-            raise ValueError("not a power of w")
-        k = i // m
-        if k < 0 or t != -k * n:
-            raise ValueError("not a nonnegative power of w")
-        out[k] = c
-    return out
 
 
 def slab_search(F, delta: int, target: dict) -> int:
@@ -224,7 +161,7 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
 
     e = gcd(M, N)
     proj_b = laurent_projector(B, M, N)
-    b0 = proj_b.coeff((0,) * B.nvars, 0) if not proj_b.is_zero() else 0
+    b0 = proj_b.coeff((0,) * B.nvars, 0)
 
     report = {
         "field": {"p": K.p, "q": K.q},

@@ -212,10 +212,23 @@ def test_as_over_f256_with_q_256_agrees(capsys):
      "8028b76bab9aa935e3343ad2eb20ef3e01aeaf8b0f5d465f98ea6d6bea918226"),
     (("--base", "H4/5+H4/5", "--lambda", "3/5"), 3,
      "8300a483a3f8461efb94ea93318f16311dd24f6868e4e5ce73b75f96db6ca4f3"),
-], ids=["ss6", "ss6-p2", "ss8-p3", "H4/5+H4/5"])
+    (("--base", "ss10", "--lambda", "1/5", "--p", "3"), 3,
+     "1d901cee8a5881b0941c7909a167ff1239b4cdebd7fd5146296fb58a7f15ec63"),
+    (("--base", "ss14", "--lambda", "2/7", "--p", "3"), 3,
+     "e647e4d37fb82bad84547387415caa0a6ef0a60de54b4e594e0a431b4271608c"),
+    (("--base", "ss6", "--lambda", "1/3", "--p", "5"), 3,
+     "419bbe878803a8efb2a560c2005a2f8dbb52d084392367ef1b59d14ef22625b0"),
+    (("--base", "H1/3+ss4", "--lambda", "1/4"), 3,
+     "28c4f982c23f3c9cb5bd51539be232099db9bd73259215a917a3056add380be0"),
+    # the graded legs read no seeded value, so the seed moves only leg 0
+    (("--base", "ss6", "--lambda", "1/3", "--seed", "5"), 0,
+     "7b0f1dd4bf6d5a4ca4d1e948816ab9d6dce0b05a62854f3b998d104482afac7b"),
+], ids=["ss6", "ss6-p2", "ss8-p3", "H4/5+H4/5", "ss10-p3", "ss14-p3",
+        "ss6-p5", "H1/3+ss4", "ss6-seed5"])
 def test_certify_json_bytes_are_pinned(capsys, argv, code, digest):
     # all three legs; the closure leg multiplies in the ramified order
-    rc, out = run(capsys, "certify", *argv, "--format", "json", "--seed", "0")
+    rc, out = run(capsys, "certify", *argv, "--format", "json",
+                  *(() if "--seed" in argv else ("--seed", "0")))
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -393,12 +406,20 @@ def test_units_verify_residue_only_fails(capsys):
     assert "generation false (order 8)" in out
 
 
-@pytest.mark.parametrize("covered", ["5", "-1", "0,1,3"])
-def test_units_verify_covered_piece_out_of_range_exits_2(capsys, covered):
+@pytest.mark.parametrize("s, covered", [
+    ("2", "5"), ("2", "-1"), ("2", "0,1,3"), ("4", "9")],
+    ids=["5", "-1", "0,1,3", "s4-9"])
+def test_units_verify_covered_piece_out_of_range_exits_2(capsys, monkeypatch,
+                                                         s, covered):
     # an explicit piece is never dropped; only the default [0, 1] is
-    # clipped to the pieces below n
-    assert main(["units", "verify", "--p", "3", "--s", "2", "--n", "3",
-                 f"--covered={covered}"]) == 2
+    # clipped to the pieces below n; the refusal comes before the work
+    called = []
+    with monkeypatch.context() as m:
+        m.setattr(unitgroup, "commutator_class",
+                  lambda *args: called.append(args))
+        assert main(["units", "verify", "--p", "3", "--s", s, "--n", "3",
+                     f"--covered={covered}"]) == 2
+    assert called == []
     assert "covered pieces must lie in [0, 3)" in capsys.readouterr().err
     rc, out = run(capsys, "units", "verify", "--p", "3", "--s", "2",
                   "--n", "1", "--format", "json")

@@ -106,6 +106,22 @@ def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
     assert "display.deformation" in spans
     # the base charpoly is computed once and read from the spec after
     assert spans.count("display.charpoly") == 1
+    # the graded legs, and at p = 2 the depth-one report next to the
+    # 2 q = 8 congruence checks, are wrapped by name
+    for argv, span, count in (
+            (["certify", "--base", "ss6", "--lambda", "1/3", "--p", "2",
+              "--guard", "100000"], "certify.graded", 2),
+            (["units", "verify", "--p", "2", "--s", "2", "--n", "2"],
+             "unitgroup.pth_power", 9)):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(bench, "trace.py"), "--out",
+             str(out), "--run-id", "t", "cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(out.read_text())
+        assert data["exit"] == 0
+        spans = [rec[0] for rec in data["spans"]]
+        assert spans.count(span) == count
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "kernels", os.path.join(bench, "kernels.py"))

@@ -17,6 +17,7 @@ from slopelab.monodromy.certify import largeness_certificate
 from slopelab.monodromy.equations import (EqTerm, MonodromyEquation,
                                           demazure_slope, first_witt_equation,
                                           graded_equations, monodromy_equation)
+from slopelab.monodromy.slab import laurent_projector, slab_make
 
 from oracles import splitting_degree_by_factoring
 
@@ -262,9 +263,10 @@ def test_graded_rejects_symbol_off_its_level():
     (3, [(4, 5), (4, 5)], Fraction(3, 5)),
 ], ids=["ss6-p3", "ss6-p5", "ss8", "H1/3+ss4", "H4/5+H4/5"])
 def test_every_symbol_enters_the_equation_with_sign_plus_one(p, pieces, lam):
-    # the graded leg builds B from t.value alone, so setting u(x, y) = g
-    # must change a_x = -A_x by +p^y <g^{p^twist}>, the other parameters
-    # at 0; chi = F^h - sum A_x F^{h-x} carries the parameter with sign -1
+    # the graded leg puts the distinguished symbol into A with coefficient
+    # +1, so setting u(x, y) = g must change a_x = -A_x by
+    # +p^y <g^{p^twist}>, the other parameters at 0;
+    # chi = F^h - sum A_x F^{h-x} carries the parameter with sign -1
     s, r = lam.denominator, lam.numerator
     ring = witt_for(p, s, 2 * s + 2)
     spec = deformation(split_display(ring, pieces), lam)
@@ -283,6 +285,49 @@ def test_every_symbol_enters_the_equation_with_sign_plus_one(p, pieces, lam):
         lift = ring.teichmuller(ring.field.frobenius(g, t.twist))
         assert change == ring.scalar_mul(p ** y, lift)
         assert t.to_json()["sign"] == 1
+
+
+@pytest.mark.parametrize("p, pieces, lam", [
+    (3, [(1, 2)] * 3, Fraction(1, 3)),
+    (5, [(1, 2)] * 3, Fraction(1, 3)),
+    (3, [(1, 2)] * 5, Fraction(1, 5)),
+    (3, [(1, 2)] * 7, Fraction(2, 7)),
+    (3, [(1, 3), (1, 2), (1, 2)], Fraction(1, 4)),
+    (3, [(4, 5), (4, 5)], Fraction(3, 5)),
+    (3, [(2, 3), (2, 3)], Fraction(3, 5)),
+], ids=["ss6-p3", "ss6-p5", "ss10", "ss14", "H1/3+ss4", "H4/5+H4/5",
+        "H2/3+H2/3"])
+def test_graded_legs_lose_nothing_without_b(p, pieces, lam):
+    # the terms other than the distinguished z_1^M t^{-N} are z_1-free and
+    # sit at t^(p^(h-x) - p^h), x >= 1; the window keeps a z_1-free
+    # monomial only at t^0, so B, built here from seeded values as the
+    # graded legs once did, projects to zero at every point they try
+    s = lam.denominator
+    ring = witt_for(p, s, 2 * s + 2)
+    K = ring.field
+    spec = deformation(split_display(ring, pieces), lam)
+    eq = monodromy_equation(spec)
+    graded = graded_equations(spec, eq)
+    rng = random.Random(0)
+    seen = 0
+    for ell in (1, s):
+        for x0, y0 in sorted(spec.strat.layer(ell)):
+            M, N = p ** (eq.h - eq.d - y0), p ** eq.h - p ** (eq.h - x0)
+            rest = [t for t in graded[ell - 1].terms
+                    if not (t.kind == "symbol" and t.w_sub == 0
+                            and t.x == x0 and t.u_exp == M
+                            and t.t_exp == -N)]
+            assert all(t.x >= 1 and t.t_exp < 0 for t in rest), (ell, x0)
+            b = {}
+            for t in rest:
+                c = t.value if t.kind == "const" else rng.randrange(1, K.q)
+                if t.w_sub > 0:
+                    c = K.mul(c, rng.randrange(1, K.q))
+                b[(0,), t.t_exp] = K.add(b.get(((0,), t.t_exp), 0), c)
+            B = slab_make(K, 1, b)
+            assert laurent_projector(B, M, N).data == (), (ell, x0)
+            seen += len(B.data)
+    assert seen > 0
 
 
 def test_graded_references_only_earlier_unknowns():

@@ -107,7 +107,7 @@ def test_pth_power_congruence_sampled_q25():
 
 def test_p2_depth_one_fails_with_square_correction():
     rep = p2_power_report(3, 1)
-    assert rep["all_match_alpha_plus_square"]
+    assert rep["holds"]
     assert rep["failing_alphas"] == list(range(1, 8))
     assert rep["level"] == 6
 
@@ -147,7 +147,7 @@ def test_unit_group_reads_levels_without_teichmuller_digits(monkeypatch):
         for alpha in K.elements():
             assert pth_power_check(pctx, alpha, pctx.one(), depth)
         if p == 2:
-            assert p2_power_report(s)["all_match_alpha_plus_square"]
+            assert p2_power_report(s)["holds"]
         assert closure_compiled(K, r, s + 1, [0, 1, s], 10 ** 6) \
             == (K.q - 1) * K.q ** s
     assert expanded == []
