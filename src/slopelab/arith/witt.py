@@ -88,9 +88,7 @@ class WittRing:
         return (n % self.pm,) + (0,) * (self.field.s - 1)
 
     def generator(self) -> WittElt:
-        if self.field.s == 1:
-            return self.zero()
-        return (0, 1) + (0,) * (self.field.s - 2)
+        return tuple(int(i == 1) for i in range(self.field.s))
 
     # -- ring operations ---------------------------------------------------
 
@@ -111,8 +109,6 @@ class WittRing:
         return tuple((n * x) % pm for x in a)
 
     def mul(self, a: WittElt, b: WittElt) -> WittElt:
-        if self.field.s == 1:
-            return ((a[0] * b[0]) % self.pm,)
         return tuple(polymulmod(self.pm, self.modulus, a, b))
 
     def pow(self, a: WittElt, e: int) -> WittElt:
@@ -262,18 +258,15 @@ def witt_make(field: FieldSpec, m: int) -> WittRing:
     """Witt ring context of length m over the given field."""
     if m < 1:
         raise ValueError("truncation length must be >= 1")
-    if field.s == 1:
-        ring = WittRing(field, m, (0, 1))
-    else:
-        modulus = _canonical_modulus(field, m)
-        p = field.p
-        if tuple(c % p for c in modulus) != field.modulus:
-            raise InternalCheckFailed(
-                f"lifted modulus {modulus} does not reduce to {field.modulus}")
-        ring = WittRing(field, m, modulus)
-        # the generator itself is Teichmuller in the canonical presentation
-        if ring.pow(ring.generator(), field.q) != ring.generator():
-            raise InternalCheckFailed(f"generator of {ring!r} is not Teichmuller")
+    modulus = _canonical_modulus(field, m)
+    p = field.p
+    if tuple(c % p for c in modulus) != field.modulus:
+        raise InternalCheckFailed(
+            f"lifted modulus {modulus} does not reduce to {field.modulus}")
+    ring = WittRing(field, m, modulus)
+    # the generator itself is Teichmuller in the canonical presentation
+    if ring.pow(ring.generator(), field.q) != ring.generator():
+        raise InternalCheckFailed(f"generator of {ring!r} is not Teichmuller")
     return ring
 
 

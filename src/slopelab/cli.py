@@ -30,7 +30,6 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
                      PreconditionError, SolutionFound)
@@ -41,14 +40,6 @@ from .serialize import canonical_dumps
 
 SCALE = 20          # svg units per lattice step
 PAD = 30
-
-
-class RunConfig(NamedTuple):
-    seed: int
-    precision: int | None
-    guard: int
-    fmt: str
-    out: str | None
 
 
 # -- input grammars -------------------------------------------------------
@@ -164,8 +155,8 @@ def _resolve_out(path: str | None) -> str | None:
     return os.path.join(outdir, path) if outdir else path
 
 
-def _emit(cfg: RunConfig, payload: str) -> None:
-    path = _resolve_out(cfg.out)
+def _emit(args, payload: str) -> None:
+    path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(payload)
     else:
@@ -173,11 +164,9 @@ def _emit(cfg: RunConfig, payload: str) -> None:
             fh.write(payload)
 
 
-def _report(cfg: RunConfig, report: dict, text: str) -> None:
-    if cfg.fmt == "svg":
-        raise CliParseError("svg output is only available for plot")
-    payload = canonical_dumps(report) if cfg.fmt == "json" else text + "\n"
-    _emit(cfg, payload)
+def _report(args, report: dict, text: str) -> None:
+    payload = canonical_dumps(report) if args.fmt == "json" else text + "\n"
+    _emit(args, payload)
 
 
 def _point_set(points) -> str:
@@ -187,25 +176,27 @@ def _point_set(points) -> str:
 # -- np -------------------------------------------------------------------
 
 
-def cmd_np(cfg: RunConfig, args) -> int:
+def cmd_np(args) -> int:
     from .polygon import adjoin, attainable, compare, symmetric_adjoin
     if args.action == "compare":
         a, b = parse_polygon(args.a), parse_polygon(args.b)
         rel = compare(a, b)
-        _report(cfg, {"relation": rel, "a": a.to_json(), "b": b.to_json()}, rel)
+        _report(args, {"relation": rel, "a": a.to_json(), "b": b.to_json()},
+                rel)
         return 0
     if args.action == "adjoin":
         np0 = parse_polygon(args.poly)
         out = adjoin(np0, parse_point(args.point))
-        _report(cfg, {"input": np0.to_json(), "point": list(parse_point(args.point)),
-                      "result": out.to_json(), "pretty": str(out)}, str(out))
+        _report(args, {"input": np0.to_json(),
+                       "point": list(parse_point(args.point)),
+                       "result": out.to_json(), "pretty": str(out)}, str(out))
         return 0
     if args.action == "symmetric":
         np0 = parse_polygon(args.poly)
         lam = parse_fraction(args.lam)
         out = symmetric_adjoin(np0, lam)
-        _report(cfg, {"input": np0.to_json(), "slope": str(lam),
-                      "result": out.to_json(), "pretty": str(out)}, str(out))
+        _report(args, {"input": np0.to_json(), "slope": str(lam),
+                       "result": out.to_json(), "pretty": str(out)}, str(out))
         return 0
     np0 = parse_polygon(args.poly)
     lam = parse_fraction(args.lam)
@@ -214,14 +205,14 @@ def cmd_np(cfg: RunConfig, args) -> int:
               "attainable": wit is not None,
               "witness": wit.to_json() if wit else None}
     text = (f'attainable, witness "{wit.witness}"' if wit else "not attainable")
-    _report(cfg, report, text)
+    _report(args, report, text)
     return 0
 
 
 # -- deform / certify -----------------------------------------------------
 
 
-def _build_deformation(cfg: RunConfig, args):
+def _build_deformation(args):
     from .arith.witt import witt_for
     from .display import deformation, split_display
     pieces = parse_base(args.base)
@@ -229,18 +220,18 @@ def _build_deformation(cfg: RunConfig, args):
     if not 0 < lam < 1:
         raise CliParseError(f"deformation slope {lam} outside (0, 1)")
     s = lam.denominator
-    check_prime(args.p, cfg.guard)
+    check_prime(args.p, args.guard)
     # 2^s > guard already refuses a long s, before p^s is formed
-    if s > cfg.guard.bit_length() or args.p ** s > cfg.guard:
-        raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {cfg.guard}")
-    precision = 2 * s + 2 if cfg.precision is None else cfg.precision
-    ring = witt_for(args.p, s, precision, cfg.seed)
+    if s > args.guard.bit_length() or args.p ** s > args.guard:
+        raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
+    precision = 2 * s + 2 if args.precision is None else args.precision
+    ring = witt_for(args.p, s, precision, args.seed)
     return deformation(split_display(ring, pieces), lam)
 
 
-def cmd_deform(cfg: RunConfig, args) -> int:
+def cmd_deform(args) -> int:
     from .monodromy.equations import monodromy_equation
-    spec = _build_deformation(cfg, args)
+    spec = _build_deformation(args)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
     # count the coefficients below the monic leading term
@@ -260,40 +251,40 @@ def cmd_deform(cfg: RunConfig, args) -> int:
         f"np(*) = {np_star}",
         f"equation terms at F-offsets {sorted(eq.terms)}",
     ])
-    _report(cfg, report, text)
+    _report(args, report, text)
     return 0
 
 
-def cmd_certify(cfg: RunConfig, args) -> int:
+def cmd_certify(args) -> int:
     from .monodromy.certify import check_slope_shape, largeness_certificate
     # screen the slope shape before the deformation rejects it for
     # a less specific reason
     check_slope_shape(parse_fraction(args.lam))
-    spec = _build_deformation(cfg, args)
-    cert = largeness_certificate(spec, guard=cfg.guard, seed=cfg.seed)
+    spec = _build_deformation(args)
+    cert = largeness_certificate(spec, guard=args.guard, seed=args.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]
     bad = [l["piece"] for l in cert["legs"] if l["status"] != "certified"]
     bits = [f"pieces {{{','.join(map(str, good))}}} certified"]
     if bad:
         bits.append(f"{{{','.join(map(str, bad))}}} failed")
     bits.append(f"verdict {cert['verdict']}")
-    _report(cfg, cert, ", ".join(bits))
+    _report(args, cert, ", ".join(bits))
     return 0 if cert["verdict"] == "large" else 3
 
 
 # -- as -------------------------------------------------------------------
 
 
-def cmd_as(cfg: RunConfig, args) -> int:
+def cmd_as(args) -> int:
     from .arith.fields import field_make, prime_power
     from .monodromy.artinschreier import as_reducible, as_reducible_oracle
     q = parse_field_name(args.field)
-    if q > cfg.guard:
-        raise GuardExceeded(f"F_{q} exceeds guard {cfg.guard}")
+    if q > args.guard:
+        raise GuardExceeded(f"F_{q} exceeds guard {args.guard}")
     ps = prime_power(q)
     if ps is None:
         raise CliParseError(f"{q} is not a prime power")
-    K = field_make(*ps, cfg.seed)
+    K = field_make(*ps, args.seed)
     if args.all:
         values = list(K.elements())
     elif args.a is not None:
@@ -315,7 +306,7 @@ def cmd_as(cfg: RunConfig, args) -> int:
     report = {"field": f"F{K.q}", "q": args.q, "cases": cases,
               "agreements": agreed, "total": len(cases),
               "agree": agreed == len(cases)}
-    _report(cfg, report,
+    _report(args, report,
             f"{agreed}/{len(cases)} agreement criterion vs oracle")
     return 0 if report["agree"] else 3
 
@@ -323,7 +314,7 @@ def cmd_as(cfg: RunConfig, args) -> int:
 # -- units ----------------------------------------------------------------
 
 
-def cmd_units(cfg: RunConfig, args) -> int:
+def cmd_units(args) -> int:
     from .arith.fields import field_make
     from .arith.ramified import order_over
     from .unitgroup import (commutator_class, commutator_span,
@@ -332,20 +323,20 @@ def cmd_units(cfg: RunConfig, args) -> int:
     p, s, r, n = args.p, args.s, args.r, args.n
     if not (0 < r < s and math.gcd(r, s) == 1):
         raise PreconditionError(f"slope {r}/{s} must be reduced and in (0, 1)")
-    check_prime(p, cfg.guard)
-    quotient_order(p, s, n, cfg.guard)      # refuse before building F_q
-    K = field_make(p, s, cfg.seed)
+    check_prime(p, args.guard)
+    quotient_order(p, s, n, args.guard)     # refuse before building F_q
+    K = field_make(p, s, args.seed)
     # only the default is clipped; generation_report refuses explicit
     # pieces outside [0, n), so it runs before the other stages
     covered = (parse_covered(args.covered) if args.covered
                else [i for i in (0, 1) if i < n])
-    gen = generation_report(K, r, n, covered, guard=cfg.guard)
+    gen = generation_report(K, r, n, covered, guard=args.guard)
 
     depths = []
     ctx = order_over(K, r, s + 3)
     pair_budget = 500
     if K.q ** 2 > pair_budget:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         pairs = [(rng.randrange(K.q), rng.randrange(K.q))
                  for _ in range(pair_budget)]
     else:
@@ -366,7 +357,7 @@ def cmd_units(cfg: RunConfig, args) -> int:
                    for alpha in K.elements() for beta in betas)
     power = {"depth": power_depth, "alphas": K.q, "ok": power_ok}
     if p == 2:
-        power["depth_one_finding"] = p2_power_report(s, 1, cfg.seed)
+        power["depth_one_finding"] = p2_power_report(s, 1, args.seed)
 
     ok = commutator_ok and power_ok and gen["generates"]
     report = {"p": p, "s": s, "q": K.q, "lambda": f"{r}/{s}", "n": n,
@@ -382,7 +373,7 @@ def cmd_units(cfg: RunConfig, args) -> int:
         else f"p-th power congruence failed at depth {power_depth}",
         f"generation {str(gen['generates']).lower()} (order {gen['order']})",
     ])
-    _report(cfg, report, text)
+    _report(args, report, text)
     return 0 if ok else 3
 
 
@@ -408,15 +399,16 @@ def _polyline(points, stroke: str, dash: str = "") -> str:
             f'stroke-width="2"{attr}/>')
 
 
-def cmd_plot(cfg: RunConfig, args) -> int:
+def cmd_plot(args) -> int:
     from .display import strata
     from .polygon import np_make
-    if cfg.fmt != "svg":
-        raise CliParseError("plot only emits svg")
     if args.d is not None or args.c is not None or args.lam is not None:
         if None in (args.d, args.c, args.lam):
             raise CliParseError("plot needs all of --d, --c, --lambda")
         d, c = args.d, args.c
+        if d * c > args.guard:
+            raise GuardExceeded(
+                f"region of d * c = {d * c} points exceeds guard {args.guard}")
         h = d + c
         np0 = (parse_polygon(args.poly) if args.poly
                else np_make([(Fraction(c, h), h)]))
@@ -438,7 +430,7 @@ def cmd_plot(cfg: RunConfig, args) -> int:
             sx, sy = to(x, y)
             fill = "#1a6" if (x, y) in st.active else "#ccc"
             body.append(f'<circle cx="{sx}" cy="{sy}" r="4" fill="{fill}"/>')
-        _emit(cfg, _svg(width, height, body))
+        _emit(args, _svg(width, height, body))
         return 0
     if not args.poly:
         raise CliParseError("plot needs --poly or the --d/--c/--lambda region")
@@ -455,7 +447,7 @@ def cmd_plot(cfg: RunConfig, args) -> int:
     for x, y in np0.breakpoints():
         sx, sy = to(x, y)
         body.append(f'<circle cx="{sx}" cy="{sy}" r="4" fill="#1a6"/>')
-    _emit(cfg, _svg(width, height, body))
+    _emit(args, _svg(width, height, body))
     return 0
 
 
@@ -468,45 +460,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--precision", type=parse_precision, default=None)
-    common.add_argument("--guard", type=int, default=10 ** 7)
-    common.add_argument("--format", dest="fmt",
-                        choices=("json", "text", "svg"), default=None)
-    common.add_argument("-o", "--out", default=None)
+    # one parent per flag, so each leaf command takes only the flags it
+    # reads; attaching them to the group parsers as well would let the
+    # leaf's defaults clobber values parsed at the group level
+    def flag(*names, **kwargs):
+        parent = _Parser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    out = flag("-o", "--out", default=None)
+    fmt = flag("--format", dest="fmt", choices=("json", "text"), default="text")
+    seed = flag("--seed", type=int, default=0)
+    guard = flag("--guard", type=int, default=10 ** 7)
+    precision = flag("--precision", type=parse_precision, default=None)
+    reported = [out, fmt]
+    seeded = reported + [seed, guard]
 
     top = _Parser(prog="slopelab", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    # common flags attach to leaf parsers only; attaching them to the
-    # group parsers as well would let the leaf's defaults clobber values
-    # parsed at the group level
     np_p = sub.add_parser("np")
     np_sub = np_p.add_subparsers(dest="action", required=True)
-    cmp_p = np_sub.add_parser("compare", parents=[common])
+    cmp_p = np_sub.add_parser("compare", parents=reported)
     cmp_p.add_argument("a")
     cmp_p.add_argument("b")
-    adj_p = np_sub.add_parser("adjoin", parents=[common])
+    adj_p = np_sub.add_parser("adjoin", parents=reported)
     adj_p.add_argument("--poly", required=True)
     adj_p.add_argument("--point", required=True)
-    sym_p = np_sub.add_parser("symmetric", parents=[common])
+    sym_p = np_sub.add_parser("symmetric", parents=reported)
     sym_p.add_argument("--poly", required=True)
     sym_p.add_argument("--lambda", dest="lam", required=True)
-    att_p = np_sub.add_parser("attain", parents=[common])
+    att_p = np_sub.add_parser("attain", parents=reported)
     att_p.add_argument("--poly", required=True)
     att_p.add_argument("--lambda", dest="lam", required=True)
 
     for name in ("deform", "certify"):
-        pp = sub.add_parser(name, parents=[common])
+        pp = sub.add_parser(name, parents=seeded + [precision])
         pp.add_argument("--base", required=True)
         pp.add_argument("--lambda", dest="lam", required=True)
         pp.add_argument("--p", type=int, default=3)
 
     as_p = sub.add_parser("as")
     as_sub = as_p.add_subparsers(dest="action", required=True)
-    test_p = as_sub.add_parser("test", parents=[common])
+    test_p = as_sub.add_parser("test", parents=seeded)
     test_p.add_argument("--q", type=int, required=True)
     test_p.add_argument("--field", required=True)
     test_p.add_argument("--all", action="store_true")
@@ -514,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     units_p = sub.add_parser("units")
     units_sub = units_p.add_subparsers(dest="action", required=True)
-    verify_p = units_sub.add_parser("verify", parents=[common])
+    verify_p = units_sub.add_parser("verify", parents=seeded)
     verify_p.add_argument("--p", type=int, required=True)
     verify_p.add_argument("--s", type=int, required=True)
     verify_p.add_argument("--r", type=int, default=1)
     verify_p.add_argument("--n", type=int, required=True)
     verify_p.add_argument("--covered", default=None)
 
-    plot_p = sub.add_parser("plot", parents=[common])
+    plot_p = sub.add_parser("plot", parents=[out, guard])
     plot_p.add_argument("--poly", default=None)
     plot_p.add_argument("--d", type=int, default=None)
     plot_p.add_argument("--c", type=int, default=None)
@@ -536,9 +533,7 @@ _DISPATCH = {"np": cmd_np, "deform": cmd_deform, "certify": cmd_certify,
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        fmt = args.fmt or ("svg" if args.command == "plot" else "text")
-        cfg = RunConfig(args.seed, args.precision, args.guard, fmt, args.out)
-        return _DISPATCH[args.command](cfg, args)
+        return _DISPATCH[args.command](args)
     except CliParseError as err:
         print(f"slopelab: parse error: {err}", file=sys.stderr)
         return 4

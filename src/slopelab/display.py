@@ -1,14 +1,16 @@
 """Displays in normal form and their deformation calculus.
 
 A display here is an h x h matrix over a Witt ring, h = d + c, in the
-block shape (A B; C D) with A of size d x d.  The normal form fixes all
-structure except the top block of columns d..h: shift sub-diagonals in A
-and D, a single 1 at (d+1, d) in C, free entries only at
+block shape (A B; C D) with A of size d x d, always in normal form: 1 on
+the sub-diagonal (shift sub-diagonals in A and D, a single 1 at (d+1, d)
+in C), free entries only at
 
     S = {(i, j) : 1 <= i <= d, d <= j <= h},
 
-and a unit at (1, h).  The characteristic polynomial of Frobenius is then
-read off additively from the free entries:
+and a unit at (1, h).  `Display` stores only the free entries, and its
+constructor refuses a position outside S and a non-unit at (1, h), so
+every display is normal.  The characteristic polynomial of Frobenius is
+then read off additively from the free entries:
 
     chi = F^h - sum_{x=1}^{h} A_x F^{h-x},
     A_x = sum_{(i,j) in S, j+1-i = x} p^{j-d} a_{ij}^{sigma^{h-(j-d)-d}}.
@@ -37,72 +39,43 @@ Point = tuple[int, int]
 
 
 class Display:
-    """h x h matrix over a Witt ring with block sizes (d, c)."""
+    """Normal-form display over a Witt ring with block sizes (d, c).
 
-    __slots__ = ("ring", "d", "c", "entries")
+    Stores only the nonzero free entries {(i, j) in S: value}; every other
+    entry is the skeleton, 1 on the sub-diagonal and 0 elsewhere.  S never
+    meets the sub-diagonal, so the free entries are placed as given."""
 
-    def __init__(self, ring: WittRing, d: int, c: int, entries: dict):
+    __slots__ = ("ring", "d", "c", "free")
+
+    def __init__(self, ring: WittRing, d: int, c: int, free: dict):
         if d < 1 or c < 1:
             raise PreconditionError("block sizes d, c must be positive")
         self.ring = ring
         self.d = d
         self.c = c
-        self.entries = {
-            pos: v for pos, v in entries.items() if not ring.is_zero(v)}
-        for (i, j) in self.entries:
-            if not (1 <= i <= self.h and 1 <= j <= self.h):
-                raise PreconditionError(f"entry position {(i, j)} out of range")
+        slots = set(self.free_slots())
+        for pos in free:
+            if pos not in slots:
+                raise PreconditionError(f"position {pos} is not a free slot")
+        if ring.ord(free.get((1, self.h), ring.zero())) != 0:
+            raise PreconditionError(f"entry (1, {self.h}) is not a unit")
+        self.free = {pos: v for pos, v in free.items() if not ring.is_zero(v)}
 
     @property
     def h(self) -> int:
         return self.d + self.c
 
     def entry(self, i: int, j: int):
-        return self.entries.get((i, j), self.ring.zero())
+        skeleton = self.ring.one() if i == j + 1 else self.ring.zero()
+        return self.free.get((i, j), skeleton)
 
-    def free_slots(self):
-        return _free_slots(self.d, self.c)
+    def free_slots(self) -> list[tuple[int, int]]:
+        """The set S of unconstrained positions, row-major."""
+        return [(i, j) for i in range(1, self.d + 1)
+                for j in range(self.d, self.h + 1)]
 
     def __repr__(self) -> str:
-        return f"Display(d={self.d}, c={self.c}, {len(self.entries)} entries)"
-
-
-def _free_slots(d: int, c: int) -> list[tuple[int, int]]:
-    """The set S of unconstrained positions, row-major."""
-    return [(i, j) for i in range(1, d + 1) for j in range(d, d + c + 1)]
-
-
-def _structure(ring: WittRing, d: int, c: int) -> dict:
-    """The fixed 0/1 skeleton of the normal form."""
-    h = d + c
-    one = ring.one()
-    out = {}
-    for i in range(1, d):
-        out[(i + 1, i)] = one
-    out[(d + 1, d)] = one
-    for i in range(d + 1, h):
-        out[(i + 1, i)] = one
-    return out
-
-
-def display_normal(ring: WittRing, d: int, c: int, free: dict) -> Display:
-    """Normal-form display from its free entries {(i,j) in S: value}.
-
-    S does not meet the skeleton, so the free entries are placed as given."""
-    slots = set(_free_slots(d, c))
-    for pos in free:
-        if pos not in slots:
-            raise PreconditionError(f"position {pos} is not a free slot")
-    return Display(ring, d, c, {**_structure(ring, d, c), **free})
-
-
-def normal_form_check(disp: Display) -> bool:
-    """Shape test: structural skeleton exact, free entries only in S, and a
-    unit in the upper-right corner."""
-    slots = set(disp.free_slots())
-    fixed = {pos: v for pos, v in disp.entries.items() if pos not in slots}
-    return (fixed == _structure(disp.ring, disp.d, disp.c)
-            and disp.ring.ord(disp.entry(1, disp.h)) == 0)
+        return f"Display(d={self.d}, c={self.c}, {len(self.free)} free entries)"
 
 
 def charpoly(disp: Display) -> TwistedPoly:
@@ -110,12 +83,10 @@ def charpoly(disp: Display) -> TwistedPoly:
 
     One pass over the free slots: slot (i, j) adds p^y a_ij^{sigma^{h-y-d}},
     y = j - d, to A_x at x = j + 1 - i."""
-    if not normal_form_check(disp):
-        raise PreconditionError("display is not in normal form")
     ring, d, h = disp.ring, disp.d, disp.h
     coeffs = {h: ring.one()}
     for (i, j) in disp.free_slots():
-        a = disp.entries.get((i, j))
+        a = disp.free.get((i, j))
         if a is None:
             continue
         y, k = j - d, h - (j + 1 - i)
@@ -165,10 +136,7 @@ def display_from_charpoly(ring: WittRing, d: int,
                 raise PreconditionError(
                     f"A_{x} has valuation below {y}, no normal slot fits")
             free[(1, x)] = ring.sigma(ring.divide_p(ax, y), -(h - x))
-    disp = display_normal(ring, d, c, free)
-    if not normal_form_check(disp):
-        raise PreconditionError("prescribed coefficients break normal form")
-    return disp
+    return Display(ring, d, c, free)
 
 
 def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:

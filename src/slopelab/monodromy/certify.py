@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .. import unitgroup
 from ..arith.fields import field_make
-from ..display import DeformationSpec, normal_form_check
+from ..display import DeformationSpec
 from ..errors import GuardExceeded, InternalCheckFailed, PreconditionError
 from .artinschreier import additive_make
 from .equations import first_witt_equation, graded_equations, monodromy_equation
@@ -133,8 +133,6 @@ def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
                           seed: int = 0) -> dict:
     """Assemble the three-leg report; verdict "large" iff all certify."""
     check_slope_shape(spec.lam)
-    if not normal_form_check(spec.base):
-        raise PreconditionError("base display is not in normal form")
     s = spec.lam.denominator
     eq = monodromy_equation(spec)   # refuses lam not below the base slopes
     graded = graded_equations(spec, eq)

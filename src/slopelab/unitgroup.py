@@ -94,7 +94,6 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     return got
 
 
-@lru_cache(maxsize=256)
 def commutator_span(field: FieldSpec, r: int, n: int) -> frozenset:
     """The value set {x^{tau^n} y - y^tau x}; equals F_q when s does not
     divide n+1."""

@@ -9,7 +9,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from slopelab.display import Display
 from slopelab.errors import PreconditionError, SolutionFound
 from slopelab.polygon import (
     NewtonPolygon,
@@ -85,20 +84,22 @@ def frobenius_matrix(disp):
 
 
 def t_substitute_numeric(disp, t_matrix):
-    """The deformed display (A + TC, B + TD; C, D) by the plain matrix
-    product over the Witt ring; t_matrix maps (i, k), 1 <= i <= d and
-    1 <= k <= c, to a Witt element, absent entries zero."""
+    """The whole h x h matrix {(i, j): value} of the deformed display
+    (A + TC, B + TD; C, D), by the plain matrix product over the Witt ring
+    from the entries `disp.entry` reads; t_matrix maps (i, k), 1 <= i <= d
+    and 1 <= k <= c, to a Witt element, absent entries zero."""
     ring = disp.ring
     d, c, h = disp.d, disp.c, disp.h
-    entries = dict(disp.entries)
+    out = {(i, j): disp.entry(i, j)
+           for i in range(1, h + 1) for j in range(1, h + 1)}
     for i in range(1, d + 1):
         for j in range(1, h + 1):
-            acc = disp.entry(i, j)
+            acc = out[(i, j)]
             for k in range(1, c + 1):
                 t = t_matrix.get((i, k), ring.zero())
                 acc = ring.add(acc, ring.mul(t, disp.entry(d + k, j)))
-            entries[(i, j)] = acc
-    return Display(ring, d, c, entries)
+            out[(i, j)] = acc
+    return out
 
 
 def apply_frobenius(disp, mat, vec):

@@ -268,11 +268,13 @@ def test_gate_6_power_congruences():
         K = field_make(p, s)
         comm = order_over(K, r, 2 * s + 1)
         powc = order_over(K, r, 3 * s + 2)
+        # each span lists q^2 values; build it once per (K, r, n)
+        spans = {n: commutator_span(K, r, n) for n in range(1, 2 * s)}
         rng = random.Random(1000 * p + s + r)
         for _ in range(2000):
             n = rng.randrange(1, 2 * s)
             x, y = rng.randrange(K.q), rng.randrange(K.q)
-            assert commutator_class(comm, x, y, n) in commutator_span(K, r, n)
+            assert commutator_class(comm, x, y, n) in spans[n]
             total += 1
         for _ in range(1500):
             n = rng.randrange(1, 3)

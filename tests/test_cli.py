@@ -1,5 +1,6 @@
 """Command-line surface: grammars, report contracts, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,12 +12,13 @@ import pytest
 
 import slopelab.arith.fields as fields
 import slopelab.arith.witt as witt
+import slopelab.display as display
 import slopelab.monodromy.certify as certify
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.arith.ramified import RamifiedOrder
 from slopelab.arith.witt import WittRing
-from slopelab.cli import main
+from slopelab.cli import build_parser, main
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
 from slopelab.serialize import np_from_json
@@ -567,6 +569,61 @@ def test_parse_errors_exit_4(capsys):
 
 def test_format_svg_outside_plot_is_rejected(capsys):
     assert main(["np", "compare", "1/2x6", "1/2x6", "--format", "svg"]) == 4
+
+
+def _leaf_flags(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), {opt for a in parser._actions
+                               for opt in a.option_strings} - {"-h", "--help"}
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_flags(child, path + (name,))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    reported = {"-o", "--out", "--format"}
+    seeded = reported | {"--seed", "--guard"}
+    assert dict(_leaf_flags(build_parser())) == {
+        "np compare": reported,
+        "np adjoin": reported | {"--poly", "--point"},
+        "np symmetric": reported | {"--poly", "--lambda"},
+        "np attain": reported | {"--poly", "--lambda"},
+        "deform": seeded | {"--precision", "--base", "--lambda", "--p"},
+        "certify": seeded | {"--precision", "--base", "--lambda", "--p"},
+        "as test": seeded | {"--q", "--field", "--all", "--a"},
+        "units verify": seeded | {"--p", "--s", "--r", "--n", "--covered"},
+        "plot": {"-o", "--out", "--guard", "--poly", "--d", "--c",
+                 "--lambda"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["np", "compare", "1/2x6", "1/2x6", "--seed", "0"],
+    ["as", "test", "--q", "9", "--field", "F81", "--all", "--precision", "5"],
+    ["plot", "--poly", "1/3x3", "--format", "svg"],
+])
+def test_a_flag_the_command_does_not_read_exits_4(capsys, argv):
+    assert main(argv) == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_plot_region_above_guard_exits_2_before_building_it(capsys,
+                                                            monkeypatch):
+    built = []
+    monkeypatch.setattr(display, "strata", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    # the default guard 10^7 admits a 400 x 400 region, not 4000 x 4000
+    assert main(["plot", "--d", "4000", "--c", "4000", "--lambda", "1/3"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: region of d * c = 16000000 points "
+        "exceeds guard 10000000\n"))
+    assert main(["plot", "--d", "400", "--c", "400", "--lambda", "1/3",
+                 "--guard", "159999"]) == 2
+    assert built == []
 
 
 def _assert_identical_under_optimize(*args, returncode=0):

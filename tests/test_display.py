@@ -13,8 +13,6 @@ from slopelab.display import (
     coord_name,
     deformation,
     display_from_charpoly,
-    display_normal,
-    normal_form_check,
     parallelogram,
     split_display,
     strata,
@@ -33,20 +31,37 @@ def ring927():
 
 def slope_23_display(W):
     """d=1, c=2, free entries (0, 0, 1): the one-dimensional slope 2/3 block."""
-    return display_normal(W, 1, 2, {(1, 3): W.one()})
+    return Display(W, 1, 2, {(1, 3): W.one()})
 
 
-def test_normal_form_check_examples():
+def test_constructor_enforces_the_normal_form():
     W = ring927()
     disp = slope_23_display(W)
-    assert normal_form_check(disp)
+    assert disp.free == {(1, 3): W.one()}
+    # every entry outside S is the skeleton: 1 on the sub-diagonal, else 0
+    assert {(i, j) for i in range(1, 4) for j in range(1, 4)
+            if disp.entry(i, j) != W.zero()} == {(2, 1), (3, 2), (1, 3)}
+    assert disp.entry(2, 1) == disp.entry(3, 2) == W.one()
 
-    bad = display_normal(W, 1, 2, {(1, 3): W.from_int(3)})
-    assert not normal_form_check(bad)
+    # zero free entries are dropped
+    assert Display(W, 1, 2, {(1, 3): W.one(), (1, 1): W.zero()}).free == \
+        {(1, 3): W.one()}
 
-    # free entry outside S is rejected at construction
+    # a non-unit or missing corner at (1, h)
     with pytest.raises(PreconditionError):
-        display_normal(W, 1, 2, {(2, 1): W.one()})
+        Display(W, 1, 2, {(1, 3): W.from_int(3)})
+    with pytest.raises(PreconditionError):
+        Display(W, 1, 2, {})
+    # a position outside S, on the skeleton or off it
+    with pytest.raises(PreconditionError):
+        Display(W, 1, 2, {(1, 3): W.one(), (2, 1): W.one()})
+    with pytest.raises(PreconditionError):
+        Display(W, 1, 2, {(1, 3): W.one(), (3, 3): W.one()})
+    # block sizes below 1
+    with pytest.raises(PreconditionError):
+        Display(W, 0, 2, {(1, 2): W.one()})
+    with pytest.raises(PreconditionError):
+        Display(W, 1, 0, {(1, 1): W.one()})
 
 
 def test_charpoly_frozen_small_cases():
@@ -55,7 +70,7 @@ def test_charpoly_frozen_small_cases():
     p2 = W.from_int(9)
     assert chi.coeffs == {3: W.one(), 0: W.neg(p2)}
 
-    half = display_normal(W, 1, 1, {(1, 2): W.one()})
+    half = Display(W, 1, 1, {(1, 2): W.one()})
     chi2 = charpoly(half)
     assert chi2.coeffs == {2: W.one(), 0: W.neg(W.from_int(3))}
 
@@ -77,7 +92,7 @@ def test_charpoly_against_cayley_hamilton_action():
                     [rng.randrange(9) for _ in range(W.m)])
             free[(1, d + c)] = W.from_digits(
                 [rng.randrange(1, 9)] + [rng.randrange(9) for _ in range(W.m - 1)])
-            disp = display_normal(W, d, c, free)
+            disp = Display(W, d, c, free)
             assert cayley_hamilton_holds(disp, charpoly(disp))
 
 
@@ -87,13 +102,13 @@ def test_charpoly_additive_in_each_slot():
     d, c = 2, 2
     h = d + c
     base_free = {(1, h): W.one()}
-    disp = display_normal(W, d, c, base_free)
+    disp = Display(W, d, c, base_free)
     chi0 = charpoly(disp)
     for (i, j) in disp.free_slots():
         if j == h and i == 1:
             continue
         b = W.from_digits([rng.randrange(9) for _ in range(W.m)])
-        disp2 = display_normal(W, d, c, {**base_free, (i, j): b})
+        disp2 = Display(W, d, c, {**base_free, (i, j): b})
         chi2 = charpoly(disp2)
         x, y = j + 1 - i, j - d
         correction = W.scalar_mul(3 ** y, W.sigma(b, h - y - d))
@@ -109,7 +124,6 @@ def test_split_display_polygon_matches_sum():
     for pieces in [[(1, 2)], [(2, 3)], [(1, 2), (2, 3)], [(1, 3), (1, 2), (1, 2)],
                    [(1, 4), (3, 4)]]:
         disp = split_display(W, pieces)
-        assert normal_form_check(disp)
         parts = [np_make([(F(r, s), s)]) for r, s in pieces]
         assert charpoly_polygon(charpoly(disp)) == np_merge(*parts)
 
@@ -188,7 +202,7 @@ def test_deformation_chi_is_the_charpoly_of_the_t_substitution(p, pieces,
     W = witt_for(p, s, 2 * s + 2)
     disp = split_display(W, pieces)
     spec = deformation(disp, lam)
-    d, h = disp.d, disp.h
+    d, c, h = disp.d, disp.c, disp.h
     params = spec.parameters()
     assert [coord_name(x, y) for x, y, _ in params] == \
         sorted(coord_name(x, y) for x, y in spec.strat.active)
@@ -202,8 +216,13 @@ def test_deformation_chi_is_the_charpoly_of_the_t_substitution(p, pieces,
         t_matrix = {(d + y + 1 - x, y + 1):
                     W.teichmuller(v) if v else W.zero()
                     for (x, y), v in values.items()}
-        deformed = t_substitute_numeric(disp, t_matrix)
-        assert normal_form_check(deformed)
+        matrix = t_substitute_numeric(disp, t_matrix)
+        # the substitution leaves every entry outside S as it was, so the
+        # skeleton is untouched and the S part is a normal display again
+        slots = set(disp.free_slots())
+        assert all(v == disp.entry(i, j) for (i, j), v in matrix.items()
+                   if (i, j) not in slots)
+        deformed = Display(W, d, c, {pos: matrix[pos] for pos in slots})
         chi = spec.specialize(values)
         assert chi == charpoly(deformed)
         assert cayley_hamilton_holds(deformed, chi)

@@ -10,8 +10,8 @@ import pytest
 from slopelab.arith import witt_for
 from slopelab.arith.fields import field_make, field_modulus, polymulmod, power
 from slopelab.arith.twisted import TwistedPoly
-from slopelab.display import (charpoly, charpoly_polygon, deformation,
-                              display_normal, split_display)
+from slopelab.display import (Display, charpoly, charpoly_polygon,
+                              deformation, split_display)
 from slopelab.errors import InternalCheckFailed, PreconditionError
 from slopelab.monodromy.certify import largeness_certificate
 from slopelab.monodromy.equations import (EqTerm, MonodromyEquation,
@@ -74,7 +74,7 @@ def test_demazure_matches_least_polygon_slope():
                 if rng.random() < 0.5:
                     free[(i, j)] = ring.from_int(rng.randrange(1, 9))
         free[(1, h)] = ring.teichmuller(rng.randrange(1, ring.field.q))
-        disp = display_normal(ring, d, c, free)
+        disp = Display(ring, d, c, free)
         chi = charpoly(disp)
         try:
             np0 = charpoly_polygon(chi)
