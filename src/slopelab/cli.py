@@ -2,7 +2,7 @@
 
 Subcommands:
     np compare | adjoin | symmetric | attain    polygon queries
-    deform                                      strata, symbolic charpoly, equation
+    deform                                      strata, deformed chi, equation
     certify                                     end-to-end largeness certificate
     as test                                     reducibility criterion vs oracle
     units verify                                filtration sweeps and generation
@@ -54,22 +54,24 @@ def parse_polygon(text: str):
     text = text.strip()
     if text.startswith("{"):
         try:
-            return np_from_json(json.loads(text))
+            np0 = np_from_json(json.loads(text))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise CliParseError(f"polygon JSON: {err}")
-    if text.endswith(".json") and os.path.exists(text):
+    elif text.endswith(".json") and os.path.exists(text):
         with open(text) as fh:
-            return np_from_json(json.load(fh))
-    segments = []
-    for k, token in enumerate(t for t in re.split(r"[,\s]+", text) if t):
-        m = _SEGMENT.match(token)
-        if not m:
-            raise CliParseError(
-                f"segment {k + 1} ({token!r}): expected slope x width, like 1/2x6")
-        segments.append((Fraction(m.group(1)), int(m.group(2))))
-    if not segments:
+            np0 = np_from_json(json.load(fh))
+    else:
+        segments = []
+        for k, token in enumerate(t for t in re.split(r"[,\s]+", text) if t):
+            m = _SEGMENT.match(token)
+            if not m:
+                raise CliParseError(f"segment {k + 1} ({token!r}): expected "
+                                    "slope x width, like 1/2x6")
+            segments.append((Fraction(m.group(1)), int(m.group(2))))
+        np0 = np_make(segments)
+    if not np0.segments:
         raise CliParseError("empty polygon")
-    return np_make(segments)
+    return np0
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -212,7 +214,7 @@ def cmd_np(args) -> int:
 # -- deform / certify -----------------------------------------------------
 
 
-def _build_deformation(args):
+def _build_deformation(args, precision: int | None = None):
     from .arith.witt import witt_for
     from .display import deformation, split_display
     pieces = parse_base(args.base)
@@ -224,14 +226,15 @@ def _build_deformation(args):
     # 2^s > guard already refuses a long s, before p^s is formed
     if s > args.guard.bit_length() or args.p ** s > args.guard:
         raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
-    precision = 2 * s + 2 if args.precision is None else args.precision
+    if precision is None:   # keep the constant term +-p^c, c = sum r_i
+        precision = max(2 * s + 2, sum(r for r, _ in pieces) + 1)
     ring = witt_for(args.p, s, precision, args.seed)
     return deformation(split_display(ring, pieces), lam)
 
 
 def cmd_deform(args) -> int:
     from .monodromy.equations import monodromy_equation
-    spec = _build_deformation(args)
+    spec = _build_deformation(args, args.precision)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
     # count the coefficients below the monic leading term
@@ -406,6 +409,8 @@ def cmd_plot(args) -> int:
         if None in (args.d, args.c, args.lam):
             raise CliParseError("plot needs all of --d, --c, --lambda")
         d, c = args.d, args.c
+        if d < 1 or c < 1:
+            raise PreconditionError("block sizes d, c must be positive")
         if d * c > args.guard:
             raise GuardExceeded(
                 f"region of d * c = {d * c} points exceeds guard {args.guard}")
@@ -495,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     att_p.add_argument("--poly", required=True)
     att_p.add_argument("--lambda", dest="lam", required=True)
 
-    for name in ("deform", "certify"):
-        pp = sub.add_parser(name, parents=seeded + [precision])
+    # deform prints Witt digits; certify's bytes do not depend on their count
+    for name, flags in (("deform", [precision]), ("certify", [])):
+        pp = sub.add_parser(name, parents=seeded + flags)
         pp.add_argument("--base", required=True)
         pp.add_argument("--lambda", dest="lam", required=True)
         pp.add_argument("--p", type=int, default=3)

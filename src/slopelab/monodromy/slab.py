@@ -179,6 +179,10 @@ def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
         return report
 
     delta = e // pn
+    # 2^(delta+1) > guard refuses a long search before q^(delta+1) is formed
+    if delta + 1 > guard.bit_length():
+        raise GuardExceeded(
+            f"search space {K.q}^{delta + 1} exceeds guard {guard}")
     count = K.q ** (delta + 1)
     if count > guard:
         raise GuardExceeded(f"search space {count} exceeds guard {guard}")

@@ -4,9 +4,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -17,11 +19,11 @@ import slopelab.monodromy.certify as certify
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.arith.ramified import RamifiedOrder
-from slopelab.arith.witt import WittRing
-from slopelab.cli import build_parser, main
+from slopelab.arith.witt import WittRing, witt_for
+from slopelab.cli import build_parser, main, parse_base
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints
-from slopelab.serialize import np_from_json
+from slopelab.serialize import canonical_dumps, np_from_json
 
 
 def run(capsys, *argv):
@@ -235,6 +237,44 @@ def test_certify_json_bytes_are_pinned(capsys, argv, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("base, precisions", [
+    ("ss20", (11, 19)),
+    ("ss6", (4, 8)),
+])
+def test_certify_report_does_not_depend_on_the_precision(capsys, base,
+                                                         precisions):
+    # any ring that keeps the constant term p^c gives the same report, so
+    # certify works its precision out from the base: max(2s + 2, c + 1)
+    reports = []
+    for m in precisions:
+        ring = witt_for(3, 3, m)
+        spec = display.deformation(
+            display.split_display(ring, parse_base(base)), Fraction(1, 3))
+        reports.append(canonical_dumps(certify.largeness_certificate(spec)))
+    assert reports[0] == reports[1]
+    # c = 10 >= 2s + 2 = 8 for ss20, which a fixed 2s + 2 refused
+    assert main(["certify", "--base", base, "--lambda", "1/3"]) == \
+        (3 if base == "ss20" else 0)
+    assert main(["deform", "--base", base, "--lambda", "1/3"]) == 0
+    assert "precondition" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", ["ss24", "ss40"])
+def test_certify_tall_base_refuses_its_search_without_forming_it(capsys,
+                                                                 base):
+    # delta + 1 > guard.bit_length() refuses q^(delta+1) before forming it
+    t0 = time.monotonic()
+    rc, out = run(capsys, "certify", "--base", base, "--lambda", "1/3",
+                  "--format", "json")
+    assert time.monotonic() - t0 < 2.0
+    assert rc == 3
+    attempts = [a["error"] for leg in json.loads(out)["legs"][1:3]
+                for a in leg["evidence"]["attempts"]]
+    assert attempts and all(
+        re.fullmatch(r"search space 27\^\d+ exceeds guard 10000000", e)
+        for e in attempts)
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["--p", "3", "--s", "3", "--n", "3"],
      "c773c0eab419d28d021071e374aeed61d16301fbe74fdd042e107807356075b4"),
@@ -376,11 +416,19 @@ def test_as_field_name_that_is_no_prime_power_exits_4(capsys):
 
 
 def test_as_field_above_guard_exits_2_before_building_it(capsys, monkeypatch):
-    built, make = [], fields.field_make
+    # only outermost builds count: on a cold modulus cache, building F_4
+    # tests its modulus for irreducibility over F_2, which it builds
+    # through the same module global
+    built, make, depth = [], fields.field_make, [0]
 
     def spy(*args):
-        built.append(args)
-        return make(*args)
+        if not depth[0]:
+            built.append(args)
+        depth[0] += 1
+        try:
+            return make(*args)
+        finally:
+            depth[0] -= 1
     monkeypatch.setattr(fields, "field_make", spy)
     assert main(["as", "test", "--q", "9", "--field", "F729", "--all",
                  "--guard", "728"]) == 2
@@ -537,6 +585,18 @@ def test_plot_region_refuses_a_polygon_of_another_endpoint(capsys, d, c):
         f"(d + c, c) = ({d + c}, {c})\n"))
 
 
+@pytest.mark.parametrize("d, c", [(0, 0), (0, 3), (3, 0), (-1, 2)])
+def test_plot_region_refuses_block_sizes_below_1(capsys, monkeypatch, d, c):
+    built = []
+    monkeypatch.setattr(display, "strata", lambda *args: built.append(args))
+    assert main(["plot", "--d", str(d), "--c", str(c),
+                 "--lambda", "1/3"]) == 2
+    assert built == []
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: block sizes d, c must be "
+        "positive\n"))
+
+
 def test_plot_polygon_svg_bytes_are_pinned(capsys):
     rc, out = run(capsys, "plot", "--poly", "1/3x3,2/3x3")
     assert rc == 0
@@ -567,6 +627,17 @@ def test_parse_errors_exit_4(capsys):
                  "--covered", "a,b"]) == 4
 
 
+@pytest.mark.parametrize("a, b", [
+    ('{"segments":[]}', '{"segments":[]}'),
+    ('{"segments":[]}', "1/2x2"),
+    ("1/2x2", " "),
+    ("", "1/2x2"),
+])
+def test_an_empty_polygon_exits_4_in_both_grammars(capsys, a, b):
+    assert main(["np", "compare", a, b]) == 4
+    assert capsys.readouterr() == ("", "slopelab: parse error: empty polygon\n")
+
+
 def test_format_svg_outside_plot_is_rejected(capsys):
     assert main(["np", "compare", "1/2x6", "1/2x6", "--format", "svg"]) == 4
 
@@ -591,7 +662,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         "np symmetric": reported | {"--poly", "--lambda"},
         "np attain": reported | {"--poly", "--lambda"},
         "deform": seeded | {"--precision", "--base", "--lambda", "--p"},
-        "certify": seeded | {"--precision", "--base", "--lambda", "--p"},
+        "certify": seeded | {"--base", "--lambda", "--p"},
         "as test": seeded | {"--q", "--field", "--all", "--a"},
         "units verify": seeded | {"--p", "--s", "--r", "--n", "--covered"},
         "plot": {"-o", "--out", "--guard", "--poly", "--d", "--c",
@@ -602,6 +673,7 @@ def test_each_command_takes_only_the_flags_it_reads():
 @pytest.mark.parametrize("argv", [
     ["np", "compare", "1/2x6", "1/2x6", "--seed", "0"],
     ["as", "test", "--q", "9", "--field", "F81", "--all", "--precision", "5"],
+    ["certify", "--base", "ss6", "--lambda", "1/3", "--precision", "9"],
     ["plot", "--poly", "1/3x3", "--format", "svg"],
 ])
 def test_a_flag_the_command_does_not_read_exits_4(capsys, argv):

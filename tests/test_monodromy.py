@@ -301,7 +301,9 @@ def test_graded_legs_lose_nothing_without_b(p, pieces, lam):
     # the terms other than the distinguished z_1^M t^{-N} are z_1-free and
     # sit at t^(p^(h-x) - p^h), x >= 1; the window keeps a z_1-free
     # monomial only at t^0, so B, built here from seeded values as the
-    # graded legs once did, projects to zero at every point they try
+    # graded legs once did, projects to zero at every point they try;
+    # the legs take M and N from the point, so the tower must hold that
+    # distinguished term exactly once there
     s = lam.denominator
     ring = witt_for(p, s, 2 * s + 2)
     K = ring.field
@@ -317,6 +319,7 @@ def test_graded_legs_lose_nothing_without_b(p, pieces, lam):
                     if not (t.kind == "symbol" and t.w_sub == 0
                             and t.x == x0 and t.u_exp == M
                             and t.t_exp == -N)]
+            assert len(graded[ell - 1].terms) - len(rest) == 1, (ell, x0)
             assert all(t.x >= 1 and t.t_exp < 0 for t in rest), (ell, x0)
             b = {}
             for t in rest:
