@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 precondition violation, 3 a certificate or
 verification came back negative or an internal check failed, 4 malformed
-input.
+input or a report path that cannot be written.
 
 JSON output is canonical (sorted keys, fixed separators, no timestamps):
 an invocation repeated with the same flags produces identical bytes.
@@ -52,14 +52,19 @@ def parse_polygon(text: str):
     from .polygon import np_make
     from .serialize import np_from_json
     text = text.strip()
-    if text.startswith("{"):
+    inline = text.startswith("{")
+    if inline or text.endswith(".json") and os.path.exists(text):
+        # np_make's own refusals are PreconditionErrors and pass through
         try:
-            np0 = np_from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+            if inline:
+                data = json.loads(text)
+            else:
+                with open(text) as fh:
+                    data = json.load(fh)
+            np0 = np_from_json(data)
+        except (OSError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as err:
             raise CliParseError(f"polygon JSON: {err}")
-    elif text.endswith(".json") and os.path.exists(text):
-        with open(text) as fh:
-            np0 = np_from_json(json.load(fh))
     else:
         segments = []
         for k, token in enumerate(t for t in re.split(r"[,\s]+", text) if t):
@@ -161,9 +166,12 @@ def _emit(args, payload: str) -> None:
     path = _resolve_out(args.out)
     if path is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(payload)
+    except OSError as err:
+        raise CliParseError(f"cannot write the report: {err}")
 
 
 def _report(args, report: dict, text: str) -> None:

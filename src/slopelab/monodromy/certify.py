@@ -24,7 +24,7 @@ from ..arith.fields import field_make
 from ..display import DeformationSpec
 from ..errors import GuardExceeded, PreconditionError
 from .artinschreier import additive_make
-from .equations import first_witt_equation, monodromy_equation
+from .equations import first_witt_equation
 from .slab import CertificateInapplicable, no_solution_certificate, slab_make
 
 
@@ -39,18 +39,13 @@ def check_slope_shape(lam) -> None:
             "needs r <= s-2")
 
 
-def _first_leg(spec: DeformationSpec, eq, seed: int) -> dict:
-    field = spec.base.ring.field
-    try:
-        data = first_witt_equation(eq, field=field, seed=seed)
-    except PreconditionError as err:
-        return {"piece": 0, "status": "failed",
-                "evidence": {"error": str(err)}}
+def _first_leg(spec: DeformationSpec, seed: int) -> dict:
+    evidence = first_witt_equation(spec, seed=seed)
     # the degree identity, the exponent factorization and the divisibility
     # of every sample hold by construction; docs/certificates.md says why
     return {"piece": 0,
-            "status": "certified" if data.attained else "failed",
-            "evidence": data.to_json()}
+            "status": "certified" if evidence["attained"] else "failed",
+            "evidence": evidence}
 
 
 def _graded_leg(spec: DeformationSpec, ell: int, guard: int) -> dict:
@@ -112,7 +107,7 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
     try:
         report = unitgroup.generation_report(field, r, n, [0, 1, s],
                                              guard=guard)
-    except (PreconditionError, GuardExceeded) as err:
+    except PreconditionError as err:
         return {"piece": "closure", "status": "failed",
                 "evidence": {"error": str(err)}}
     return {"piece": "closure",
@@ -123,10 +118,13 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
 def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
                           seed: int = 0) -> dict:
     """Assemble the three-leg report; verdict "large" iff all certify."""
-    check_slope_shape(spec.lam)
-    s = spec.lam.denominator
-    eq = monodromy_equation(spec)   # refuses lam not below the base slopes
-    legs = [_first_leg(spec, eq, seed)]
+    lam = spec.lam
+    check_slope_shape(lam)
+    if spec.np0.slopes() and lam >= min(spec.np0.slopes()):
+        raise PreconditionError(
+            f"slope {lam} is not strictly below the base slopes")
+    s = lam.denominator
+    legs = [_first_leg(spec, seed)]
     for ell in (1, s):
         legs.append(_graded_leg(spec, ell, guard))
     legs.append(_closure_leg(spec, guard))
@@ -134,7 +132,7 @@ def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
         else "inconclusive"
     return {
         "pieces": [0, 1, s],
-        "slope": str(spec.lam),
+        "slope": str(lam),
         "legs": legs,
         "verdict": verdict,
     }

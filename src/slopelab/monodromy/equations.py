@@ -164,67 +164,27 @@ def monodromy_equation(spec: DeformationSpec) -> MonodromyEquation:
 # -- the residue-field reduction ------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstWittData:
-    """The level-0 reduction: v_0^{p^h} = u^{p^{h-d-r}} v_0^{p^{h-s}},
-    i.e. the Kummer relation t^{p^{h-s}(p^s - 1)} = u^{p^{h-d-r}}."""
-
-    p: int
-    h: int
-    s: int
-    exponent_pair: tuple[int, int]      # (p^h - p^{h-s}, p^{h-d-r})
-    factored: tuple[int, int]           # (p^{h-s}, p^s - 1)
-    separable_degree: int               # p^s - 1
-    group_order: int                    # q - 1
-    symbol: str
-    samples: tuple                      # ((u encoding, splitting degree), ...)
-    attained: bool
-
-    def to_json(self) -> dict:
-        return {
-            "exponents": list(self.exponent_pair),
-            "factored": list(self.factored),
-            "separable_degree": self.separable_degree,
-            "group_order": self.group_order,
-            "symbol": self.symbol,
-            "samples": [list(sm) for sm in self.samples],
-            "attained": self.attained,
-        }
-
-
 _SAMPLES = 16   # splitting-degree samples drawn by first_witt_equation
 
 
-def first_witt_equation(eq: MonodromyEquation, field,
-                        seed: int = 0) -> FirstWittData:
-    """Extract and sanity-check the level-0 equation over the residue field.
+def first_witt_equation(spec: DeformationSpec, seed: int = 0) -> dict:
+    """Leg 0's evidence: the level-0 reduction at the anchor u = u(s, r),
+    the one level-0 point of the stratum, twisted by sigma^{h-d-r} ("The
+    anchor is the point (s, r)" in docs/certificates.md).  It is the
+    Kummer relation t^{p^{h-s}(p^s - 1)} = u^{p^{h-d-r}}.
 
-    The _SAMPLES splitting-degree samples specialize the anchor parameter
-    to units u of the cubic extension F_Q, Q = q^3, and measure the order of
-    u^{p^{h-d-r}} modulo (q-1)-th powers: every sample must divide p^s - 1
-    and generic ones attain it.  That order is the multiplicative order of
+    The _SAMPLES splitting-degree samples specialize u to units of the
+    cubic extension F_Q, Q = q^3, and measure the order of u^{p^{h-d-r}}
+    modulo (q-1)-th powers: every sample must divide p^s - 1 and generic
+    ones attain it.  That order is the multiplicative order of
     w = u^{p^{h-d-r} (Q-1)/(q-1)} in F_q^x, computed by square-and-multiply
     in F_p[x]/(f) on the modulus f of F_Q, so no table of F_Q is built.
     """
-    h, d, s, r = eq.h, eq.d, eq.s, eq.r
-    layer0 = eq.layer(0)
-    anchors = [(x, t) for x, t in layer0 if t.kind == "symbol"]
-    if len(anchors) != 1 or anchors[0][0] != s:
-        raise PreconditionError(
-            f"level-0 layer is {layer0}, expected the single anchor at x = s")
-    x0, anchor = anchors[0]
-    if h - d - r < 0 or h - s < 0:
-        raise PreconditionError("degenerate exponents")
-    p = field.p
-    pair = (p ** h - p ** (h - s), p ** (h - d - r))
-    factored = (p ** (h - s), p ** s - 1)
-    if (pair[0] != factored[0] * factored[1]
-            or anchor.twist % s != (h - d - r) % s):
-        raise InternalCheckFailed(f"anchor twist {anchor.twist} does not fit {pair}")
-
+    field = spec.base.ring.field
+    p, h, d = field.p, spec.base.h, spec.base.d
+    s, r = spec.lam.denominator, spec.lam.numerator
     q = p ** s
     group_order = q - 1
-    sep = p ** s - 1
     rng = random.Random(seed)
     big_q = q ** 3
     ext_modulus = field_modulus(p, 3 * s, field.seed)
@@ -233,8 +193,9 @@ def first_witt_equation(eq: MonodromyEquation, field,
         return polymulmod(p, ext_modulus, a, b)
 
     one = base_p_digits(1, p, 3 * s)
-    exponent = pair[1] * ((big_q - 1) // group_order) % (big_q - 1)
-    out = []
+    u_exp = p ** (h - d - r)
+    exponent = u_exp * ((big_q - 1) // group_order) % (big_q - 1)
+    samples = []
     attained = False
     for _ in range(_SAMPLES):
         u = rng.randrange(1, big_q)
@@ -247,9 +208,16 @@ def first_witt_equation(eq: MonodromyEquation, field,
                 deg //= t
         if deg == group_order:
             attained = True
-        out.append((u, deg))
-    return FirstWittData(p, h, s, pair, factored, sep, group_order,
-                        anchor.value, tuple(out), attained)
+        samples.append([u, deg])
+    return {
+        "exponents": [p ** h - p ** (h - s), u_exp],
+        "factored": [p ** (h - s), q - 1],
+        "separable_degree": q - 1,
+        "group_order": group_order,
+        "symbol": coord_name(s, r),
+        "samples": samples,
+        "attained": attained,
+    }
 
 
 # -- graded tower ---------------------------------------------------------

@@ -116,7 +116,7 @@ def np_make(segments) -> NewtonPolygon:
     merged: list[list] = []
     for sl, w in segments:
         sl = Fraction(sl)
-        if not isinstance(w, int) or w <= 0:
+        if type(w) is not int or w <= 0:    # bool is an int subclass
             raise PreconditionError(f"width {w!r} must be a positive integer")
         if not 0 <= sl <= 1:
             raise PreconditionError(f"slope {sl} outside [0,1]")

@@ -19,6 +19,6 @@ def np_from_json(data):
     """Inverse of NewtonPolygon.to_json (revalidates).  `polygon` is
     imported here, so that `canonical_dumps` alone does not load it."""
     from .polygon import np_make
-    segments = [(Fraction(seg["slope"]), int(seg["width"]))
+    segments = [(Fraction(seg["slope"]), seg["width"])
                 for seg in data["segments"]]
     return np_make(segments)

@@ -20,7 +20,7 @@ from slopelab.display import (charpoly, charpoly_polygon, deformation,
 from slopelab.errors import GuardExceeded, SolutionFound
 from slopelab.monodromy.artinschreier import (additive_make, as_reducible,
                                               as_reducible_oracle)
-from slopelab.monodromy.equations import first_witt_equation, monodromy_equation
+from slopelab.monodromy.equations import first_witt_equation
 from slopelab.monodromy.slab import (laurent_projector, no_solution_certificate,
                                      slab_make)
 from slopelab.polygon import attainable, np_make, np_merge
@@ -310,18 +310,18 @@ def test_gate_7_generation_tower():
 
 
 def test_gate_8_first_level_splitting_data():
-    data = first_witt_equation(monodromy_equation(running_instance()),
-                               field_make(3, 3))
-    p, h, s = data.p, data.h, data.s
+    spec = running_instance()
+    data = first_witt_equation(spec, seed=0)
+    p, h, s = spec.base.ring.field.p, spec.base.h, spec.lam.denominator
     assert (p, h, s) == (3, 6, 3)
-    assert data.exponent_pair == (702, 9)
-    assert data.factored == (27, 26)
+    assert data["exponents"] == [702, 9]
+    assert data["factored"] == [27, 26]
     assert p ** h - p ** (h - s) == p ** (h - s) * (p ** s - 1) == 702
-    assert data.separable_degree == 26
-    assert data.group_order == 26
-    assert len(data.samples) == 16
-    assert all(26 % deg == 0 for _, deg in data.samples)
-    assert data.attained
+    assert data["separable_degree"] == 26
+    assert data["group_order"] == 26
+    assert len(data["samples"]) == 16
+    assert all(26 % deg == 0 for _, deg in data["samples"])
+    assert data["attained"]
 
 
 def test_gate_9_cli_certificate_end_to_end(tmp_path):

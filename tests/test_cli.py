@@ -227,14 +227,46 @@ def test_as_over_f256_with_q_256_agrees(capsys):
     # the graded legs read no seeded value, so the seed moves only leg 0
     (("--base", "ss6", "--lambda", "1/3", "--seed", "5"), 0,
      "7b0f1dd4bf6d5a4ca4d1e948816ab9d6dce0b05a62854f3b998d104482afac7b"),
+    # leg 0 fails: its largest sampled degree is 171 of 342
+    (("--base", "ss6", "--lambda", "1/3", "--p", "7", "--seed", "51"), 3,
+     "c179ab124ef3dc64df48b17ca6e3e13ec97a305db3b3e763005fc8b26a90a54a"),
+    # h - d - r = 2, so leg 0's exponents are [234, 9]
+    (("--base", "H1/1+ss4", "--lambda", "1/3", "--seed", "0"), 0,
+     "56057af2b710e3075830e683e1e747ba29acf0f8206d86cc569a54a53eb4dbe1"),
 ], ids=["ss6", "ss6-p2", "ss8-p3", "H4/5+H4/5", "ss10-p3", "ss14-p3",
-        "ss6-p5", "H1/3+ss4", "ss6-seed5"])
+        "ss6-p5", "H1/3+ss4", "ss6-seed5", "ss6-p7-seed51", "H1/1+ss4"])
 def test_certify_json_bytes_are_pinned(capsys, argv, code, digest):
     # all three legs; the closure leg multiplies in the ramified order
     rc, out = run(capsys, "certify", *argv, "--format", "json",
                   *(() if "--seed" in argv else ("--seed", "0")))
     assert rc == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_REFUSE_MONODROMY_EQUATION = """
+import sys
+import slopelab.monodromy.equations as equations
+
+def refuse(*args, **kwargs):
+    raise AssertionError("certify built the monodromy equation")
+
+equations.monodromy_equation = refuse
+from slopelab.cli import main
+sys.exit(main(["certify", "--base", "ss6", "--lambda", "1/3",
+               "--format", "json"]))
+"""
+
+
+def test_certify_builds_no_monodromy_equation():
+    # leg 0 reads its anchor from the stratum; a fresh process, so that
+    # certify's `from .equations import` binds the refusing function
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", _REFUSE_MONODROMY_EQUATION],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "30fc2f19b37f55e86fa99c399ef743616474cf16f05c0b576dfd20d2fbc7f8be"
 
 
 @pytest.mark.parametrize("base, precisions", [
@@ -636,6 +668,49 @@ def test_parse_errors_exit_4(capsys):
 def test_an_empty_polygon_exits_4_in_both_grammars(capsys, a, b):
     assert main(["np", "compare", a, b]) == 4
     assert capsys.readouterr() == ("", "slopelab: parse error: empty polygon\n")
+
+
+@pytest.mark.parametrize("content, inline", [
+    ('{"x": 1}', False), ("[]", False), ("not json", False), (None, False),
+    ('{"segments":[{"slope":"1/0","width":6}]}', True),
+], ids=["no-segments", "a-list", "not-json", "a-directory",
+        "inline-zero-denominator"])
+def test_a_bad_polygon_json_exits_4_in_both_forms(capsys, tmp_path, content,
+                                                  inline):
+    poly = content
+    if not inline:
+        path = tmp_path / "bad.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        poly = str(path)
+    assert main(["np", "compare", poly, "1/2x2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("slopelab: parse error: polygon JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("width", ["6.5", "6.0", '"6"', "true"])
+def test_polygon_json_width_must_be_an_integer(capsys, width):
+    # 6.5 used to be truncated to 6 and compare equal to 1/2x6, and true
+    # was read as width 1
+    poly = '{"segments":[{"slope":"1/2","width":%s}]}' % width
+    assert main(["np", "compare", poly, "1/2x6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"slopelab: precondition violated: width "
+                   f"{json.loads(width)!r} must be a positive integer\n")
+
+
+def test_an_unwritable_report_path_exits_4(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["certify", "--base", "ss6", "--lambda", "1/3",
+                 "-o", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.startswith("slopelab: parse error: cannot write the report: ")
+    assert err.count("\n") == 1
 
 
 def test_format_svg_outside_plot_is_rejected(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from slopelab.arith import witt_for
 from slopelab.arith.fields import field_make, field_modulus, polymulmod, power
 from slopelab.arith.twisted import TwistedPoly
 from slopelab.display import (Display, charpoly, charpoly_polygon,
-                              deformation, split_display)
+                              coord_name, deformation, split_display)
 from slopelab.errors import InternalCheckFailed, PreconditionError
 from slopelab.monodromy.certify import largeness_certificate
 from slopelab.monodromy.equations import (EqTerm, MonodromyEquation,
@@ -142,19 +143,19 @@ def test_slope_not_below_base_reported():
 
 
 def test_first_witt_running_instance():
-    ring, _, spec = running_instance()
-    eq = monodromy_equation(spec)
-    fw = first_witt_equation(eq, field=ring.field, seed=0)
+    _, _, spec = running_instance()
+    fw = first_witt_equation(spec, seed=0)
     p = 3
-    assert fw.exponent_pair == (p ** 6 - p ** 3, p ** 2)
-    assert fw.factored == (p ** 3, p ** 3 - 1)
-    assert fw.exponent_pair[0] == fw.factored[0] * fw.factored[1]
-    assert fw.separable_degree == 26 == fw.group_order
-    assert len(fw.samples) == 16
-    assert all(26 % deg == 0 for _, deg in fw.samples)
-    assert fw.attained
-    again = first_witt_equation(eq, field=ring.field, seed=0)
-    assert again.samples == fw.samples
+    assert fw["exponents"] == [p ** 6 - p ** 3, p ** 2]
+    assert fw["factored"] == [p ** 3, p ** 3 - 1]
+    assert fw["exponents"][0] == fw["factored"][0] * fw["factored"][1]
+    assert fw["separable_degree"] == 26 == fw["group_order"]
+    assert fw["symbol"] == "u(3,1)"
+    assert len(fw["samples"]) == 16
+    assert all(26 % deg == 0 for _, deg in fw["samples"])
+    assert fw["attained"]
+    again = first_witt_equation(spec, seed=0)
+    assert again["samples"] == fw["samples"]
 
 
 def test_first_witt_degrees_against_factoring():
@@ -164,13 +165,12 @@ def test_first_witt_degrees_against_factoring():
     for p in (3, 2):
         ring = witt_for(p, 3, 8)
         spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
-        fw = first_witt_equation(monodromy_equation(spec), field=ring.field,
-                                 seed=0)
+        fw = first_witt_equation(spec, seed=0)
         ext = field_make(p, 9)
         q1 = p ** 3 - 1
-        assert len(fw.samples) == 16
-        for u, deg in fw.samples:
-            w = ext.pow(u, fw.exponent_pair[1])
+        assert len(fw["samples"]) == 16
+        for u, deg in fw["samples"]:
+            w = ext.pow(u, fw["exponents"][1])
             f = [0] * (q1 + 1)
             f[q1] = 1
             f[0] = ext.neg(w)
@@ -183,44 +183,53 @@ def test_first_witt_degree_is_the_least_period_at_p5():
     # repeated multiplication in F_5[x]/(f), f the modulus of F_{5^9}
     ring = witt_for(5, 3, 8)
     spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
-    fw = first_witt_equation(monodromy_equation(spec), field=ring.field,
-                             seed=0)
+    fw = first_witt_equation(spec, seed=0)
     f, Q = field_modulus(5, 9), 5 ** 9
-    e = fw.exponent_pair[1] * ((Q - 1) // 124) % (Q - 1)
+    e = fw["exponents"][1] * ((Q - 1) // 124) % (Q - 1)
     one = [1] + [0] * 8
-    for u, deg in fw.samples:
+    for u, deg in fw["samples"]:
         w = power(lambda a, b: polymulmod(5, f, a, b), one,
                   [u // 5 ** i % 5 for i in range(9)], e)
         k, acc = 1, w
         while acc != one:
             k, acc = k + 1, polymulmod(5, f, acc, w)
         assert k == deg
-    assert {deg for _, deg in fw.samples} >= {124, 62, 31, 4}
+    assert {deg for _, deg in fw["samples"]} >= {124, 62, 31, 4}
 
 
-def test_first_witt_s1_formula():
-    # degenerate one-step slope: the Kummer degree collapses to p - 1
-    eq = MonodromyEquation(2, 1, Fraction(0, 1),
-                           {1: (EqTerm("symbol", 0, "u(1,0)", 1),)})
-    fw = first_witt_equation(eq, field=field_make(3, 1), seed=0)
-    assert fw.exponent_pair == (9 - 3, 3)
-    assert fw.separable_degree == 2
-    assert fw.group_order == 2
-
-
-def test_first_witt_degenerate_exponents():
-    eq = MonodromyEquation(3, 2, Fraction(2, 3),
-                           {3: (EqTerm("symbol", 0, "u(3,2)", 0),)})
-    with pytest.raises(PreconditionError):
-        first_witt_equation(eq, field=field_make(3, 3))
-
-
-def test_first_witt_rejects_anchor_with_wrong_twist():
-    # slope 1/2 with h - d - r = 1 needs an anchor twisted by sigma^1 mod 2
-    eq = MonodromyEquation(4, 2, Fraction(1, 2),
-                           {2: (EqTerm("symbol", 0, "u(2,1)", 0),)})
-    with pytest.raises(InternalCheckFailed, match="anchor twist"):
-        first_witt_equation(eq, field=field_make(3, 2))
+def test_first_witt_anchor_is_the_level_0_point():
+    # random block sums drawn as in gate 3 of test_acceptance: the level-0
+    # layer of every spec is the anchor u(s, r) alone, twisted by
+    # h - d - r, which first_witt_equation reads off lam instead of
+    # searching the monodromy equation for it
+    rng = random.Random(20261019)
+    cand = [(rb, sb) for sb in range(1, 5) for rb in range(1, sb + 1)
+            if math.gcd(rb, sb) == 1]
+    for p in (2, 3):
+        built = 0
+        while built < 12:
+            s = rng.choice([3, 4, 5])
+            r = rng.choice([r for r in range(1, s) if math.gcd(r, s) == 1])
+            lam = Fraction(r, s)
+            pool = [b for b in cand if Fraction(*b) > lam]
+            pieces = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
+            h = sum(sb for _, sb in pieces)
+            c = sum(rb for rb, _ in pieces)
+            if h > 10 or c == h:
+                continue
+            ring = witt_for(p, s, max(2 * s + 2, c + 1))
+            try:
+                spec = deformation(split_display(ring, pieces), lam)
+            except PreconditionError:     # lam not attainable
+                continue
+            built += 1
+            d = spec.base.d
+            assert spec.strat.layer(0) == {(s, r)}, (pieces, lam)
+            assert monodromy_equation(spec).layer(0) == [
+                (s, EqTerm("symbol", 0, coord_name(s, r), h - d - r))]
+            fw = first_witt_equation(spec, seed=0)
+            assert fw["symbol"] == coord_name(s, r)
+            assert fw["exponents"][1] == p ** (h - d - r)
 
 
 # -- graded tower ---------------------------------------------------------
