@@ -54,17 +54,21 @@ def parse_polygon(text: str):
     text = text.strip()
     inline = text.startswith("{")
     if inline or text.endswith(".json") and os.path.exists(text):
-        # np_make's own refusals are PreconditionErrors and pass through
         try:
             if inline:
                 data = json.loads(text)
             else:
                 with open(text) as fh:
                     data = json.load(fh)
-            np0 = np_from_json(data)
-        except (OSError, KeyError, TypeError, ValueError,
-                ZeroDivisionError) as err:
+        except (OSError, ValueError) as err:
             raise CliParseError(f"polygon JSON: {err}")
+        # np_make's own refusals are PreconditionErrors and pass through
+        try:
+            np0 = np_from_json(data)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise CliParseError(
+                'polygon JSON: expected {"segments": [{"slope": "r/s", '
+                '"width": n}, ...]}') from None
     else:
         segments = []
         for k, token in enumerate(t for t in re.split(r"[,\s]+", text) if t):

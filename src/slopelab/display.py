@@ -27,8 +27,8 @@ at F^{h-x}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith.twisted import TwistedPoly
 from .arith.witt import WittElt, WittRing
@@ -169,8 +169,7 @@ def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
 # -- strata ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(NamedTuple):
     d: int
     c: int
     lam: Fraction
@@ -230,8 +229,7 @@ def coord_name(x: int, y: int) -> str:
     return f"u({x},{y})"
 
 
-@dataclass(frozen=True)
-class DeformationSpec:
+class DeformationSpec(NamedTuple):
     """A display, its charpoly chi and polygon np0, and the strata of a
     new slope lam; the active points of the strata are the parameters."""
 
@@ -282,6 +280,16 @@ class DeformationSpec:
         }
 
 
+def check_below_base(np0: NewtonPolygon, lam: Fraction) -> None:
+    """Refuse a slope lam that is not strictly below every slope of np0:
+    the deformation, its equation and the certificate all rest on it."""
+    slopes = np0.slopes()
+    if slopes and lam >= min(slopes):
+        raise PreconditionError(
+            f"slope {lam} is not strictly below the base slopes "
+            f"{', '.join(map(str, slopes))}")
+
+
 def deformation(disp: Display, lam) -> DeformationSpec:
     """One-new-slope deformation: universal parameters restricted to the
     active stratum of the adjoined polygon.
@@ -298,9 +306,7 @@ def deformation(disp: Display, lam) -> DeformationSpec:
     lam = Fraction(lam)
     chi = charpoly(disp)
     np0 = charpoly_polygon(chi)
-    if np0.slopes() and lam >= min(np0.slopes()):
-        raise PreconditionError(
-            f"slope {lam} is not below the existing slopes {np0.slopes()}")
+    check_below_base(np0, lam)
     if attainable(np0, lam) is None:
         raise PreconditionError(f"slope {lam} is not attainable from {np0}")
     strat = strata(disp.d, disp.c, np0, lam)

@@ -20,8 +20,8 @@ s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..arith import fields
 from ..arith.fields import FieldSpec
@@ -29,8 +29,7 @@ from ..arith.linalg import Echelon
 from ..errors import InternalCheckFailed, PreconditionError
 
 
-@dataclass(frozen=True)
-class AdditivePolynomial:
+class AdditivePolynomial(NamedTuple):
     """sum_j c_j X^{p^j} with coefficients in a fixed field."""
 
     field: FieldSpec

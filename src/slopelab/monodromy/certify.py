@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .. import unitgroup
 from ..arith.fields import field_make
-from ..display import DeformationSpec
+from ..display import DeformationSpec, check_below_base
 from ..errors import GuardExceeded, PreconditionError
 from .artinschreier import additive_make
 from .equations import first_witt_equation
@@ -120,9 +120,7 @@ def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
     """Assemble the three-leg report; verdict "large" iff all certify."""
     lam = spec.lam
     check_slope_shape(lam)
-    if spec.np0.slopes() and lam >= min(spec.np0.slopes()):
-        raise PreconditionError(
-            f"slope {lam} is not strictly below the base slopes")
+    check_below_base(spec.np0, lam)
     s = lam.denominator
     legs = [_first_leg(spec, seed)]
     for ell in (1, s):

@@ -16,18 +16,17 @@ graded equations couple each new level to the previous ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..arith.fields import (_factor, base_p_digits, field_modulus, polymulmod,
                             power)
 from ..arith.twisted import TwistedPoly
-from ..display import DeformationSpec, coord_name
+from ..display import DeformationSpec, check_below_base, coord_name
 from ..errors import InternalCheckFailed, PreconditionError
 
 
-@dataclass(frozen=True)
-class DemazureData:
+class DemazureData(NamedTuple):
     lam: Fraction
     coeffs: dict            # x -> pi-digits of a_x below pi^{2s}
 
@@ -72,8 +71,7 @@ def _pi_digits(ring, ax, x: int, lam: Fraction) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class EqTerm:
+class EqTerm(NamedTuple):
     """One summand of a_x: either a residue constant at pi^j or a formal
     parameter p^{j/s}<u>^{sigma^twist}."""
 
@@ -93,8 +91,7 @@ class EqTerm:
         }
 
 
-@dataclass(frozen=True)
-class MonodromyEquation:
+class MonodromyEquation(NamedTuple):
     h: int
     d: int
     lam: Fraction
@@ -135,9 +132,7 @@ def monodromy_equation(spec: DeformationSpec) -> MonodromyEquation:
     """
     lam = spec.lam
     s, r = lam.denominator, lam.numerator
-    if spec.np0.slopes() and lam >= min(spec.np0.slopes()):
-        raise PreconditionError(
-            f"slope {lam} is not strictly below the base slopes")
+    check_below_base(spec.np0, lam)
     ring = spec.base.ring
     h, d = spec.base.h, spec.base.d
     # a_x = -chi_{h-x}: the base constants, and each parameter with sign +1
@@ -223,8 +218,7 @@ def first_witt_equation(spec: DeformationSpec, seed: int = 0) -> dict:
 # -- graded tower ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedTerm:
+class GradedTerm(NamedTuple):
     j: int                  # level of this summand
     x: int
     t_exp: int              # exponent of t, global normalization folded in
@@ -235,8 +229,7 @@ class GradedTerm:
     u_exp: int              # p^{h-d-y} for symbols, 0 for consts
 
 
-@dataclass(frozen=True)
-class GradedEquation:
+class GradedEquation(NamedTuple):
     """w_ell^{p^h} - w_ell^{p^{h-s}} = sum of the recorded terms."""
 
     level: int

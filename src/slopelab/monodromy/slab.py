@@ -18,8 +18,8 @@ that exact degree settles it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from ..arith.fields import FieldSpec
 from ..errors import GuardExceeded, PreconditionError, SolutionFound
@@ -29,8 +29,7 @@ class CertificateInapplicable(PreconditionError):
     """The (A, B) shape assumptions needed by the projector do not hold."""
 
 
-@dataclass(frozen=True)
-class LaurentSlab:
+class LaurentSlab(NamedTuple):
     """Monomial map ((z-exponents), t-exponent) -> nonzero coefficient."""
 
     field: FieldSpec

@@ -15,8 +15,8 @@ way with multiplicity one while the initial sub-polygon survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalCheckFailed, PreconditionError
 
@@ -48,8 +48,7 @@ class PointUnreachable(PreconditionError):
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     segments: tuple[tuple[Fraction, int], ...]
 
     @property
@@ -217,8 +216,7 @@ def adjoin(np: NewtonPolygon, point: Point) -> NewtonPolygon:
     return np_from_points(list(np.breakpoints()) + [point])
 
 
-@dataclass(frozen=True)
-class AttainabilityWitness:
+class AttainabilityWitness(NamedTuple):
     lam: Fraction
     offset: Point          # (s, r) in lowest terms
     insertion: Point       # absolute coordinates of the inserted vertex

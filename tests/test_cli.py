@@ -43,6 +43,21 @@ def test_attain_negative_is_still_a_clean_answer(capsys):
     assert out == "not attainable\n"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("attain", "--poly", "1/2x6", "--lambda", "1/3"),
+     "481f08545f86cf041fdd7facb787a70c3b842990336d82801b54021751ac1360"),
+    (("compare", "1/3x3,2/3x3", "1/2x6"),
+     "99070381db88bbf84f95026ac0c0a8501d9fe22ce739e92c258b72d276c3b0e6"),
+], ids=["attain", "compare"])
+def test_np_json_bytes_are_pinned(capsys, argv, digest):
+    # the polygon and witness records reach the report only through their
+    # to_json dicts; a record that reached canonical_dumps itself would be
+    # written as a JSON list
+    rc, out = run(capsys, "np", *argv, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_compare_text(capsys):
     rc, out = run(capsys, "np", "compare", "1/2x6", "1/2x6")
     assert (rc, out) == (0, "equal\n")
@@ -691,6 +706,23 @@ def test_a_bad_polygon_json_exits_4_in_both_forms(capsys, tmp_path, content,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, inline", [
+    ('{"x": 1}', True), ('{"x": 1}', False), ("[]", False),
+    ('{"segments": [{"slope": "1/2"}]}', True),
+], ids=["no-segments-inline", "no-segments", "a-list", "no-width"])
+def test_a_polygon_json_of_the_wrong_shape_names_the_shape(capsys, tmp_path,
+                                                          content, inline):
+    poly = content
+    if not inline:
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        poly = str(path)
+    assert main(["np", "compare", poly, "1/2x2"]) == 4
+    assert capsys.readouterr() == ("", (
+        'slopelab: parse error: polygon JSON: expected {"segments": '
+        '[{"slope": "r/s", "width": n}, ...]}\n'))
+
+
 @pytest.mark.parametrize("width", ["6.5", "6.0", '"6"', "true"])
 def test_polygon_json_width_must_be_an_integer(capsys, width):
     # 6.5 used to be truncated to 6 and compare equal to 1/2x6, and true
@@ -701,6 +733,15 @@ def test_polygon_json_width_must_be_an_integer(capsys, width):
     assert out == ""
     assert err == (f"slopelab: precondition violated: width "
                    f"{json.loads(width)!r} must be a positive integer\n")
+
+
+@pytest.mark.parametrize("base, lam, slopes", [
+    ("H1/5+ss6", "1/3", "1/5, 1/2"), ("ss10", "3/5", "1/2")])
+def test_a_slope_not_below_the_base_exits_2(capsys, base, lam, slopes):
+    assert main(["certify", "--base", base, "--lambda", lam]) == 2
+    assert capsys.readouterr() == ("", (
+        f"slopelab: precondition violated: slope {lam} is not strictly "
+        f"below the base slopes {slopes}\n"))
 
 
 def test_an_unwritable_report_path_exits_4(capsys, tmp_path):

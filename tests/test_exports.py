@@ -73,6 +73,15 @@ def test_importing_a_package_loads_none_of_its_modules(name):
       "slopelab.display", "slopelab.monodromy.equations",
       "slopelab.monodromy.certify", "slopelab.monodromy.slab"]),
     (["np", "compare", "1/2x2", "1/2x2"], ["slopelab.arith"]),
+    # no command pays for `dataclasses` and the `inspect` it loads
+    (["certify", "--base", "ss6", "--lambda", "1/3", "--p", "2",
+      "--guard", "100000"], ["dataclasses", "inspect"]),
+    (["deform", "--base", "ss6", "--lambda", "1/3"],
+     ["dataclasses", "inspect"]),
+    (["np", "attain", "--poly", "1/2x6", "--lambda", "1/3"],
+     ["dataclasses", "inspect"]),
+    (["as", "test", "--q", "3", "--field", "F9", "--all"],
+     ["dataclasses", "inspect"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = sorted(m for m in _loaded(argv) for u in unused

@@ -1,6 +1,5 @@
 """Slope normalization, the equation tower, and the certificate legs."""
 
-import dataclasses
 import json
 import math
 import random
@@ -134,7 +133,7 @@ def test_no_deformation_room_gives_leading_part_only():
 
 def test_slope_not_below_base_reported():
     _, _, spec = running_instance()
-    bad = dataclasses.replace(spec, lam=Fraction(1, 2))
+    bad = spec._replace(lam=Fraction(1, 2))
     with pytest.raises(PreconditionError):
         monodromy_equation(bad)
 
@@ -406,7 +405,7 @@ def test_certificate_rejects_slope_not_below():
     # 3/5 passes the numerator screen (3 <= 5-2) but sits above the base
     # slope 1/2, so the strictly-below precondition fires
     _, _, spec = running_instance()
-    bad = dataclasses.replace(spec, lam=Fraction(3, 5))
+    bad = spec._replace(lam=Fraction(3, 5))
     with pytest.raises(PreconditionError,
                        match="not strictly below the base slopes"):
         largeness_certificate(bad)
