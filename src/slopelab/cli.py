@@ -343,7 +343,7 @@ def cmd_units(args) -> int:
     K = field_make(p, s, args.seed)
     # only the default is clipped; generation_report refuses explicit
     # pieces outside [0, n), so it runs before the other stages
-    covered = (parse_covered(args.covered) if args.covered
+    covered = (parse_covered(args.covered) if args.covered is not None
                else [i for i in (0, 1) if i < n])
     gen = generation_report(K, r, n, covered, guard=args.guard)
 
@@ -357,7 +357,7 @@ def cmd_units(args) -> int:
     else:
         pairs = [(x, y) for x in K.elements() for y in K.elements()]
     for depth in range(1, s + 2):
-        for x, y in pairs:
+        for x, y in dict.fromkeys(pairs):       # a repeat checks nothing new
             commutator_class(ctx, x, y, depth)       # self-checking
         full = commutator_span(K, r, depth) == frozenset(K.elements())
         depths.append({"n": depth, "full": full,

@@ -407,3 +407,20 @@ def ramified_digit_mul(field, r, N, a, b):
             term = w.scalar_mul(p ** ((i + j) // s), term)
             out[(i + j) % s] = w.add(out[(i + j) % s], term)
     return _coeffs_to_digits(field, N, out)
+
+
+# -- unit-group commutators -------------------------------------------------
+
+
+def group_commutator_class(ctx, x, y, n):
+    """Class at level n+1 of the group commutator u v u^-1 v^-1, for
+    u = 1 - pi<x> and v = 1 - pi^n<y>, formed with two Newton inverses.
+    The class is read off [u, v] - 1 here rather than through
+    slopelab.unitgroup.graded_class, which this module does not import."""
+    u = ctx.sub(ctx.one(), ctx.teich_term(1, x))
+    v = ctx.sub(ctx.one(), ctx.teich_term(n, y))
+    comm = ctx.mul(ctx.mul(u, v), ctx.mul(ctx.inv(u), ctx.inv(v)))
+    level, digit = ctx.leading(ctx.sub(comm, ctx.one()))
+    if level is not None and level <= n:
+        raise PreconditionError(f"[u, v] is not in level {n + 1}")
+    return digit if level == n + 1 else 0

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -329,6 +330,8 @@ def test_certify_tall_base_refuses_its_search_without_forming_it(capsys,
      "0b0d0e9d117758597913934eff58dd245743fbe68b534067ee6c1c09cfb7aec7"),
     (["--p", "5", "--s", "3", "--r", "2", "--n", "2"],
      "2b863d638fe66b374570bc430904297ef08b9bdb74d613b3a8606990e08f83f5"),
+    (["--p", "3", "--s", "2", "--n", "6"],
+     "277fc69391bf5d026240bb57dcee6afaa84875f4bf6aaf41a7428510aa961f7f"),
 ])
 def test_units_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     # the commutator sweep, the p-th-power checks and the generation order;
@@ -344,10 +347,14 @@ def test_units_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     assert expanded == []
 
 
-def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):
-    # 2 (s+1) q^2 commutators at q = 27, s = 3 use only the units
-    # 1 - pi<x> and 1 - pi^n<y>, n <= s + 1: at most q + (s+1) q inverses
-    inverted, inside = [], []
+@pytest.mark.parametrize("seed", [0, 5])
+def test_units_verify_checks_each_distinct_pair_once_without_inverses(
+        capsys, monkeypatch, seed):
+    # at q = 27 the sweep draws 500 pairs; each distinct pair is checked
+    # once per depth n <= s + 1, from uv - vu with no Newton inverse
+    rng = random.Random(seed)
+    drawn = {(rng.randrange(27), rng.randrange(27)) for _ in range(500)}
+    inverted, calls, inside = [], [], []
     inv, commutator_class = RamifiedOrder.inv, unitgroup.commutator_class
 
     def counted_inv(self, a):
@@ -355,17 +362,20 @@ def test_units_verify_inverts_each_unit_once(capsys, monkeypatch):
             inverted.append(a)
         return inv(self, a)
 
-    def marked(*args):
-        inside.append(args)
+    def marked(ctx, x, y, n):
+        calls.append((n, x, y))
+        inside.append(n)
         try:
-            return commutator_class(*args)
+            return commutator_class(ctx, x, y, n)
         finally:
             inside.pop()
-    unitgroup._unit_and_inverse.cache_clear()
     monkeypatch.setattr(RamifiedOrder, "inv", counted_inv)
     monkeypatch.setattr(unitgroup, "commutator_class", marked)
-    assert main(["units", "verify", "--p", "3", "--s", "3", "--n", "3"]) == 0
-    assert 0 < len(inverted) <= 27 + 4 * 27
+    assert main(["units", "verify", "--p", "3", "--s", "3", "--n", "3",
+                 "--seed", str(seed)]) == 0
+    assert inverted == []
+    assert len(calls) == 4 * len(drawn) < 4 * 500
+    assert set(calls) == {(n, x, y) for n in range(1, 5) for x, y in drawn}
 
 
 def test_certify_small_guard_is_honestly_inconclusive(capsys):
@@ -522,6 +532,18 @@ def test_units_verify_covered_piece_out_of_range_exits_2(capsys, monkeypatch,
                   "--n", "1", "--format", "json")
     assert rc == 0
     assert json.loads(out)["covered"] == [0]
+
+
+@pytest.mark.parametrize("argv", [["--covered="], ["--covered", ","]],
+                         ids=["empty", "comma"])
+def test_units_verify_empty_covered_means_no_pieces(capsys, argv):
+    # an empty piece list is explicit, so it is not the default [0, 1]
+    rc, out = run(capsys, "units", "verify", "--p", "3", "--s", "2",
+                  "--n", "2", "--format", "json", *argv)
+    assert rc == 3
+    rep = json.loads(out)
+    assert rep["covered"] == []
+    assert rep["generation"]["order"] == 1
 
 
 def test_units_verify_p2_reports_depth_one_finding(capsys):

@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+import slopelab.unitgroup as unitgroup
+from oracles import group_commutator_class
 from slopelab.arith.fields import field_make
-from slopelab.arith.ramified import order_over
+from slopelab.arith.ramified import RamifiedOrder, order_over
 from slopelab.arith.witt import WittRing
-from slopelab.errors import GuardExceeded, PreconditionError
+from slopelab.errors import (GuardExceeded, InternalCheckFailed,
+                             PreconditionError)
 from slopelab.unitgroup import (closure_compiled, closure_direct,
                                 commutator_class, commutator_span,
                                 generation_report, graded_class,
@@ -80,6 +83,63 @@ def test_commutator_span_full_iff_s_does_not_divide():
                     assert len(span) == K.q // K.p, (p, s, r, n)
                 else:
                     assert span == full, (p, s, r, n)
+
+
+@pytest.mark.parametrize("p, s, r", [(3, 2, 1), (2, 3, 1), (2, 3, 2),
+                                     (3, 3, 1), (3, 3, 2)])
+def test_commutator_class_is_the_group_commutator_class(p, s, r):
+    # uv - vu stands in for u v u^-1 v^-1 at every pair and depth
+    K = field_make(p, s)
+    ctx = order_over(K, r, s + 3)
+    for n in range(1, s + 2):
+        for x, y in itertools.product(K.elements(), repeat=2):
+            assert commutator_class(ctx, x, y, n) == \
+                group_commutator_class(ctx, x, y, n), (p, s, r, n, x, y)
+
+
+def test_commutator_class_catches_a_shifted_closed_form(monkeypatch):
+    closed_form = unitgroup._closed_form
+    monkeypatch.setattr(unitgroup, "_closed_form", lambda K, *args:
+                        K.add(closed_form(K, *args), 1))
+    ctx = ctx9(4)
+    for n in (1, 2):
+        for x, y in itertools.product(F9.elements(), repeat=2):
+            with pytest.raises(InternalCheckFailed):
+                commutator_class(ctx, x, y, n)
+
+
+@pytest.mark.parametrize("order", [lambda a, b: (b, a),
+                                   lambda a, b: sorted((a, b))],
+                         ids=["swapped", "commutative"])
+def test_commutator_class_catches_a_wrong_product(monkeypatch, order):
+    # a swapped product negates uv - vu and a commutative one makes it
+    # vanish; at p = 3 either is caught exactly where the class is nonzero
+    mul = RamifiedOrder.mul
+    monkeypatch.setattr(RamifiedOrder, "mul",
+                        lambda self, a, b: mul(self, *order(a, b)))
+    ctx = ctx9(4)
+    for n in (1, 2):
+        for x, y in itertools.product(F9.elements(), repeat=2):
+            if unitgroup._closed_form(F9, 1, x, y, n):
+                with pytest.raises(InternalCheckFailed):
+                    commutator_class(ctx, x, y, n)
+            else:
+                assert commutator_class(ctx, x, y, n) == 0
+
+
+def test_commutator_class_catches_uv_minus_vu_starting_too_low(monkeypatch):
+    # with v = 1 - pi<y> in place of 1 - pi^2<y>, uv - vu starts at level 2
+    # wherever the depth-1 class is nonzero; that raises even at pairs
+    # whose depth-2 class is 0, so the digit comparison alone would pass
+    unit = unitgroup._unit
+    monkeypatch.setattr(unitgroup, "_unit", lambda ctx, j, x: unit(ctx, 1, x))
+    ctx = ctx9(4)
+    early = [(x, y) for x, y in itertools.product(F9.elements(), repeat=2)
+             if unitgroup._closed_form(F9, 1, x, y, 1)]
+    assert any(unitgroup._closed_form(F9, 1, x, y, 2) == 0 for x, y in early)
+    for x, y in early:
+        with pytest.raises(InternalCheckFailed, match="uv - vu from level 2"):
+            commutator_class(ctx, x, y, 2)
 
 
 def test_commutator_needs_room():
