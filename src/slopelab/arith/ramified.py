@@ -28,9 +28,12 @@ so each order holds the s^2 elements sigma^k(xi^u), each packed into one
 integer base 2^B (Kronecker substitution).  A product packs each nonzero b_j
 once and forms the s integer products Q_u = sigma^{rj}(xi^u) b_j with row
 k = rj mod s; each nonzero a_i then adds sum_u a_{i,u} Q_u into output slot
-i + j mod s, times p when i + j >= s.  Each output slot is unpacked into its
-2s - 1 integer coefficients, folded by the lifted modulus and reduced mod
-p^{m_k} once.  With m = ceil(N/s), B = bitlen(s^3 p^{3m} p) + 1 keeps the
+i + j mod s, times p when i + j >= s.  Each output slot that received a
+term is unpacked into its 2s - 1 integer coefficients, folded by the lifted
+modulus and reduced mod p^{m_k} once.  Every term is a nonnegative integer,
+so a slot whose packed sum is 0 received none: it is the zero vector and is
+not folded.  A pi-monomial times a pi-monomial fills one slot and folds only
+that one.  With m = ceil(N/s), B = bitlen(s^3 p^{3m} p) + 1 keeps the
 packed coefficients carry-free (proof at _twist_table).  Teichmuller
 pi-digits
 
@@ -179,6 +182,9 @@ class RamifiedOrder:
         mask, modulus, out = (1 << shifts[1]) - 1, self.witt.modulus, []
         for x, y, mod in zip(low, high, self.mods):
             acc = x + p * y
+            if not acc:                 # no term reached this slot
+                out.append(self.witt.zero())
+                continue
             out.append(tuple(polyfold(mod, modulus,
                                       [acc >> t & mask for t in shifts])))
         return tuple(out)

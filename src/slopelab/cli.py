@@ -340,6 +340,10 @@ def cmd_units(args) -> int:
         raise PreconditionError(f"slope {r}/{s} must be reduced and in (0, 1)")
     check_prime(p, args.guard)
     quotient_order(p, s, n, args.guard)     # refuse before building F_q
+    spans = (s + 1) * p ** (2 * s)          # closed forms commutator_span lists
+    if spans > args.guard:
+        raise GuardExceeded(f"commutator spans: ({s} + 1)*{p ** s}^2 = "
+                            f"{spans} closed forms exceeds guard {args.guard}")
     K = field_make(p, s, args.seed)
     # only the default is clipped; generation_report refuses explicit
     # pieces outside [0, n), so it runs before the other stages

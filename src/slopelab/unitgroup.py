@@ -8,7 +8,9 @@ p-th-power congruence
     (1 + pi^{ns}<a> + pi^{ns+1} b)^p  ==  1 + pi^{(n+1)s}<a>   (mod higher)
 
 and decides whether lifts covering a chosen set of graded pieces generate
-all of G/G_n; commutator classes are read from uv - vu, with no inverse.
+all of G/G_n; commutator classes are read from uv - vu = ab - ba, for
+u = 1 - a and v = 1 - b, so each product multiplies two pi-monomials and
+no inverse is formed.
 
 G/G_n is the unit group of the order context O mod pi^n, whose slot tuples
 are canonical; graded classes read levels and leading digits through
@@ -56,9 +58,9 @@ def graded_class(ctx: RamifiedOrder, u, i: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _unit(ctx: RamifiedOrder, j: int, x: int) -> tuple:
-    """1 - pi^j<x>, cached per order context."""
-    return ctx.sub(ctx.one(), ctx.teich_term(j, x))
+def _monomial(ctx: RamifiedOrder, j: int, x: int) -> tuple:
+    """pi^j<x>, cached per order context: one nonzero slot."""
+    return ctx.teich_term(j, x)
 
 
 def _closed_form(K: FieldSpec, r: int, x: int, y: int, n: int) -> int:
@@ -73,15 +75,17 @@ def commutator_class(ctx: RamifiedOrder, x: int, y: int, n: int) -> int:
     Computed exactly in O mod pi^N, N >= n + 2, and checked against the
     closed form x^{tau^n} y - y^tau x, tau the slope Frobenius.  For units
     u, v with vu = 1 mod pi, [u, v] - 1 = (uv - vu)(vu)^-1 and (vu)^-1 = 1
-    mod pi, so the class is the level-(n+1) digit of uv - vu: two products
-    and no inverse (docs/certificates.md has the proof).
+    mod pi, so the class is the level-(n+1) digit of uv - vu: no inverse
+    (docs/certificates.md has the proof).  With u = 1 - a, a = pi<x>, and
+    v = 1 - b, b = pi^n<y>, the 1s and the linear terms cancel and
+    uv - vu = ab - ba exactly, so both products take one-slot operands.
     """
     if ctx.N < n + 2:
         raise PreconditionError(f"need truncation >= {n + 2}, have {ctx.N}")
     if n < 1:
         raise PreconditionError("need n >= 1")
-    u, v = _unit(ctx, 1, x), _unit(ctx, n, y)
-    level, digit = ctx.leading(ctx.sub(ctx.mul(u, v), ctx.mul(v, u)))
+    a, b = _monomial(ctx, 1, x), _monomial(ctx, n, y)
+    level, digit = ctx.leading(ctx.sub(ctx.mul(a, b), ctx.mul(b, a)))
     got = digit if level == n + 1 else 0
     expect = _closed_form(ctx.field, ctx.r, x, y, n)
     if got != expect or level is not None and level <= n:

@@ -351,16 +351,24 @@ def test_units_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
 def test_units_verify_checks_each_distinct_pair_once_without_inverses(
         capsys, monkeypatch, seed):
     # at q = 27 the sweep draws 500 pairs; each distinct pair is checked
-    # once per depth n <= s + 1, from uv - vu with no Newton inverse
+    # once per depth n <= s + 1, from uv - vu = ab - ba with no Newton
+    # inverse, so every product multiplies two pi-monomials: one nonzero
+    # slot each, none when the digit x or y is 0
     rng = random.Random(seed)
     drawn = {(rng.randrange(27), rng.randrange(27)) for _ in range(500)}
-    inverted, calls, inside = [], [], []
-    inv, commutator_class = RamifiedOrder.inv, unitgroup.commutator_class
+    inverted, calls, inside, slots = [], [], [], []
+    inv, mul = RamifiedOrder.inv, RamifiedOrder.mul
+    commutator_class = unitgroup.commutator_class
 
     def counted_inv(self, a):
         if inside:
             inverted.append(a)
         return inv(self, a)
+
+    def counted_mul(self, a, b):
+        if inside:
+            slots.append(tuple(sum(map(any, c)) for c in (a, b)))
+        return mul(self, a, b)
 
     def marked(ctx, x, y, n):
         calls.append((n, x, y))
@@ -370,10 +378,14 @@ def test_units_verify_checks_each_distinct_pair_once_without_inverses(
         finally:
             inside.pop()
     monkeypatch.setattr(RamifiedOrder, "inv", counted_inv)
+    monkeypatch.setattr(RamifiedOrder, "mul", counted_mul)
     monkeypatch.setattr(unitgroup, "commutator_class", marked)
     assert main(["units", "verify", "--p", "3", "--s", "3", "--n", "3",
                  "--seed", str(seed)]) == 0
     assert inverted == []
+    # commutator_class multiplies ab, then ba
+    assert slots == [pair for _, x, y in calls
+                     for pair in ((x != 0, y != 0), (y != 0, x != 0))]
     assert len(calls) == 4 * len(drawn) < 4 * 500
     assert set(calls) == {(n, x, y) for n in range(1, 5) for x, y in drawn}
 
@@ -572,6 +584,25 @@ def test_units_verify_above_guard_exits_2_before_any_commutator(
     assert time.monotonic() - t0 < 1.0
     assert called == []
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, s, spans", [
+    ("3", "8", "(8 + 1)*6561^2 = 387420489"),
+    ("5", "5", "(5 + 1)*3125^2 = 58593750"),
+])
+def test_units_verify_commutator_spans_above_guard_exit_2_before_field(
+        capsys, monkeypatch, p, s, spans):
+    # |G/G_n| = q - 1 is within the default guard, but commutator_span
+    # would list q^2 closed forms at each of s + 1 depths
+    built = []
+    monkeypatch.setattr(fields, "field_make", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main(["units", "verify", "--p", p, "--s", s, "--n", "1"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"slopelab: precondition violated: commutator spans: {spans} "
+        "closed forms exceeds guard 10000000\n")
 
 
 @pytest.mark.parametrize("p, s", [("3", "13"), ("2", "22")])

@@ -1,12 +1,14 @@
 """The slot form of the ramified order against the digit-form reference,
 and property tests for the ring laws it must satisfy."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slopelab.arith.ramified as ramified
 from oracles import ramified_digit_add, ramified_digit_mul
 from slopelab.arith import order_make
 
@@ -90,6 +92,54 @@ def test_mul_at_the_largest_coordinates_matches_digit_form_reference():
         for x, y in cases:
             assert (O.digits(O.mul(x, y))
                     == ramified_digit_mul(K, r, N, O.digits(x), O.digits(y)))
+
+
+def monomial_digits(O, j, beta):
+    """Digits of pi^j<beta>."""
+    return (0,) * j + (beta,) + (0,) * (O.N - j - 1)
+
+
+def test_sparse_products_match_digit_form_reference():
+    # mul folds only the output slots that received a term.  pi^i<a>
+    # pi^j<b> fills one slot, and is 0 once i + j >= N; a one-slot element
+    # (digits only at the levels of slot k) times a dense one, either way
+    rng = random.Random(28)
+    for O in ORDERS:
+        K, r, N = O.field, O.r, O.N
+        betas = [1, K.q - 1] + [rng.randrange(K.q) for _ in range(2)]
+        for i, j in itertools.product(range(N), repeat=2):
+            a, b = rng.choice(betas), rng.choice(betas)
+            prod = O.mul(O.teich_term(i, a), O.teich_term(j, b))
+            assert O.digits(prod) == ramified_digit_mul(
+                K, r, N, monomial_digits(O, i, a), monomial_digits(O, j, b))
+            if i + j >= N:
+                assert prod == O.zero()
+        for k in range(min(O.s, N)):
+            for _ in range(5):
+                sparse = tuple(rng.randrange(K.q) if level % O.s == k else 0
+                               for level in range(N))
+                dense = random_digits(O, rng)
+                x, y = O.from_digits(sparse), O.from_digits(dense)
+                assert sum(map(any, x)) <= 1
+                assert (O.digits(O.mul(x, y))
+                        == ramified_digit_mul(K, r, N, sparse, dense))
+                assert (O.digits(O.mul(y, x))
+                        == ramified_digit_mul(K, r, N, dense, sparse))
+
+
+def test_monomial_times_monomial_folds_one_slot(monkeypatch):
+    folded = []
+    polyfold = ramified.polyfold
+
+    def counted(*args):
+        folded.append(args)
+        return polyfold(*args)
+    monkeypatch.setattr(ramified, "polyfold", counted)
+    for O in ORDERS:
+        for i, j in itertools.product(range(O.N), repeat=2):
+            folded.clear()
+            O.mul(O.teich_term(i, 1), O.teich_term(j, O.field.q - 1))
+            assert len(folded) == 1, (O, i, j)
 
 
 @st.composite

@@ -128,11 +128,12 @@ def test_commutator_class_catches_a_wrong_product(monkeypatch, order):
 
 
 def test_commutator_class_catches_uv_minus_vu_starting_too_low(monkeypatch):
-    # with v = 1 - pi<y> in place of 1 - pi^2<y>, uv - vu starts at level 2
-    # wherever the depth-1 class is nonzero; that raises even at pairs
+    # with b = pi<y> in place of pi^2<y>, uv - vu = ab - ba starts at level
+    # 2 wherever the depth-1 class is nonzero; that raises even at pairs
     # whose depth-2 class is 0, so the digit comparison alone would pass
-    unit = unitgroup._unit
-    monkeypatch.setattr(unitgroup, "_unit", lambda ctx, j, x: unit(ctx, 1, x))
+    monomial = unitgroup._monomial
+    monkeypatch.setattr(unitgroup, "_monomial",
+                        lambda ctx, j, x: monomial(ctx, 1, x))
     ctx = ctx9(4)
     early = [(x, y) for x, y in itertools.product(F9.elements(), repeat=2)
              if unitgroup._closed_form(F9, 1, x, y, 1)]
