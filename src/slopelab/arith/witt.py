@@ -167,13 +167,6 @@ class WittRing:
             mult *= self.field.p
         return acc
 
-    def divide_p(self, a: WittElt, k: int = 1) -> WittElt:
-        """Exact division by p^k; the result is meaningful mod p^(m-k)."""
-        digs = self.digits(a)
-        if any(digs[:k]):
-            raise ValueError(f"not divisible by p^{k}: digits {digs}")
-        return self.from_digits(digs[k:])
-
     def ord(self, a: WittElt) -> int | None:
         """p-adic valuation, the least one of a coordinate since 1, xi, ...,
         xi^(s-1) is a basis over Z/p^m; None for 0 (ord >= m)."""

@@ -81,14 +81,11 @@ class Display:
 def charpoly(disp: Display) -> TwistedPoly:
     """chi(F) = F^h - sum A_x F^{h-x} for a normal-form display.
 
-    One pass over the free slots: slot (i, j) adds p^y a_ij^{sigma^{h-y-d}},
-    y = j - d, to A_x at x = j + 1 - i."""
+    One pass over the stored free entries: slot (i, j) adds
+    p^y a_ij^{sigma^{h-y-d}}, y = j - d, to A_x at x = j + 1 - i."""
     ring, d, h = disp.ring, disp.d, disp.h
     coeffs = {h: ring.one()}
-    for (i, j) in disp.free_slots():
-        a = disp.free.get((i, j))
-        if a is None:
-            continue
+    for (i, j), a in sorted(disp.free.items()):
         y, k = j - d, h - (j + 1 - i)
         term = ring.scalar_mul(ring.field.p ** y, ring.sigma(a, h - y - d))
         coeffs[k] = ring.sub(coeffs.get(k, ring.zero()), term)
@@ -115,8 +112,9 @@ def display_from_charpoly(ring: WittRing, d: int,
     Places each A_x in a single free slot: x <= d goes to (d+1-x, d) with
     p-exponent 0, x > d goes to (1, x) with p-exponent x - d, untwisting by
     sigma so the charpoly formula reproduces A_x on the nose.  Needs
-    ord(A_x) >= x - d for the exact p-division; any polygon with slopes at
-    most 1 and ord(A_h) = c satisfies that.
+    ord(A_x) >= x - d, so that each coordinate of A_x divides exactly by
+    p^(x-d); any polygon with slopes at most 1 and ord(A_h) = c satisfies
+    that.
     """
     h = max(coeffs)
     c = h - d
@@ -132,10 +130,11 @@ def display_from_charpoly(ring: WittRing, d: int,
             free[(d + 1 - x, d)] = ring.sigma(ax, -(h - d))
         else:
             y = x - d
-            if (ring.ord(ax) or 0) < y:
+            if ring.ord(ax) < y:
                 raise PreconditionError(
                     f"A_{x} has valuation below {y}, no normal slot fits")
-            free[(1, x)] = ring.sigma(ring.divide_p(ax, y), -(h - x))
+            py = ring.field.p ** y
+            free[(1, x)] = ring.sigma(tuple(a // py for a in ax), -(h - x))
     return Display(ring, d, c, free)
 
 

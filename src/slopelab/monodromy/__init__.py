@@ -10,6 +10,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
     "equations": ("DemazureData", "EqTerm", "GradedEquation", "GradedTerm",
                   "MonodromyEquation", "demazure_slope", "first_witt_equation",
                   "graded_equations", "monodromy_equation"),
-    "slab": ("CertificateInapplicable", "LaurentSlab", "laurent_projector",
-             "no_solution_certificate", "slab_make"),
+    "slab": ("LaurentSlab", "laurent_projector", "no_solution_certificate",
+             "slab_make"),
 })

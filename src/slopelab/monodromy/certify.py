@@ -25,7 +25,7 @@ from ..display import DeformationSpec, check_below_base
 from ..errors import GuardExceeded, PreconditionError
 from .artinschreier import additive_make
 from .equations import first_witt_equation
-from .slab import CertificateInapplicable, no_solution_certificate, slab_make
+from .slab import no_solution_certificate, slab_make
 
 
 def check_slope_shape(lam) -> None:
@@ -76,7 +76,7 @@ def _graded_leg(spec: DeformationSpec, ell: int, guard: int) -> dict:
         A = slab_make(field, 1, {((M,), -N): 1})
         try:
             cert = no_solution_certificate(frob, A, B, M, N, guard=guard)
-        except (CertificateInapplicable, GuardExceeded) as err:
+        except GuardExceeded as err:
             feedback.append({"point": [x0, y0], "error": str(err)})
             continue
         return {"piece": ell, "status": "certified",
@@ -104,12 +104,7 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
         return {"piece": "closure", "status": "failed",
                 "evidence": {"error": f"guard {guard} does not admit depth "
                                       f"{s + 1} (needs {need} elements)"}}
-    try:
-        report = unitgroup.generation_report(field, r, n, [0, 1, s],
-                                             guard=guard)
-    except PreconditionError as err:
-        return {"piece": "closure", "status": "failed",
-                "evidence": {"error": str(err)}}
+    report = unitgroup.generation_report(field, r, n, [0, 1, s], guard=guard)
     return {"piece": "closure",
             "status": "certified" if report["generates"] else "failed",
             "evidence": report}

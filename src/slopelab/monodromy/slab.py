@@ -25,10 +25,6 @@ from ..arith.fields import FieldSpec
 from ..errors import GuardExceeded, PreconditionError, SolutionFound
 
 
-class CertificateInapplicable(PreconditionError):
-    """The (A, B) shape assumptions needed by the projector do not hold."""
-
-
 class LaurentSlab(NamedTuple):
     """Monomial map ((z-exponents), t-exponent) -> nonzero coefficient."""
 
@@ -129,34 +125,34 @@ def slab_search(F, delta: int, target: dict) -> int:
 def no_solution_certificate(F, A: LaurentSlab, B: LaurentSlab, M: int, N: int,
                             guard: int = 10 ** 6) -> dict:
     """Certify that F(x) = A + B has no solution in the ambient Laurent
-    field.  Raises CertificateInapplicable when the shape is wrong,
+    field.  Raises PreconditionError when the shape is wrong,
     GuardExceeded when the bounded search would be too large and
     SolutionFound when the search meets a genuine solution; a returned
     report always means the non-existence claim is established.
     """
     K = F.field
     if M <= 0 or N <= 0:
-        raise CertificateInapplicable("need positive M, N")
+        raise PreconditionError("need positive M, N")
     if not F.coeffs:
-        raise CertificateInapplicable("F must be nonzero")
+        raise PreconditionError("F must be nonzero")
     n = F.p_degree
     if K.p ** n != F.degree or F.coeffs[-1][1] == 0:
-        raise CertificateInapplicable("F must have exact p-power degree")
+        raise PreconditionError("F must have exact p-power degree")
 
     d = 0
     for (z, t), c in A.data:
         i = z[0] if z else 0
         if i != M or any(z[1:]):
-            raise CertificateInapplicable("A is not z_1^M times a t-series")
+            raise PreconditionError("A is not z_1^M times a t-series")
         if t < -N:
-            raise CertificateInapplicable("A has t-order below -N")
+            raise PreconditionError("A has t-order below -N")
         if t == -N:
             d = c
     if d == 0:
-        raise CertificateInapplicable("A has no t^{-N} term")
+        raise PreconditionError("A has no t^{-N} term")
     for (z, _), _ in B.data:
         if z and z[0] != 0:
-            raise CertificateInapplicable("B involves z_1")
+            raise PreconditionError("B involves z_1")
 
     e = gcd(M, N)
     proj_b = laurent_projector(B, M, N)

@@ -21,30 +21,6 @@ from typing import NamedTuple
 from .errors import InternalCheckFailed, PreconditionError
 
 
-class NonConvex(PreconditionError):
-    pass
-
-
-class NonIntegralBreakpoint(PreconditionError):
-    pass
-
-
-class EndpointMismatch(PreconditionError):
-    pass
-
-
-class NotApplicable(PreconditionError):
-    pass
-
-
-class NotSymmetricallyAttainable(PreconditionError):
-    pass
-
-
-class PointUnreachable(PreconditionError):
-    pass
-
-
 Point = tuple[int, int]
 
 
@@ -109,8 +85,8 @@ class NewtonPolygon(NamedTuple):
 def np_make(segments) -> NewtonPolygon:
     """Normalize and validate; merges adjacent equal slopes.
 
-    Input order is part of the data: a slope drop is rejected as NonConvex
-    rather than silently sorted.
+    Input order is part of the data: a slope drop is refused rather than
+    silently sorted.
     """
     merged: list[list] = []
     for sl, w in segments:
@@ -120,7 +96,7 @@ def np_make(segments) -> NewtonPolygon:
         if not 0 <= sl <= 1:
             raise PreconditionError(f"slope {sl} outside [0,1]")
         if merged and sl < merged[-1][0]:
-            raise NonConvex(f"slope {sl} after {merged[-1][0]}")
+            raise PreconditionError(f"slope {sl} after {merged[-1][0]}")
         if merged and sl == merged[-1][0]:
             merged[-1][1] += w
         else:
@@ -129,7 +105,7 @@ def np_make(segments) -> NewtonPolygon:
     for sl, w in merged:
         y += sl * w
         if y.denominator != 1:
-            raise NonIntegralBreakpoint(
+            raise PreconditionError(
                 f"breakpoint height {y} after slope {sl} segment")
     return NewtonPolygon(tuple((sl, w) for sl, w in merged))
 
@@ -180,7 +156,7 @@ def lies_on_or_below(a: NewtonPolygon, b: NewtonPolygon) -> bool:
     breakpoint.
     """
     if a.endpoint != b.endpoint:
-        raise EndpointMismatch(f"{a.endpoint} vs {b.endpoint}")
+        raise PreconditionError(f"{a.endpoint} vs {b.endpoint}")
     xs = {x for x, _ in a.breakpoints()} | {x for x, _ in b.breakpoints()}
     return all(a.value_at(x) <= b.value_at(x) for x in xs)
 
@@ -209,9 +185,9 @@ def adjoin(np: NewtonPolygon, point: Point) -> NewtonPolygon:
         raise PreconditionError(f"point {point} needs 0 < r/s <= 1")
     h, e = np.endpoint
     if s > h or (s == h and r != e):
-        raise PointUnreachable(f"{point} incompatible with endpoint {(h, e)}")
+        raise PreconditionError(f"{point} incompatible with endpoint {(h, e)}")
     if s < h and r < np.value_at(s) and e - r > h - s:
-        raise PointUnreachable(
+        raise PreconditionError(
             f"chord from {point} to {(h, e)} needs slope above 1")
     return np_from_points(list(np.breakpoints()) + [point])
 
@@ -244,7 +220,7 @@ def attainable(np0: NewtonPolygon, lam) -> AttainabilityWitness | None:
     if not 0 <= lam < 1:
         raise PreconditionError(f"slope {lam} outside [0, 1)")
     if lam in np0.slopes():
-        raise NotApplicable(f"{lam} is already a slope")
+        raise PreconditionError(f"{lam} is already a slope")
     r, s = lam.numerator, lam.denominator
     h, e = np0.endpoint
     x0, y0 = 0, 0
@@ -286,7 +262,7 @@ def symmetric_adjoin(np: NewtonPolygon, lam) -> NewtonPolygon:
     """
     lam = Fraction(lam)
     if lam == Fraction(1, 2):
-        raise NotSymmetricallyAttainable("slope 1/2 pairs with itself")
+        raise PreconditionError("slope 1/2 pairs with itself")
     if not 0 < lam < Fraction(1, 2):
         raise PreconditionError(f"slope {lam} outside (0, 1/2)")
     if not is_symmetric(np):
@@ -297,7 +273,7 @@ def symmetric_adjoin(np: NewtonPolygon, lam) -> NewtonPolygon:
     s, r = lam.denominator, lam.numerator
     # lam and 1 - lam each need width s, so the pair only fits when s <= g
     if s > g:
-        raise PointUnreachable(f"width {s} pair does not fit under endpoint {(h, g)}")
+        raise PreconditionError(f"width {s} pair does not fit under endpoint {(h, g)}")
     mirror = involution_point(g, (s, r))
     out = np_from_points(list(np.breakpoints()) + [(s, r), mirror])
     if not is_symmetric(out):

@@ -119,6 +119,19 @@ def test_charpoly_additive_in_each_slot():
             assert chi2.coeff(k) == want
 
 
+def test_charpoly_reads_only_the_stored_entries(monkeypatch):
+    # chi sums the stored free entries; scanning all d(c+1) slots of S for
+    # the few that are set is work a sparse display does not need
+    W = ring927()
+    disp = Display(W, 2, 3, {(1, 5): W.one(), (2, 3): W.from_int(2)})
+    scans = []
+    monkeypatch.setattr(Display, "free_slots",
+                        lambda self: scans.append(self) or [])
+    chi = charpoly(disp)
+    assert scans == []
+    assert chi.coeffs.keys() == {5, 3, 0}
+
+
 def test_split_display_polygon_matches_sum():
     W = witt_for(3, 1, 10)
     for pieces in [[(1, 2)], [(2, 3)], [(1, 2), (2, 3)], [(1, 3), (1, 2), (1, 2)],

@@ -1,6 +1,8 @@
 """Library checks must survive `python -O`, which strips every `assert`,
 and must fail as `SlopelabError`s, which the CLI maps to exit codes.
-The library's records are `typing.NamedTuple`s, not dataclasses."""
+The library's records are `typing.NamedTuple`s, not dataclasses, and a
+refusal gets its own `PreconditionError` subclass only when library code
+catches that subclass by name."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,27 @@ def test_library_does_not_import_dataclasses():
              if _imports_dataclasses(node)]
     assert not found, "dataclasses imported in library code (use a " \
         "typing.NamedTuple): " + ", ".join(found)
+
+
+def _handler_names(node) -> set:
+    kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return {k.attr if isinstance(k, ast.Attribute) else getattr(k, "id", None)
+            for k in kinds}
+
+
+def test_every_precondition_subclass_is_caught_by_name():
+    # the CLI maps every PreconditionError to exit 2 and prints its message,
+    # so a subclass that no library code catches tells nothing apart
+    nodes = [node for _, node in _library_nodes()]
+    bases = {node.name: {getattr(b, "id", getattr(b, "attr", None))
+                         for b in node.bases}
+             for node in nodes if isinstance(node, ast.ClassDef)}
+    family, grown = set(), {"PreconditionError"}
+    while grown != family:
+        family = grown
+        grown = family | {name for name, up in bases.items() if up & family}
+    caught = set().union(*(_handler_names(node) for node in nodes
+                           if isinstance(node, ast.ExceptHandler) and node.type))
+    uncaught = sorted(family - {"PreconditionError"} - caught)
+    assert not uncaught, "PreconditionError subclasses that no library " \
+        "code catches (raise PreconditionError): " + ", ".join(uncaught)
