@@ -76,7 +76,12 @@ def parse_polygon(text: str):
             if not m:
                 raise CliParseError(f"segment {k + 1} ({token!r}): expected "
                                     "slope x width, like 1/2x6")
-            segments.append((Fraction(m.group(1)), int(m.group(2))))
+            try:
+                slope = Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise CliParseError(f"segment {k + 1} ({token!r}): zero "
+                                    "denominator") from None
+            segments.append((slope, int(m.group(2))))
         np0 = np_make(segments)
     if not np0.segments:
         raise CliParseError("empty polygon")

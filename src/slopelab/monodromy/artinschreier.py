@@ -10,22 +10,22 @@ For a line L of G, f_G = f_{f_L(G)} o f_L with |f_L(G)| = |G|/p, so
 descending from any G that works reaches a line that works: the lines
 L = F_p g suffice, and the first witness in (size, elements) order is
 one of them (docs/certificates.md).  f_L = X^p - g^(p-1) X is F_p-linear
-on K with kernel L, so the criterion is linear algebra: for each L, A is
-tested for membership in the image of f_L, spanned by f_L(x^i) for
-i < s, and a preimage a0 gives every solution a0 + L.  The factoring-
-based check in `as_reducible_oracle` shares no code with the line
-criterion; it raises polynomials only to powers of |K| = p^s, which are
-s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
+on K with kernel L, and f_L(g y) = g^p (y^p - y), so by additive Hilbert
+90 A is in its image iff Tr_{K/F_p}(A g^(-p)) = 0: one dot product of
+the digits of A with a cached row of traces.  A preimage a0 comes in
+closed form from an element of trace 1, and every solution is a0 + L.
+The factoring-based check in `as_reducible_oracle` shares no code with
+the line criterion; it raises polynomials only to powers of |K| = p^s,
+which are s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from ..arith import fields
 from ..arith.fields import FieldSpec
-from ..arith.linalg import Echelon
 from ..errors import InternalCheckFailed, PreconditionError
 
 
@@ -68,29 +68,36 @@ def _check_subfield(K: FieldSpec, q: int) -> None:
         raise PreconditionError(f"F_{q} does not embed in F_{K.q}")
 
 
+def _trace(K: FieldSpec, a: int) -> int:
+    """Tr_{K/F_p}(a) = sum of the conjugates a^(p^i), i < s; an element
+    of F_p, whose code is its value."""
+    return reduce(K.add, (K.frobenius(a, i) for i in range(K.s)))
+
+
 @lru_cache(maxsize=64)
 def _image_table(K: FieldSpec, q: int) -> tuple:
-    """(L, f_L, echelon of f_L(x^i) for i < s) for each line L = F_p g of
-    the copy of F_q in K, sorted by elements.  f_L = X^p - g^(p-1) X for
-    every generator g of L, since c^(p-1) = 1 for c in F_p^x.  x^i has
-    code p^i, so a membership combination c is the code of a preimage.
+    """(theta, lines): an element of trace 1, and (L, f_L, g, row) for each
+    line L = F_p g of the copy of F_q in K, sorted by elements.  f_L =
+    X^p - g^(p-1) X for every generator g of L, since c^(p-1) = 1 for c
+    in F_p^x.  A is in the image of f_L iff Tr(A g^(-p)) = 0, and row[i]
+    = Tr(x^i g^(-p)), so the test is a dot product with the digits of A.
     The tests compare each f_L with the product of its linear factors,
     `subgroup_polynomial` in tests/oracles.py."""
     p = K.p
+    theta = next(t for t in K.elements() if _trace(K, t) == 1)
     lines = {frozenset(K.mul(c, g) for c in range(p)): g
              for g in K.subfield_elements(q) if g}
     table = []
-    for L in sorted(lines, key=sorted):
-        f = additive_make(K, {0: K.neg(K.pow(lines[L], p - 1)), 1: 1})
-        image = Echelon(p)
-        for i in range(K.s):
-            image.insert(K.coeffs(f.eval(p ** i)))
-        table.append((L, f, image))
-    return tuple(table)
+    for L, g in sorted(lines.items(), key=lambda entry: sorted(entry[0])):
+        f = additive_make(K, {0: K.neg(K.pow(g, p - 1)), 1: 1})
+        row = tuple(_trace(K, K.mul(p ** i, K.pow(g, -p)))
+                    for i in range(K.s))
+        table.append((L, f, g, row))
+    return theta, tuple(table)
 
 
 def as_reducible(K: FieldSpec, q: int, A: int):
-    """Line-image criterion for reducibility of X^q - X - A over K.
+    """Line-trace criterion for reducibility of X^q - X - A over K.
 
     Returns (True, (G, a)) with a witness f_G(a) = A, or (False, None).
     G is the first line in sorted order whose f_G hits A, which is also
@@ -100,13 +107,22 @@ def as_reducible(K: FieldSpec, q: int, A: int):
     _check_subfield(K, q)
     if not 0 <= A < K.q:
         raise ValueError(f"{A} is not a field element code")
-    target = K.coeffs(A)
-    for G, f, image in _image_table(K, q):
-        c = image.member(target)
-        if c is None:
+    p = K.p
+    digits = K.coeffs(A)
+    theta, table = _image_table(K, q)
+    for G, f, g, row in table:
+        if sum(d * r for d, r in zip(digits, row)) % p:
             continue
-        a0 = K.encode(c)
-        a = min(K.add(a0, g) for g in G)
+        # c = A g^(-p) has trace 0, so with S_i = sum_{j<i} c^(p^j) the
+        # sum y = sum_{i<s} S_i theta^(p^i) telescopes to y^p - y = -c,
+        # and a0 = -g y has f_G(a0) = -g^p (y^p - y) = A
+        c = K.mul(A, K.pow(g, -p))
+        y = S = 0
+        for i in range(K.s):
+            y = K.add(y, K.mul(S, K.frobenius(theta, i)))
+            S = K.add(S, K.frobenius(c, i))
+        a0 = K.neg(K.mul(g, y))
+        a = min(K.add(a0, h) for h in G)
         if f.eval(a) != A:
             raise InternalCheckFailed(f"f_G({a}) != {A} for G = {sorted(G)}")
         return True, (G, a)

@@ -96,7 +96,8 @@ def np_make(segments) -> NewtonPolygon:
         if not 0 <= sl <= 1:
             raise PreconditionError(f"slope {sl} outside [0,1]")
         if merged and sl < merged[-1][0]:
-            raise PreconditionError(f"slope {sl} after {merged[-1][0]}")
+            raise PreconditionError(f"slopes must not decrease: {sl} "
+                                    f"after {merged[-1][0]}")
         if merged and sl == merged[-1][0]:
             merged[-1][1] += w
         else:
@@ -156,7 +157,8 @@ def lies_on_or_below(a: NewtonPolygon, b: NewtonPolygon) -> bool:
     breakpoint.
     """
     if a.endpoint != b.endpoint:
-        raise PreconditionError(f"{a.endpoint} vs {b.endpoint}")
+        raise PreconditionError(
+            f"endpoints differ: {a.endpoint} vs {b.endpoint}")
     xs = {x for x, _ in a.breakpoints()} | {x for x, _ in b.breakpoints()}
     return all(a.value_at(x) <= b.value_at(x) for x in xs)
 

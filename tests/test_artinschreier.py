@@ -9,7 +9,8 @@ from oracles import (additive_from_dense, additive_subgroups,
                      subgroup_polynomial)
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
-from slopelab.errors import PreconditionError
+from slopelab.errors import InternalCheckFailed, PreconditionError
+from slopelab.monodromy import artinschreier
 from slopelab.monodromy.artinschreier import (_image_table, as_reducible,
                                               as_reducible_oracle)
 
@@ -130,8 +131,8 @@ def test_line_polynomial_matches_the_product_of_linear_factors():
     # prod_{g in L}(X - g) for every line L of K, |K| <= 81
     for p, s in SMALL_FIELDS:
         K = field_make(p, s)
-        for L, f, _ in _image_table(K, K.q):
-            assert f == subgroup_polynomial(K, L), (K, sorted(L))
+        for L, f, g, _ in _image_table(K, K.q)[1]:
+            assert g in L and f == subgroup_polynomial(K, L), (K, sorted(L))
 
 
 def test_image_table_lists_the_lines_of_f_q_in_sorted_order():
@@ -141,7 +142,7 @@ def test_image_table_lists_the_lines_of_f_q_in_sorted_order():
         K = field_make(p, s, 1)
         for t in (t for t in range(1, s + 1) if s % t == 0):
             q = p ** t
-            lines = [L for L, _, _ in _image_table(K, q)]
+            lines = [L for L, _, _, _ in _image_table(K, q)[1]]
             assert len(lines) == (q - 1) // (p - 1), (K, q)
             assert all(len(L) == p for L in lines), (K, q)
             assert lines == sorted(lines, key=sorted), (K, q)
@@ -151,18 +152,41 @@ def test_image_table_lists_the_lines_of_f_q_in_sorted_order():
 
 
 def test_line_image_is_the_trace_zero_hyperplane_twisted_by_g():
-    # f_L(g y) = g^p (y^p - y), and y^p - y hits exactly the trace-zero
-    # elements (additive Hilbert 90): A is in the image of f_L iff
-    # Tr_{K/F_p}(A g^(-p)) = 0, for every generator g of L
+    # the criterion's test for a line L = F_p g: the digits of A dotted
+    # with row[i] = Tr(x^i g^(-p)) vanish mod p.  By additive Hilbert 90
+    # that is A in {f_L(x) : x in K}, here listed by evaluating the
+    # product of the linear factors x - h, h in L, at every x
     for p, s in SMALL_FIELDS:
         K = field_make(p, s)
-        table = _image_table(K, K.q)
-        for g in range(1, K.q):
-            _, _, image = next(entry for entry in table if g in entry[0])
-            twist = K.inv(K.pow(g, p))
+        theta, table = _image_table(K, K.q)
+        assert _trace(K, theta) == 1, K
+        for L, _, _, row in table:
+            image = set()
+            for x in K.elements():
+                value = 1
+                for h in L:
+                    value = K.mul(value, K.sub(x, h))
+                image.add(value)
+            assert len(image) == K.q // p, (K, sorted(L))
             for A in K.elements():
-                hit = image.member(K.coeffs(A)) is not None
-                assert hit == (_trace(K, K.mul(A, twist)) == 0), (K, g, A)
+                hit = sum(d * r for d, r in zip(K.coeffs(A), row)) % p == 0
+                assert hit == (A in image), (K, sorted(L), A)
+
+
+def test_a_theta_of_trace_other_than_one_fails_the_first_hit(monkeypatch):
+    # with Tr theta = t the telescoped preimage has f_L(a0) = t A, so every
+    # nonzero hit, the first one included, must trip the f_G(a) == A check
+    for p, s, q in ((2, 3, 8), (3, 2, 3), (3, 2, 9), (5, 2, 25)):
+        K = field_make(p, s)
+        _, table = _image_table(K, q)
+        hits = [A for A in K.units() if as_reducible(K, q, A)[0]]
+        for bad in (t for t in K.elements() if _trace(K, t) != 1):
+            with monkeypatch.context() as m:
+                m.setattr(artinschreier, "_image_table",
+                          lambda K, q, bad=bad: (bad, table))
+                for A in hits:
+                    with pytest.raises(InternalCheckFailed):
+                        as_reducible(K, q, A)
 
 
 def test_additive_from_dense_rejects_stray_monomial():
@@ -195,7 +219,7 @@ def test_agreement_exhaustive():
 
 def test_linear_criterion_matches_exhaustive_witness():
     # every A, every F_q inside K, |K| <= 81, three moduli per field; the
-    # exhaustive walk shares no code with the echelon
+    # exhaustive walk shares no code with the trace test
     for p, s in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
                  (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)):
         for seed in range(3):

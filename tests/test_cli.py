@@ -717,6 +717,9 @@ def test_outdir_env_var_resolves_relative_paths(tmp_path, monkeypatch):
 def test_parse_errors_exit_4(capsys):
     assert main(["np", "attain", "--poly", "bogusx3", "--lambda", "1/3"]) == 4
     assert "segment 1" in capsys.readouterr().err
+    assert main(["np", "compare", "1/2x2,1/0x2", "1/2x4"]) == 4
+    assert capsys.readouterr() == ("", "slopelab: parse error: segment 2 "
+                                   "('1/0x2'): zero denominator\n")
     assert main(["np", "attain", "--poly", "1/2x6", "--lambda", "x"]) == 4
     assert main(["certify", "--base", "h7", "--lambda", "1/3"]) == 4
     assert main(["certify", "--lambda", "1/3"]) == 4            # missing flag

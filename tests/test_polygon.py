@@ -40,7 +40,8 @@ def test_np_make_merges_and_rejects():
     merged = np_make([(F(1, 2), 2), (F(1, 2), 4)])
     assert merged.segments == ((F(1, 2), 6),)
 
-    with pytest.raises(PreconditionError, match="slope 1/3 after 2/3"):
+    with pytest.raises(PreconditionError,
+                       match="slopes must not decrease: 1/3 after 2/3"):
         np_make([(F(2, 3), 3), (F(1, 3), 3)])
     with pytest.raises(PreconditionError, match="breakpoint height 1/3"):
         np_make([(F(1, 3), 1), (F(2, 3), 5)])
@@ -72,7 +73,8 @@ def test_order_reflexive_and_examples():
     assert compare(ordinary, ss) == "below"
     assert compare(ss, ordinary) == "above"
     assert compare(ss, ss) == "equal"
-    with pytest.raises(PreconditionError, match=r"\(2, 1\) vs \(4, 2\)"):
+    with pytest.raises(PreconditionError,
+                       match=r"endpoints differ: \(2, 1\) vs \(4, 2\)"):
         lies_on_or_below(ss, np_make([(F(1, 2), 4)]))
 
 
