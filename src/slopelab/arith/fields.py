@@ -29,6 +29,8 @@ Two kernels serve every ring of the package that needs them: `polymulmod`,
 the product in (Z/n)[x]/(monic modulus) on coefficient lists (the table
 bootstrap here, W_m(F_q) with n = p^m, and F_p[x]/(f) for fields too large
 to tabulate), and `power`, square-and-multiply over any multiplication.
+Dense polynomial helpers raise X to the power p^k mod f by p-th powers
+folded in place by f, and compose mod f by Horner's rule.
 """
 
 from __future__ import annotations
@@ -137,8 +139,8 @@ def power(mul, one, a, e: int):
 
 # ---------------------------------------------------------------------------
 # Dense polynomial helpers over a FieldSpec (coefficient lists, little-endian),
-# for modulus selection and the Artin-Schreier factoring oracle.  Both only
-# raise to powers of p, which `poly_frobenius` does without a dense product.
+# for modulus selection and the Artin-Schreier factoring oracle.  Powers of p
+# need no dense product; only the Horner step of `poly_compose` takes one.
 # ---------------------------------------------------------------------------
 
 
@@ -195,13 +197,36 @@ def poly_gcd(K: "FieldSpec", f: list[int], g: list[int]) -> list[int]:
 def poly_frobenius(K: "FieldSpec", f: list[int], k: int,
                    mod: list[int]) -> list[int]:
     """f^(p^k) mod `mod` by k p-th powers: sum c_i X^i -> sum c_i^p X^(ip)
-    in characteristic p, then one `poly_rem`, so no dense product."""
+    in characteristic p, so no dense product.  Each pass folds its top slots
+    in place by X^d = -sum_{i<d} (m_i / m_d) X^i over the nonzero m_i."""
     f = poly_rem(K, f, mod)
+    d, inv_lead = len(mod) - 1, K.inv(mod[-1])
+    tail = [(i, K.neg(K.mul(c, inv_lead))) for i, c in enumerate(mod[:d]) if c]
     for _ in range(k):
         g = [0] * (K.p * len(f) - K.p + 1)
         g[::K.p] = map(K.frobenius, f)
-        f = poly_rem(K, g, mod)
+        for top in range(len(g) - 1, d - 1, -1):
+            c = g[top]
+            if c:
+                for i, b in tail:
+                    g[top - d + i] = K.add(g[top - d + i], K.mul(c, b))
+        f = poly_trim(g[:d])
     return f
+
+
+def poly_compose(K: "FieldSpec", g: list[int], h: list[int],
+                 mod: list[int]) -> list[int]:
+    """g(h) mod `mod` by Horner's rule: acc -> acc * h + g_i, each step a
+    schoolbook product and one `poly_rem`."""
+    acc: list[int] = []
+    for c in reversed(g):
+        out = [c] + [0] * (len(acc) + len(h))
+        for i, a in enumerate(acc):
+            for j, b in enumerate(h):
+                if a and b:
+                    out[i + j] = K.add(out[i + j], K.mul(a, b))
+        acc = poly_rem(K, poly_trim(out), mod)
+    return acc
 
 
 def _irreducible(p: int, f: list[int]) -> bool:

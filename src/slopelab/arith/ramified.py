@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 from .fields import FieldSpec, field_make, polyfold, power
@@ -59,15 +58,13 @@ RamElt = tuple[WittElt, ...]
 class RamifiedOrder:
     """Context for O mod pi^N arithmetic at slope r/s."""
 
-    __slots__ = ("field", "r", "s", "N", "witt", "lam", "mods", "_one",
-                 "_twist")
+    __slots__ = ("field", "r", "s", "N", "witt", "mods", "_one", "_twist")
 
     def __init__(self, field: FieldSpec, r: int, N: int):
         self.field = field
         self.r = r
         self.s = s = field.s
         self.N = N
-        self.lam = Fraction(r, s)
         # slot k holds levels k + s*t < N: m_k Witt digits, modulus p^{m_k}
         self.mods = tuple(field.p ** max(0, -(-(N - k) // s)) for k in range(s))
         self.witt = witt_make(field, -(-N // s))
@@ -223,6 +220,7 @@ class RamifiedOrder:
 
     def val(self, a: RamElt) -> Fraction | None:
         """pi-adic valuation in (1/s)Z; None for 0 at this precision."""
+        from fractions import Fraction
         level = self.leading(a)[0]
         return None if level is None else Fraction(level, self.s)
 

@@ -29,7 +29,6 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (CliParseError, GuardExceeded, InternalCheckFailed,
                      PreconditionError, SolutionFound)
@@ -49,6 +48,7 @@ _SEGMENT = re.compile(r"^(\d+(?:/\d+)?)x(\d+)$")
 
 
 def parse_polygon(text: str):
+    from fractions import Fraction
     from .polygon import np_make
     from .serialize import np_from_json
     text = text.strip()
@@ -89,6 +89,7 @@ def parse_polygon(text: str):
 
 
 def parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
@@ -424,6 +425,7 @@ def _polyline(points, stroke: str, dash: str = "") -> str:
 
 
 def cmd_plot(args) -> int:
+    from fractions import Fraction
     from .display import strata
     from .polygon import np_make
     if args.d is not None or args.c is not None or args.lam is not None:
@@ -533,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     test_p = as_sub.add_parser("test", parents=seeded)
     test_p.add_argument("--q", type=int, required=True)
     test_p.add_argument("--field", required=True)
-    test_p.add_argument("--all", action="store_true")
-    test_p.add_argument("--a", type=int, default=None)
+    which = test_p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--a", type=int, default=None)
 
     units_p = sub.add_parser("units")
     units_sub = units_p.add_subparsers(dest="action", required=True)

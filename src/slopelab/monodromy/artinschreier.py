@@ -15,8 +15,8 @@ on K with kernel L, and f_L(g y) = g^p (y^p - y), so by additive Hilbert
 the digits of A with a cached row of traces.  A preimage a0 comes in
 closed form from an element of trace 1, and every solution is a0 + L.
 The factoring-based check in `as_reducible_oracle` shares no code with
-the line criterion; it raises polynomials only to powers of |K| = p^s,
-which are s coefficient-wise Frobenius steps (`fields.poly_frobenius`).
+the line criterion; it computes r1 = X^|K| mod f once by p-th powers
+(`fields.poly_frobenius`) and walks X^(|K|^m) by modular composition.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def _image_table(K: FieldSpec, q: int) -> tuple:
     = Tr(x^i g^(-p)), so the test is a dot product with the digits of A.
     The tests compare each f_L with the product of its linear factors,
     `subgroup_polynomial` in tests/oracles.py."""
+    _check_subfield(K, q)  # no exception is cached, so every bad call raises
     p = K.p
     theta = next(t for t in K.elements() if _trace(K, t) == 1)
     lines = {frozenset(K.mul(c, g) for c in range(p)): g
@@ -104,12 +105,11 @@ def as_reducible(K: FieldSpec, q: int, A: int):
     the first such nonzero subgroup in (size, elements) order, and a is
     the least code among the preimages a0 + G.
     """
-    _check_subfield(K, q)
+    theta, table = _image_table(K, q)
     if not 0 <= A < K.q:
         raise ValueError(f"{A} is not a field element code")
     p = K.p
     digits = K.coeffs(A)
-    theta, table = _image_table(K, q)
     for G, f, g, row in table:
         if sum(d * r for d, r in zip(digits, row)) % p:
             continue
@@ -134,16 +134,15 @@ def as_reducible_oracle(K: FieldSpec, q: int, A: int) -> bool:
     extension is the common degree of all irreducible factors, so the
     polynomial is reducible iff that degree falls short of q.
 
-    The walk r -> r^|K| mod f finds X^(|K|^m).  As |K| = p^s and p-th
-    powers are additive in characteristic p, each step is s passes
-    c_i X^i -> c_i^p X^(ip) followed by a reduction mod f."""
+    The walk finds r_m = X^(|K|^m) mod f.  x -> x^|K| fixes K, so it is
+    a K-algebra endomorphism of K[X]/(f) and r_m = r_(m-1)(r1): one
+    X^|K| by s p-th-power passes, then one composition per further step."""
     _check_subfield(K, q)
     f = [K.neg(A), K.neg(1)] + [0] * (q - 2) + [1]
-    r = [0, 1]
+    r = r1 = fields.poly_frobenius(K, [0, 1], K.s, f)
     for m in range(1, q + 1):
-        r = fields.poly_frobenius(K, r, K.s, f)
-        diff = fields.poly_sub(K, r, [0, 1])
-        g = fields.poly_gcd(K, diff, f)
+        g = fields.poly_gcd(K, fields.poly_sub(K, r, [0, 1]), f)
         if len(g) > 1:
             return m < q
+        r = fields.poly_compose(K, r, r1, f)
     raise InternalCheckFailed("no factor degree found up to q")

@@ -8,7 +8,6 @@ repeated run with identical inputs produces byte-identical output.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 
 def canonical_dumps(obj) -> str:
@@ -16,8 +15,9 @@ def canonical_dumps(obj) -> str:
 
 
 def np_from_json(data):
-    """Inverse of NewtonPolygon.to_json (revalidates).  `polygon` is
-    imported here, so that `canonical_dumps` alone does not load it."""
+    """Inverse of NewtonPolygon.to_json (revalidates).  `fractions` and
+    `polygon` load here, so that `canonical_dumps` alone loads neither."""
+    from fractions import Fraction
     from .polygon import np_make
     segments = [(Fraction(seg["slope"]), seg["width"])
                 for seg in data["segments"]]

@@ -171,8 +171,8 @@ def poly_mul(K, f, g):
 
 def poly_powmod(K, f, e, mod):
     """f^e mod `mod` by square-and-multiply over dense products: the
-    reference for `fields.poly_frobenius`, with its own loop rather than
-    the library's `power`."""
+    reference for `fields.poly_frobenius` and the oracle's composition
+    walk, with its own loop rather than the library's `power`."""
     from slopelab.arith import fields
     acc, f = [1], fields.poly_rem(K, f, mod)
     while e:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import (additive_from_dense, additive_subgroups,
-                     as_reducible_exhaustive, poly_mul, span,
+                     as_reducible_exhaustive, poly_mul, poly_powmod, span,
                      subgroup_polynomial)
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
@@ -246,6 +246,35 @@ def test_oracle_counts_trace_zero_for_prime_q():
         reducible = [A for A in K.elements() if as_reducible_oracle(K, p, A)]
         assert reducible == [A for A in K.elements() if _trace(K, A) == 0]
         assert len(reducible) == K.q // p
+
+
+def test_the_oracle_walk_composes_x_to_the_power_k_to_the_m():
+    # x -> x^|K| is a K-algebra map of K[X]/(f), so r_m = r_(m-1)(r1) is
+    # X^(|K|^m) mod f, here against dense square-and-multiply
+    rng = random.Random(7)
+    for K, q in ((F4, 2), (F4, 4), (F8, 2), (F9, 3), (F16, 4),
+                 (field_make(3, 3), 3), (field_make(5, 2), 5)):
+        for A in {0, 1, rng.randrange(K.q), rng.randrange(K.q)}:
+            f = [K.neg(A), K.neg(1)] + [0] * (q - 2) + [1]
+            r = r1 = fields.poly_frobenius(K, [0, 1], K.s, f)
+            for m in range(1, 4):
+                assert r == poly_powmod(K, [0, 1], K.q ** m, f), (K, q, A, m)
+                r = fields.poly_compose(K, r, r1, f)
+
+
+def test_the_oracle_raises_x_to_the_power_k_once(monkeypatch):
+    calls = []
+    frobenius = fields.poly_frobenius
+
+    def spy(K, f, k, mod):
+        calls.append((f, k))
+        return frobenius(K, f, k, mod)
+    monkeypatch.setattr(fields, "poly_frobenius", spy)
+    for K, q in ((field_make(3, 3), 3), (field_make(3, 4), 9)):
+        for A in K.elements():
+            calls.clear()
+            as_reducible_oracle(K, q, A)
+            assert calls == [([0, 1], K.s)], (K, q, A)
 
 
 def test_agreement_sampled_f27():

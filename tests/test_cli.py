@@ -460,6 +460,8 @@ def test_as_single_element_with_witness(capsys):
 
 def test_as_needs_a_target(capsys):
     assert main(["as", "test", "--q", "4", "--field", "F4"]) == 4
+    assert capsys.readouterr() == (
+        "", "slopelab: parse error: as test needs --all or --a CODE\n")
 
 
 def test_as_rejects_non_subfield(capsys):
@@ -728,6 +730,12 @@ def test_parse_errors_exit_4(capsys):
                  "--format", "yaml"]) == 4
     assert main(["units", "verify", "--p", "3", "--s", "2", "--n", "2",
                  "--covered", "a,b"]) == 4
+    capsys.readouterr()
+    # --all and --a name the cases two ways, so the pair is refused
+    assert main(["as", "test", "--q", "3", "--field", "F9", "--all",
+                 "--a", "5"]) == 4
+    assert capsys.readouterr() == ("", "slopelab: parse error: argument "
+                                   "--a: not allowed with argument --all\n")
 
 
 @pytest.mark.parametrize("a, b", [

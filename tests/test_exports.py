@@ -67,7 +67,7 @@ def test_importing_a_package_loads_none_of_its_modules(name):
 @pytest.mark.parametrize("argv, unused", [
     (["units", "verify", "--p", "3", "--s", "2", "--n", "2"],
      ["slopelab.display", "slopelab.polygon", "slopelab.monodromy",
-      "slopelab.arith.twisted", "dataclasses"]),
+      "slopelab.arith.twisted", "dataclasses", "fractions", "decimal"]),
     (["as", "test", "--q", "3", "--field", "F9", "--all"],
      ["slopelab.arith.witt", "slopelab.arith.ramified", "slopelab.unitgroup",
       "slopelab.display", "slopelab.monodromy.equations",
@@ -80,8 +80,12 @@ def test_importing_a_package_loads_none_of_its_modules(name):
      ["dataclasses", "inspect"]),
     (["np", "attain", "--poly", "1/2x6", "--lambda", "1/3"],
      ["dataclasses", "inspect"]),
+    # nor do the commands that read no fraction pay for `fractions` and
+    # the `decimal` it loads, nor `serialize`, whose `canonical_dumps` the
+    # `search` benchmark workload imports
     (["as", "test", "--q", "3", "--field", "F9", "--all"],
-     ["dataclasses", "inspect"]),
+     ["dataclasses", "inspect", "fractions", "decimal"]),
+    (["import", "slopelab.serialize"], ["fractions", "decimal"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = sorted(m for m in _loaded(argv) for u in unused

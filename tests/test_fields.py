@@ -4,10 +4,11 @@ import pytest
 
 from slopelab.arith import field_make
 from slopelab.arith.fields import (FieldSpec, _irreducible, field_modulus,
-                                   poly_frobenius, poly_gcd, poly_rem,
-                                   poly_trim, polymulmod, power, prime_power)
+                                   poly_add, poly_compose, poly_frobenius,
+                                   poly_gcd, poly_rem, poly_trim, polymulmod,
+                                   power, prime_power)
 
-from oracles import field_digit_add, field_digit_neg, poly_powmod
+from oracles import field_digit_add, field_digit_neg, poly_mul, poly_powmod
 
 
 def test_modulus_is_irreducible_small():
@@ -144,19 +145,43 @@ def test_poly_gcd_basics():
 
 
 def test_poly_frobenius_matches_square_and_multiply():
-    # f^(p^k) mod a monic modulus, against dense square-and-multiply;
-    # k runs past s, and f = 0, k = 0 and deg f > deg mod all occur
+    # f^(p^k) mod a modulus, against dense square-and-multiply; k runs
+    # past s, and f = 0, k = 0 and deg f > deg mod all occur.  The last
+    # modulus per field is not monic, so each fold divides by its lead.
     rng = random.Random(11)
     for p, s in [(2, 2), (3, 2), (5, 2), (3, 3), (3, 6)]:
         K = field_make(p, s)
-        for _ in range(4):
+        for t in range(5):
             d = rng.randrange(1, 6)
-            mod = [rng.randrange(K.q) for _ in range(d)] + [1]
+            lead = 1 if t < 4 else rng.randrange(2, K.q)
+            mod = [rng.randrange(K.q) for _ in range(d)] + [lead]
             for f in ([], [1], [rng.randrange(K.q) for _ in range(3 * d)]):
                 f = poly_trim(f)
                 for k in range(s + 3):
                     assert poly_frobenius(K, f, k, mod) == \
                         poly_powmod(K, f, p ** k, mod), (K, f, k, mod)
+
+
+def test_poly_compose_is_the_sum_of_powers_of_h():
+    # g(h) mod a random dense monic modulus against sum g_i h^i built from
+    # the reference product and powers; deg h > 1 runs Horner on inputs the
+    # Artin-Schreier oracle, whose h is linear, never reaches
+    rng = random.Random(31)
+    for p, s in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]:
+        K = field_make(p, s)
+        for _ in range(6):
+            d = rng.randrange(2, 7)
+            mod = [rng.randrange(K.q) for _ in range(d)] + [1]
+            g = poly_trim([rng.randrange(K.q)
+                           for _ in range(rng.randrange(9))])
+            h = poly_trim([rng.randrange(K.q) for _ in range(d + 2)])
+            want = []
+            for i, c in enumerate(g):
+                term = poly_mul(K, [c], poly_powmod(K, h, i, mod))
+                want = poly_rem(K, poly_add(K, want, term), mod)
+            assert poly_compose(K, g, h, mod) == want, (K, g, h, mod)
+    assert poly_compose(K, [], h, mod) == []
+    assert poly_compose(K, [0, 1], [], mod) == []
 
 
 def test_polymulmod_is_the_field_product():
