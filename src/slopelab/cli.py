@@ -298,22 +298,22 @@ def cmd_certify(args) -> int:
 
 def cmd_as(args) -> int:
     from .arith.fields import field_make, prime_power
-    from .monodromy.artinschreier import as_reducible, as_reducible_oracle
+    from .monodromy.artinschreier import (as_reducible, as_reducible_oracle,
+                                          check_subfield)
     q = parse_field_name(args.field)
     if q > args.guard:
         raise GuardExceeded(f"F_{q} exceeds guard {args.guard}")
     ps = prime_power(q)
     if ps is None:
         raise CliParseError(f"{q} is not a prime power")
+    if not args.all:
+        if args.a is None:
+            raise CliParseError("as test needs --all or --a CODE")
+        if not 0 <= args.a < q:
+            raise CliParseError(f"--a {args.a} is not an element of F_{q}")
+    check_subfield(*ps, args.q)             # refuse before building F_q
     K = field_make(*ps, args.seed)
-    if args.all:
-        values = list(K.elements())
-    elif args.a is not None:
-        if not 0 <= args.a < K.q:
-            raise CliParseError(f"--a {args.a} is not an element of F_{K.q}")
-        values = [args.a]
-    else:
-        raise CliParseError("as test needs --all or --a CODE")
+    values = list(K.elements()) if args.all else [args.a]
     cases = []
     for A in values:
         red, witness = as_reducible(K, args.q, A)

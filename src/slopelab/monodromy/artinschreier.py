@@ -14,9 +14,10 @@ on K with kernel L, and f_L(g y) = g^p (y^p - y), so by additive Hilbert
 90 A is in its image iff Tr_{K/F_p}(A g^(-p)) = 0: one dot product of
 the digits of A with a cached row of traces.  A preimage a0 comes in
 closed form from an element of trace 1, and every solution is a0 + L.
-The factoring-based check in `as_reducible_oracle` shares no code with
+The splitting-degree check in `as_reducible_oracle` shares no code with
 the line criterion; it computes r1 = X^|K| mod f once by p-th powers
-(`fields.poly_frobenius`) and walks X^(|K|^m) by modular composition.
+(`fields.poly_frobenius`) and walks X^(|K|^m) by modular composition
+until it comes back to X, which needs no gcd and no equal-degree fact.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ def additive_make(field: FieldSpec, coeffs: dict) -> AdditivePolynomial:
     return AdditivePolynomial(field, pairs)
 
 
-def _check_subfield(K: FieldSpec, q: int) -> None:
-    pt = fields.prime_power(q) if 1 < q <= K.q else None
-    if pt is None or pt[0] != K.p or K.s % pt[1] != 0:
-        raise PreconditionError(f"F_{q} does not embed in F_{K.q}")
+def check_subfield(p: int, s: int, q: int) -> None:
+    """Refuse a q that is not the size of a subfield of F_(p^s)."""
+    pt = fields.prime_power(q) if 1 < q <= p ** s else None
+    if pt is None or pt[0] != p or s % pt[1] != 0:
+        raise PreconditionError(f"F_{q} does not embed in F_{p ** s}")
 
 
 def _trace(K: FieldSpec, a: int) -> int:
@@ -83,7 +85,8 @@ def _image_table(K: FieldSpec, q: int) -> tuple:
     = Tr(x^i g^(-p)), so the test is a dot product with the digits of A.
     The tests compare each f_L with the product of its linear factors,
     `subgroup_polynomial` in tests/oracles.py."""
-    _check_subfield(K, q)  # no exception is cached, so every bad call raises
+    # no exception is cached, so every bad call raises
+    check_subfield(K.p, K.s, q)
     p = K.p
     theta = next(t for t in K.elements() if _trace(K, t) == 1)
     lines = {frozenset(K.mul(c, g) for c in range(p)): g
@@ -130,19 +133,25 @@ def as_reducible(K: FieldSpec, q: int, A: int):
 
 
 def as_reducible_oracle(K: FieldSpec, q: int, A: int) -> bool:
-    """Direct factor detection: the least m with a root in the degree-m
-    extension is the common degree of all irreducible factors, so the
+    """Direct splitting-degree detection: the least m with X^(|K|^m) = X
+    mod f is the degree of the extension of K over which f splits, and the
     polynomial is reducible iff that degree falls short of q.
+
+    f' = -1, so f is squarefree and divides X^(|K|^m) - X exactly when
+    every root lies in the degree-m extension.  An irreducible f first
+    splits at m = q; a reducible one splits at the lcm of its factor
+    degrees d_i < q, and lcm(d_i) = q = p^k would need p^k | d_i for some
+    i.  So the stop decides reducibility without the equal-degree fact
+    the criterion relies on (docs/certificates.md).
 
     The walk finds r_m = X^(|K|^m) mod f.  x -> x^|K| fixes K, so it is
     a K-algebra endomorphism of K[X]/(f) and r_m = r_(m-1)(r1): one
     X^|K| by s p-th-power passes, then one composition per further step."""
-    _check_subfield(K, q)
+    check_subfield(K.p, K.s, q)
     f = [K.neg(A), K.neg(1)] + [0] * (q - 2) + [1]
     r = r1 = fields.poly_frobenius(K, [0, 1], K.s, f)
     for m in range(1, q + 1):
-        g = fields.poly_gcd(K, fields.poly_sub(K, r, [0, 1]), f)
-        if len(g) > 1:
+        if r == [0, 1]:
             return m < q
         r = fields.poly_compose(K, r, r1, f)
-    raise InternalCheckFailed("no factor degree found up to q")
+    raise InternalCheckFailed("no splitting degree found up to q")

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import (additive_from_dense, additive_subgroups,
                      as_reducible_exhaustive, poly_mul, poly_powmod, span,
-                     subgroup_polynomial)
+                     splitting_degree_by_factoring, subgroup_polynomial)
 from slopelab.arith import fields
 from slopelab.arith.fields import field_make
 from slopelab.errors import InternalCheckFailed, PreconditionError
@@ -275,6 +275,46 @@ def test_the_oracle_raises_x_to_the_power_k_once(monkeypatch):
             calls.clear()
             as_reducible_oracle(K, q, A)
             assert calls == [([0, 1], K.s)], (K, q, A)
+
+
+def test_the_oracle_verdict_is_the_gcd_walk_verdict():
+    # the least m with a root in the degree-m extension, found by gcds of
+    # X^(|K|^m) - X with f and square-and-multiply, falls short of q
+    # exactly when the oracle's splitting degree does: every A, every F_q
+    # inside F16, F64, F81 and F256, so the non-prime q = 4, 8, 9, 16 too
+    for p, s in ((2, 4), (2, 6), (3, 4), (2, 8)):
+        K = field_make(p, s)
+        for t in (t for t in range(1, s + 1) if s % t == 0):
+            q = p ** t
+            for A in K.elements():
+                f = [K.neg(A), K.neg(1)] + [0] * (q - 2) + [1]
+                assert as_reducible_oracle(K, q, A) == \
+                    (splitting_degree_by_factoring(K, f) < q), (K, q, A)
+
+
+def test_the_oracle_takes_no_gcd(monkeypatch):
+    calls = []
+    gcd = fields.poly_gcd
+
+    def spy(K, f, g):
+        calls.append((f, g))
+        return gcd(K, f, g)
+    monkeypatch.setattr(fields, "poly_gcd", spy)
+    for K, q in ((F16, 4), (field_make(3, 3), 3), (field_make(3, 4), 9)):
+        for A in K.elements():
+            as_reducible_oracle(K, q, A)
+    assert calls == []
+
+
+def test_a_walk_that_never_returns_to_x_fails_the_check(monkeypatch):
+    # with composition stuck at its input, r_m = r1 for every m; for
+    # q = |K| and A != 0, f has no root in K, so r1 != X and no m <= q
+    # closes the walk
+    monkeypatch.setattr(fields, "poly_compose", lambda K, g, h, mod: g)
+    for K in (F4, F9, F16, field_make(3, 3)):
+        for A in K.units():
+            with pytest.raises(InternalCheckFailed):
+                as_reducible_oracle(K, K.q, A)
 
 
 def test_agreement_sampled_f27():

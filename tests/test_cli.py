@@ -203,7 +203,13 @@ def test_deform_smallest_sufficient_precision_runs(capsys):
      "e99f04b23d02bd24578252f1119b0a9716f96c9daea23081b6b71e8a05300414"),
     (("--q", "729", "--field", "F729", "--a", "7"),
      "16eeb623e86e32cd234878fee29d036f6579d9f446d6a57d5744e6544457f748"),
-], ids=["F9-in-F729", "F64", "F16-in-F256", "F729-a7"])
+    # the oracle's walks on the largest f, of degree 27 and 729
+    (("--q", "27", "--field", "F729", "--all"),
+     "101e3d2874150e568ad3a26252ad4120447c29848f08c14d6c822e516814c7f6"),
+    (("--q", "729", "--field", "F729", "--all"),
+     "5e78352ee289e52159190e3dc00f4492f3e4073e33fcd1826dd66316a6dd2506"),
+], ids=["F9-in-F729", "F64", "F16-in-F256", "F729-a7", "F27-in-F729",
+        "F729"])
 def test_as_json_bytes_are_pinned(capsys, argv, digest):
     # the criterion's witnesses and the oracle's verdicts; the digests
     # come from the exhaustive walk over every subgroup of F_q
@@ -507,6 +513,36 @@ def test_as_field_above_guard_exits_2_before_building_it(capsys, monkeypatch):
     assert main(["as", "test", "--q", "2", "--field", "F4", "--all",
                  "--guard", "4"]) == 0
     assert built == [(2, 2, 0)]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("--q", "3", "--field", "F59049", "--a", "-1"), 4,
+     "parse error: --a -1 is not an element of F_59049"),
+    (("--q", "3", "--field", "F59049", "--a", "59049"), 4,
+     "parse error: --a 59049 is not an element of F_59049"),
+    (("--q", "4", "--field", "F59049"), 4,
+     "parse error: as test needs --all or --a CODE"),
+    (("--q", "4", "--field", "F59049", "--all"), 2,
+     "precondition violated: F_4 does not embed in F_59049"),
+    (("--q", "1", "--field", "F59049", "--a", "3"), 2,
+     "precondition violated: F_1 does not embed in F_59049"),
+    # the order: guard, prime power, --a/--all, embedding
+    (("--q", "4", "--field", "F59049", "--a", "-1"), 4,
+     "parse error: --a -1 is not an element of F_59049"),
+    (("--q", "4", "--field", "F12", "--a", "-1"), 4,
+     "parse error: 12 is not a prime power"),
+    (("--q", "4", "--field", "F59049", "--a", "-1", "--guard", "59048"), 2,
+     "precondition violated: F_59049 exceeds guard 59048"),
+], ids=["a-negative", "a-too-large", "no-target", "no-embedding", "q-1",
+        "a-before-embedding", "prime-power-before-a", "guard-first"])
+def test_as_refuses_before_building_the_field(capsys, monkeypatch, argv,
+                                              code, err):
+    built = []
+    monkeypatch.setattr(fields, "field_make",
+                        lambda *args: built.append(args))
+    assert main(["as", "test", *argv]) == code
+    assert capsys.readouterr() == ("", f"slopelab: {err}\n")
+    assert built == []
 
 
 def test_units_verify_text(capsys):
