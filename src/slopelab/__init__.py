@@ -35,13 +35,13 @@ def _lazy_exports(namespace: dict, table: dict):
 
 
 __all__, __getattr__, __dir__ = _lazy_exports(globals(), {
-    "display": ("DeformationSpec", "Display", "Stratification", "charpoly",
-                "charpoly_polygon", "deformation", "split_display",
-                "strata"),
+    "display": ("DeformationSpec", "Display", "charpoly", "charpoly_polygon",
+                "deformation", "split_display"),
     "errors": ("CliParseError", "GuardExceeded", "PreconditionError",
                "SlopelabError"),
-    "polygon": ("NewtonPolygon", "adjoin", "attainable", "compare", "np_make",
-                "np_merge", "symmetric_adjoin"),
+    "polygon": ("NewtonPolygon", "Stratification", "adjoin", "attainable",
+                "compare", "np_make", "np_merge", "strata", "stratify",
+                "symmetric_adjoin"),
     "serialize": ("canonical_dumps", "np_from_json"),
 })
 __all__.append("__version__")

@@ -145,6 +145,13 @@ def check_prime(p: int, guard: int) -> None:
         raise CliParseError(f"p = {p} is not prime")
 
 
+def check_region(d: int, c: int, guard: int) -> None:
+    """Refuse a strata region of d * c lattice points above the guard."""
+    if d * c > guard:
+        raise GuardExceeded(
+            f"region of d * c = {d * c} points exceeds guard {guard}")
+
+
 def parse_precision(text: str) -> int:
     try:
         value = int(text)
@@ -232,9 +239,7 @@ def cmd_np(args) -> int:
 # -- deform / certify -----------------------------------------------------
 
 
-def _build_deformation(args, precision: int | None = None):
-    from .arith.witt import witt_for
-    from .display import deformation, split_display
+def _parse_deformation(args):
     pieces = parse_base(args.base)
     lam = parse_fraction(args.lam)
     if not 0 < lam < 1:
@@ -244,15 +249,20 @@ def _build_deformation(args, precision: int | None = None):
     # 2^s > guard already refuses a long s, before p^s is formed
     if s > args.guard.bit_length() or args.p ** s > args.guard:
         raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
-    if precision is None:   # keep the constant term +-p^c, c = sum r_i
-        precision = max(2 * s + 2, sum(r for r, _ in pieces) + 1)
-    ring = witt_for(args.p, s, precision, args.seed)
-    return deformation(split_display(ring, pieces), lam)
+    c = sum(r for r, _ in pieces)
+    check_region(sum(w for _, w in pieces) - c, c, args.guard)
+    return pieces, lam
 
 
 def cmd_deform(args) -> int:
+    from .arith.witt import witt_for
+    from .display import deformation, split_display
     from .monodromy.equations import monodromy_equation
-    spec = _build_deformation(args, args.precision)
+    pieces, lam = _parse_deformation(args)
+    s, c = lam.denominator, sum(r for r, _ in pieces)
+    precision = args.precision or max(2 * s + 2, c + 1)    # keeps +-p^c
+    ring = witt_for(args.p, s, precision, args.seed)
+    spec = deformation(split_display(ring, pieces), lam)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
     # count the coefficients below the monic leading term
@@ -277,12 +287,14 @@ def cmd_deform(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from fractions import Fraction
     from .monodromy.certify import check_slope_shape, largeness_certificate
-    # screen the slope shape before the deformation rejects it for
-    # a less specific reason
+    from .polygon import np_make, np_merge
+    # the slope shape first: the polygon would refuse it less specifically
     check_slope_shape(parse_fraction(args.lam))
-    spec = _build_deformation(args)
-    cert = largeness_certificate(spec, guard=args.guard, seed=args.seed)
+    pieces, lam = _parse_deformation(args)
+    np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in pieces))
+    cert = largeness_certificate(np0, lam, args.p, args.guard, args.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]
     bad = [l["piece"] for l in cert["legs"] if l["status"] != "certified"]
     bits = [f"pieces {{{','.join(map(str, good))}}} certified"]
@@ -426,17 +438,14 @@ def _polyline(points, stroke: str, dash: str = "") -> str:
 
 def cmd_plot(args) -> int:
     from fractions import Fraction
-    from .display import strata
-    from .polygon import np_make
+    from .polygon import np_make, strata
     if args.d is not None or args.c is not None or args.lam is not None:
         if None in (args.d, args.c, args.lam):
             raise CliParseError("plot needs all of --d, --c, --lambda")
         d, c = args.d, args.c
         if d < 1 or c < 1:
             raise PreconditionError("block sizes d, c must be positive")
-        if d * c > args.guard:
-            raise GuardExceeded(
-                f"region of d * c = {d * c} points exceeds guard {args.guard}")
+        check_region(d, c, args.guard)
         h = d + c
         np0 = (parse_polygon(args.poly) if args.poly
                else np_make([(Fraction(c, h), h)]))

@@ -18,8 +18,8 @@ then read off additively from the free entries:
 Deforming the free columns d..h-1 by Teichmuller parameters, through the
 T-substitution (A + TC, B + TD; C, D), realizes the universal deformation;
 restricting the parameters to the lattice points on or above an adjoined
-Newton polygon gives the one-new-slope deformation whose strata this
-module enumerates.  Since chi is additive in each free slot, the
+Newton polygon gives the one-new-slope deformation whose strata
+`polygon.stratify` cuts out.  Since chi is additive in each free slot, the
 deformation is its base chi plus its active points: point (x, y) is the
 parameter u(x, y), which enters chi once, as -p^y <u(x, y)>^{sigma^{h-d-y}}
 at F^{h-x}.
@@ -33,9 +33,8 @@ from typing import NamedTuple
 from .arith.twisted import TwistedPoly
 from .arith.witt import WittElt, WittRing
 from .errors import PreconditionError
-from .polygon import NewtonPolygon, adjoin, attainable, np_from_points
-
-Point = tuple[int, int]
+from .polygon import (NewtonPolygon, Stratification, coord_name,
+                      np_from_points, stratify)
 
 
 class Display:
@@ -165,67 +164,7 @@ def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
     return display_from_charpoly(ring, h - c, coeffs)
 
 
-# -- strata ---------------------------------------------------------------
-
-
-class Stratification(NamedTuple):
-    d: int
-    c: int
-    lam: Fraction
-    region: tuple[Point, ...]           # the parallelogram P, row-major
-    np_star: NewtonPolygon
-    active: frozenset[Point]            # P(*): points of P on or above np_star
-    layers: dict                        # j -> frozenset of points, j = sy - rx
-
-    def layer(self, j: int) -> frozenset:
-        return self.layers.get(j, frozenset())
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "c": self.c,
-            "slope": str(self.lam),
-            "region": sorted(list(p) for p in self.region),
-            "np_star": self.np_star.to_json(),
-            "active": sorted(list(p) for p in self.active),
-            "layers": {str(j): sorted(list(p) for p in layer)
-                       for j, layer in sorted(self.layers.items())},
-        }
-
-
-def parallelogram(d: int, c: int) -> tuple[Point, ...]:
-    """Lattice points of the region with vertices (1,0), (d,0), (c,c-1),
-    (h-1,c-1): row y holds exactly x in [y+1, y+d]."""
-    return tuple((x, y) for y in range(c) for x in range(y + 1, y + d + 1))
-
-
-def strata(d: int, c: int, np0: NewtonPolygon, lam) -> Stratification:
-    """Filter the parallelogram by the adjoined polygon np(*) and slice it
-    by level: level j of (x, y) is sy - rx, nonnegative exactly on points
-    at or above the slope lam line through the origin; the active set is
-    cut out by np(*) instead of the line."""
-    if np0.endpoint != (d + c, c):
-        raise PreconditionError(
-            f"polygon endpoint {np0.endpoint} is not (d + c, c) = {(d + c, c)}")
-    lam = Fraction(lam)
-    s, r = lam.denominator, lam.numerator
-    np_star = adjoin(np0, (s, r))
-    region = parallelogram(d, c)
-    active = frozenset(
-        (x, y) for x, y in region if y >= np_star.value_at(x))
-    layers: dict[int, set] = {}
-    for x, y in active:
-        layers.setdefault(s * y - r * x, set()).add((x, y))
-    return Stratification(
-        d, c, lam, region, np_star, active,
-        {j: frozenset(v) for j, v in layers.items()})
-
-
 # -- the one-new-slope deformation -----------------------------------------
-
-
-def coord_name(x: int, y: int) -> str:
-    return f"u({x},{y})"
 
 
 class DeformationSpec(NamedTuple):
@@ -279,16 +218,6 @@ class DeformationSpec(NamedTuple):
         }
 
 
-def check_below_base(np0: NewtonPolygon, lam: Fraction) -> None:
-    """Refuse a slope lam that is not strictly below every slope of np0:
-    the deformation, its equation and the certificate all rest on it."""
-    slopes = np0.slopes()
-    if slopes and lam >= min(slopes):
-        raise PreconditionError(
-            f"slope {lam} is not strictly below the base slopes "
-            f"{', '.join(map(str, slopes))}")
-
-
 def deformation(disp: Display, lam) -> DeformationSpec:
     """One-new-slope deformation: universal parameters restricted to the
     active stratum of the adjoined polygon.
@@ -305,8 +234,4 @@ def deformation(disp: Display, lam) -> DeformationSpec:
     lam = Fraction(lam)
     chi = charpoly(disp)
     np0 = charpoly_polygon(chi)
-    check_below_base(np0, lam)
-    if attainable(np0, lam) is None:
-        raise PreconditionError(f"slope {lam} is not attainable from {np0}")
-    strat = strata(disp.d, disp.c, np0, lam)
-    return DeformationSpec(disp, lam, strat, chi, np0)
+    return DeformationSpec(disp, lam, stratify(np0, lam), chi, np0)

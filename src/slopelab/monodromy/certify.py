@@ -20,9 +20,9 @@ that broke, and the verdict is "large" only when every leg certifies.
 from __future__ import annotations
 
 from .. import unitgroup
-from ..arith.fields import field_make
-from ..display import DeformationSpec, check_below_base
+from ..arith.fields import FieldSpec, field_make
 from ..errors import GuardExceeded, PreconditionError
+from ..polygon import NewtonPolygon, Stratification, stratify
 from .artinschreier import additive_make
 from .equations import first_witt_equation
 from .slab import no_solution_certificate, slab_make
@@ -39,8 +39,9 @@ def check_slope_shape(lam) -> None:
             "needs r <= s-2")
 
 
-def _first_leg(spec: DeformationSpec, seed: int) -> dict:
-    evidence = first_witt_equation(spec, seed=seed)
+def _first_leg(field: FieldSpec, strat: Stratification, seed: int) -> dict:
+    evidence = first_witt_equation(field, strat.d + strat.c, strat.d,
+                                   strat.lam, seed=seed)
     # the degree identity, the exponent factorization and the divisibility
     # of every sample hold by construction; docs/certificates.md says why
     return {"piece": 0,
@@ -48,7 +49,8 @@ def _first_leg(spec: DeformationSpec, seed: int) -> dict:
             "evidence": evidence}
 
 
-def _graded_leg(spec: DeformationSpec, ell: int, guard: int) -> dict:
+def _graded_leg(field: FieldSpec, strat: Stratification, ell: int,
+                guard: int) -> dict:
     """Certify piece ell from the distinguished monomial z_1^M t^{-N},
     M = p^(h-d-y0), N = p^h - p^(h-x0), that `graded_equations` builds at
     level ell for each point (x0, y0) of P(ell); the first to certify wins.
@@ -60,14 +62,13 @@ def _graded_leg(spec: DeformationSpec, ell: int, guard: int) -> dict:
     zero whatever values those unknowns take ("Why the graded legs pass
     no B" in docs/certificates.md).
     """
-    field = spec.base.ring.field
     p = field.p
-    h, d = spec.base.h, spec.base.d
-    points = sorted(spec.strat.layer(ell))
+    h, d = strat.d + strat.c, strat.d
+    points = sorted(strat.layer(ell))
     if not points:
         return {"piece": ell, "status": "failed",
                 "evidence": {"error": f"stratum P({ell}) is empty"}}
-    frob = additive_make(field, {spec.lam.denominator: 1, 0: field.neg(1)})
+    frob = additive_make(field, {strat.lam.denominator: 1, 0: field.neg(1)})
     B = slab_make(field, 1, {})
     feedback = []
     for (x0, y0) in points:
@@ -87,12 +88,8 @@ def _graded_leg(spec: DeformationSpec, ell: int, guard: int) -> dict:
                          "attempts": feedback}}
 
 
-def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
-    field = spec.base.ring.field
-    lam = spec.lam
-    s, r = lam.denominator, lam.numerator
-    if field.s != s:
-        field = field_make(field.p, s, field.seed)
+def _closure_leg(field: FieldSpec, strat: Stratification, guard: int) -> dict:
+    s, r = strat.lam.denominator, strat.lam.numerator
     q = field.q
     n = 1
     while n + 1 <= 2 * s and (q - 1) * q ** n <= guard:
@@ -110,22 +107,23 @@ def _closure_leg(spec: DeformationSpec, guard: int) -> dict:
             "evidence": report}
 
 
-def largeness_certificate(spec: DeformationSpec, guard: int = 10 ** 7,
-                          seed: int = 0) -> dict:
-    """Assemble the three-leg report; verdict "large" iff all certify."""
-    lam = spec.lam
-    check_slope_shape(lam)
-    check_below_base(spec.np0, lam)
-    s = lam.denominator
-    legs = [_first_leg(spec, seed)]
+def largeness_certificate(np0: NewtonPolygon, lam, p: int,
+                          guard: int = 10 ** 7, seed: int = 0) -> dict:
+    """The three-leg report for lam over the base polygon np0, over
+    F_q = field_make(p, s, seed); verdict "large" iff all certify."""
+    strat = stratify(np0, lam)
+    check_slope_shape(strat.lam)
+    s = strat.lam.denominator
+    field = field_make(p, s, seed)
+    legs = [_first_leg(field, strat, seed)]
     for ell in (1, s):
-        legs.append(_graded_leg(spec, ell, guard))
-    legs.append(_closure_leg(spec, guard))
+        legs.append(_graded_leg(field, strat, ell, guard))
+    legs.append(_closure_leg(field, strat, guard))
     verdict = "large" if all(l["status"] == "certified" for l in legs) \
         else "inconclusive"
     return {
         "pieces": [0, 1, s],
-        "slope": str(lam),
+        "slope": str(strat.lam),
         "legs": legs,
         "verdict": verdict,
     }

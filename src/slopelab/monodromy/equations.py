@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from ..arith.fields import (_factor, base_p_digits, field_modulus, polymulmod,
-                            power)
-from ..arith.twisted import TwistedPoly
-from ..display import DeformationSpec, check_below_base, coord_name
+from ..arith.fields import (FieldSpec, _factor, base_p_digits, field_modulus,
+                            polymulmod, power)
 from ..errors import InternalCheckFailed, PreconditionError
+from ..polygon import check_below_base, coord_name
+
+if TYPE_CHECKING:
+    from ..arith.twisted import TwistedPoly
+    from ..display import DeformationSpec
 
 
 class DemazureData(NamedTuple):
@@ -162,11 +165,13 @@ def monodromy_equation(spec: DeformationSpec) -> MonodromyEquation:
 _SAMPLES = 16   # splitting-degree samples drawn by first_witt_equation
 
 
-def first_witt_equation(spec: DeformationSpec, seed: int = 0) -> dict:
-    """Leg 0's evidence: the level-0 reduction at the anchor u = u(s, r),
-    the one level-0 point of the stratum, twisted by sigma^{h-d-r} ("The
-    anchor is the point (s, r)" in docs/certificates.md).  It is the
-    Kummer relation t^{p^{h-s}(p^s - 1)} = u^{p^{h-d-r}}.
+def first_witt_equation(field: FieldSpec, h: int, d: int, lam: Fraction,
+                        seed: int = 0) -> dict:
+    """Leg 0's evidence over F_q = `field` for a base of height h and
+    dimension d: the level-0 reduction at the anchor u = u(s, r), the one
+    level-0 point of the stratum, twisted by sigma^{h-d-r} ("The anchor is
+    the point (s, r)" in docs/certificates.md).  It is the Kummer relation
+    t^{p^{h-s}(p^s - 1)} = u^{p^{h-d-r}}.
 
     The _SAMPLES splitting-degree samples specialize u to units of the
     cubic extension F_Q, Q = q^3, and measure the order of u^{p^{h-d-r}}
@@ -175,9 +180,8 @@ def first_witt_equation(spec: DeformationSpec, seed: int = 0) -> dict:
     w = u^{p^{h-d-r} (Q-1)/(q-1)} in F_q^x, computed by square-and-multiply
     in F_p[x]/(f) on the modulus f of F_Q, so no table of F_Q is built.
     """
-    field = spec.base.ring.field
-    p, h, d = field.p, spec.base.h, spec.base.d
-    s, r = spec.lam.denominator, spec.lam.numerator
+    p = field.p
+    s, r = lam.denominator, lam.numerator
     q = p ** s
     group_order = q - 1
     rng = random.Random(seed)

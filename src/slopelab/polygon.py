@@ -288,3 +288,86 @@ def np_merge(*polys: NewtonPolygon) -> NewtonPolygon:
     segs = sorted(
         (sl, w) for np in polys for sl, w in np.segments)
     return np_make(segs)
+
+
+# -- strata ---------------------------------------------------------------
+
+
+class Stratification(NamedTuple):
+    d: int
+    c: int
+    lam: Fraction
+    region: tuple[Point, ...]           # the parallelogram P, row-major
+    np_star: NewtonPolygon
+    active: frozenset[Point]            # P(*): points of P on or above np_star
+    layers: dict                        # j -> frozenset of points, j = sy - rx
+
+    def layer(self, j: int) -> frozenset:
+        return self.layers.get(j, frozenset())
+
+    def to_json(self) -> dict:
+        return {
+            "d": self.d,
+            "c": self.c,
+            "slope": str(self.lam),
+            "region": sorted(list(p) for p in self.region),
+            "np_star": self.np_star.to_json(),
+            "active": sorted(list(p) for p in self.active),
+            "layers": {str(j): sorted(list(p) for p in layer)
+                       for j, layer in sorted(self.layers.items())},
+        }
+
+
+def coord_name(x: int, y: int) -> str:
+    return f"u({x},{y})"
+
+
+def parallelogram(d: int, c: int) -> tuple[Point, ...]:
+    """Lattice points of the region with vertices (1,0), (d,0), (c,c-1),
+    (h-1,c-1): row y holds exactly x in [y+1, y+d]."""
+    return tuple((x, y) for y in range(c) for x in range(y + 1, y + d + 1))
+
+
+def strata(d: int, c: int, np0: NewtonPolygon, lam) -> Stratification:
+    """Filter the parallelogram by the adjoined polygon np(*) and slice it
+    by level: level j of (x, y) is sy - rx, nonnegative exactly on points
+    at or above the slope lam line through the origin; the active set is
+    cut out by np(*) instead of the line, read once per column x."""
+    if np0.endpoint != (d + c, c):
+        raise PreconditionError(
+            f"polygon endpoint {np0.endpoint} is not (d + c, c) = {(d + c, c)}")
+    lam = Fraction(lam)
+    s, r = lam.denominator, lam.numerator
+    np_star = adjoin(np0, (s, r))
+    region = parallelogram(d, c)
+    floor = [np_star.value_at(x) for x in range(d + c + 1)]
+    active = frozenset((x, y) for x, y in region if y >= floor[x])
+    layers: dict[int, set] = {}
+    for x, y in active:
+        layers.setdefault(s * y - r * x, set()).add((x, y))
+    return Stratification(
+        d, c, lam, region, np_star, active,
+        {j: frozenset(v) for j, v in layers.items()})
+
+
+def check_below_base(np0: NewtonPolygon, lam: Fraction) -> None:
+    """Refuse a slope lam that is not strictly below every slope of np0:
+    the deformation, its equation and the certificate all rest on it."""
+    slopes = np0.slopes()
+    if slopes and lam >= min(slopes):
+        raise PreconditionError(
+            f"slope {lam} is not strictly below the base slopes "
+            f"{', '.join(map(str, slopes))}")
+
+
+def stratify(np0: NewtonPolygon, lam) -> Stratification:
+    """Strata of lam over the base np0 ending at (h, c), d = h - c; refused
+    unless 1 <= d <= h - 1 and lam is below every base slope and attainable."""
+    lam = Fraction(lam)
+    h, c = np0.endpoint
+    if not 0 < c < h:
+        raise PreconditionError(f"h = {h} needs 1 <= d <= h - 1")
+    check_below_base(np0, lam)
+    if attainable(np0, lam) is None:
+        raise PreconditionError(f"slope {lam} is not attainable from {np0}")
+    return strata(h - c, c, np0, lam)

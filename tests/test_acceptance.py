@@ -16,14 +16,14 @@ from slopelab.arith.fields import field_make
 from slopelab.arith.ramified import order_over
 from slopelab.arith.witt import witt_for
 from slopelab.display import (charpoly, charpoly_polygon, deformation,
-                              split_display, strata)
+                              split_display)
 from slopelab.errors import GuardExceeded, SolutionFound
 from slopelab.monodromy.artinschreier import (additive_make, as_reducible,
                                               as_reducible_oracle)
 from slopelab.monodromy.equations import first_witt_equation
 from slopelab.monodromy.slab import (laurent_projector, no_solution_certificate,
                                      slab_make)
-from slopelab.polygon import attainable, np_make, np_merge
+from slopelab.polygon import attainable, np_make, np_merge, strata
 from slopelab.unitgroup import (commutator_class, commutator_span,
                                 generation_report, p2_power_report,
                                 pth_power_check)
@@ -311,7 +311,8 @@ def test_gate_7_generation_tower():
 
 def test_gate_8_first_level_splitting_data():
     spec = running_instance()
-    data = first_witt_equation(spec, seed=0)
+    data = first_witt_equation(spec.base.ring.field, spec.base.h,
+                               spec.base.d, spec.lam, seed=0)
     p, h, s = spec.base.ring.field.p, spec.base.h, spec.lam.denominator
     assert (p, h, s) == (3, 6, 3)
     assert data["exponents"] == [702, 9]

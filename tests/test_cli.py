@@ -17,14 +17,15 @@ import slopelab.arith.fields as fields
 import slopelab.arith.witt as witt
 import slopelab.display as display
 import slopelab.monodromy.certify as certify
+import slopelab.polygon as polygon
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
 from slopelab.arith.ramified import RamifiedOrder
 from slopelab.arith.witt import WittRing, witt_for
 from slopelab.cli import build_parser, main, parse_base
 from slopelab.errors import SolutionFound
-from slopelab.polygon import np_from_breakpoints
-from slopelab.serialize import canonical_dumps, np_from_json
+from slopelab.polygon import np_from_breakpoints, np_make, np_merge
+from slopelab.serialize import np_from_json
 
 
 def run(capsys, *argv):
@@ -297,20 +298,57 @@ def test_certify_builds_no_monodromy_equation():
 ])
 def test_certify_report_does_not_depend_on_the_precision(capsys, base,
                                                          precisions):
-    # any ring that keeps the constant term p^c gives the same report, so
-    # certify works its precision out from the base: max(2s + 2, c + 1)
-    reports = []
+    # certify has no precision: it reads the base polygon, which the
+    # display route gives at any precision that keeps the constant term
+    # p^c, and deform works its precision out as max(2s + 2, c + 1)
+    pieces = parse_base(base)
+    np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in pieces))
     for m in precisions:
-        ring = witt_for(3, 3, m)
         spec = display.deformation(
-            display.split_display(ring, parse_base(base)), Fraction(1, 3))
-        reports.append(canonical_dumps(certify.largeness_certificate(spec)))
-    assert reports[0] == reports[1]
+            display.split_display(witt_for(3, 3, m), pieces), Fraction(1, 3))
+        assert spec.np0 == np0
     # c = 10 >= 2s + 2 = 8 for ss20, which a fixed 2s + 2 refused
     assert main(["certify", "--base", base, "--lambda", "1/3"]) == \
         (3 if base == "ss20" else 0)
     assert main(["deform", "--base", base, "--lambda", "1/3"]) == 0
     assert "precondition" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, digest", [
+    ("3", "30fc2f19b37f55e86fa99c399ef743616474cf16f05c0b576dfd20d2fbc7f8be"),
+    ("2", "d23a9580eea41111829ef3f063a6f141a56d6d75ac71ee073098ba0d0b5c417b"),
+])
+def test_certify_builds_no_display(capsys, monkeypatch, p, digest):
+    # the legs read the base polygon and its strata; no Witt ring, split
+    # display or charpoly is on the path
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify built a display")
+    monkeypatch.setattr(witt, "witt_for", refuse)
+    monkeypatch.setattr(display, "split_display", refuse)
+    monkeypatch.setattr(display, "charpoly", refuse)
+    rc, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
+                  "--p", p, "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["certify", "deform"])
+def test_strata_region_above_guard_exits_2_before_building_anything(
+        capsys, monkeypatch, command):
+    # ss20000 has d = c = 10000: plot's region guard, charged before F_q
+    built = []
+    for mod in (fields, witt, certify):
+        monkeypatch.setattr(mod, "field_make", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main([command, "--base", "ss20000", "--lambda", "1/3"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: region of d * c = 100000000 points "
+        "exceeds guard 10000000\n"))
+    assert main([command, "--base", "ss200", "--lambda", "1/3",
+                 "--guard", "9999"]) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("base", ["ss24", "ss40"])
@@ -726,7 +764,7 @@ def test_plot_region_refuses_a_polygon_of_another_endpoint(capsys, d, c):
 @pytest.mark.parametrize("d, c", [(0, 0), (0, 3), (3, 0), (-1, 2)])
 def test_plot_region_refuses_block_sizes_below_1(capsys, monkeypatch, d, c):
     built = []
-    monkeypatch.setattr(display, "strata", lambda *args: built.append(args))
+    monkeypatch.setattr(polygon, "strata", lambda *args: built.append(args))
     assert main(["plot", "--d", str(d), "--c", str(c),
                  "--lambda", "1/3"]) == 2
     assert built == []
@@ -900,7 +938,7 @@ def test_a_flag_the_command_does_not_read_exits_4(capsys, argv):
 def test_plot_region_above_guard_exits_2_before_building_it(capsys,
                                                             monkeypatch):
     built = []
-    monkeypatch.setattr(display, "strata", lambda *args: built.append(args))
+    monkeypatch.setattr(polygon, "strata", lambda *args: built.append(args))
     t0 = time.monotonic()
     # the default guard 10^7 admits a 400 x 400 region, not 4000 x 4000
     assert main(["plot", "--d", "4000", "--c", "4000", "--lambda", "1/3"]) == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,15 +11,13 @@ from slopelab.display import (
     Display,
     charpoly,
     charpoly_polygon,
-    coord_name,
     deformation,
     display_from_charpoly,
-    parallelogram,
     split_display,
-    strata,
 )
 from slopelab.errors import PreconditionError
-from slopelab.polygon import np_make, np_merge
+from slopelab.polygon import (coord_name, np_make, np_merge, parallelogram,
+                              strata, stratify)
 
 from oracles import cayley_hamilton_holds, t_substitute_numeric
 
@@ -139,6 +138,46 @@ def test_split_display_polygon_matches_sum():
         disp = split_display(W, pieces)
         parts = [np_make([(F(r, s), s)]) for r, s in pieces]
         assert charpoly_polygon(charpoly(disp)) == np_merge(*parts)
+
+
+def _refusal(build):
+    try:
+        return build()
+    except PreconditionError as err:
+        return f"refused: {err}"
+
+
+def test_the_display_route_is_the_polygon_route():
+    # `certify` reads the base polygon and `polygon.stratify` alone; the
+    # split display, its charpoly and `deformation` are the oracle.  Block
+    # sums up to height 9, with H1/1 blocks (d = 0) among them, and every
+    # slope r/s, s <= 7, below, at and above the base slopes
+    rng = random.Random(34)
+    blocks = [(r, s) for s in range(1, 6) for r in range(1, s + 1)
+              if math.gcd(r, s) == 1]
+    slopes = sorted({F(r, s) for s in range(1, 8) for r in range(s)})
+    bases = [[(1, 1)], [(1, 1), (1, 1)], [(1, 1), (1, 2), (1, 2)]]
+    while len(bases) < 40:
+        pieces = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]
+        if sum(s for _, s in pieces) <= 9:
+            bases.append(pieces)
+    refused = cases = 0
+    for pieces in bases:
+        c = sum(r for r, _ in pieces)
+        W = witt_for(3, 1, c + 1)
+        np0 = np_merge(*(np_make([(F(r, s), s)]) for r, s in pieces))
+        disp = _refusal(lambda: split_display(W, pieces))
+        if not isinstance(disp, str):
+            assert charpoly_polygon(charpoly(disp)) == np0, pieces
+        for lam in slopes:
+            via_display = disp if isinstance(disp, str) else _refusal(
+                lambda: deformation(disp, lam).strat)
+            assert via_display == _refusal(lambda: stratify(np0, lam)), \
+                (pieces, lam)
+            refused += isinstance(via_display, str)
+            cases += 1
+    # both kinds of case are exercised
+    assert 0 < refused < cases
 
 
 def test_display_from_charpoly_round_trip():

@@ -86,6 +86,13 @@ def test_importing_a_package_loads_none_of_its_modules(name):
     (["as", "test", "--q", "3", "--field", "F9", "--all"],
      ["dataclasses", "inspect", "fractions", "decimal"]),
     (["import", "slopelab.serialize"], ["fractions", "decimal"]),
+    # certify and plot read only the polygon: no display, no charpoly
+    (["certify", "--base", "ss6", "--lambda", "1/3"],
+     ["slopelab.display", "slopelab.arith.twisted"]),
+    (["certify", "--base", "ss6", "--lambda", "1/3", "--p", "2",
+      "--guard", "100000"], ["slopelab.display", "slopelab.arith.twisted"]),
+    (["plot", "--d", "3", "--c", "3", "--lambda", "1/3"],
+     ["slopelab.display", "slopelab.arith.twisted", "slopelab.arith.witt"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     loaded = sorted(m for m in _loaded(argv) for u in unused
@@ -135,6 +142,17 @@ def test_benchmark_tracer_still_binds_the_library(tmp_path, monkeypatch):
         assert data["exit"] == 0
         spans = [rec[0] for rec in data["spans"]]
         assert spans.count(span) == count
+    # certify's leg 0 still runs through the name the tracer wraps, and
+    # the per-layer view sees no display layer on its path
+    proc = subprocess.run(
+        [sys.executable, os.path.join(bench, "trace.py"), "--out", str(out),
+         "--run-id", "t", "cli", "certify", "--base", "ss6", "--lambda",
+         "1/3", "--p", "3"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spans = [rec[0] for rec in json.loads(out.read_text())["spans"]]
+    assert spans.count("equations.first_witt_equation") == 1
+    assert [name for name in spans if name.startswith("display.")] == []
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "kernels", os.path.join(bench, "kernels.py"))

@@ -11,13 +11,14 @@ from slopelab.arith import witt_for
 from slopelab.arith.fields import field_make, field_modulus, polymulmod, power
 from slopelab.arith.twisted import TwistedPoly
 from slopelab.display import (Display, charpoly, charpoly_polygon,
-                              coord_name, deformation, split_display)
+                              deformation, split_display)
 from slopelab.errors import InternalCheckFailed, PreconditionError
 from slopelab.monodromy.certify import largeness_certificate
 from slopelab.monodromy.equations import (EqTerm, MonodromyEquation,
                                           demazure_slope, first_witt_equation,
                                           graded_equations, monodromy_equation)
 from slopelab.monodromy.slab import laurent_projector, slab_make
+from slopelab.polygon import coord_name
 
 from oracles import splitting_degree_by_factoring
 
@@ -143,7 +144,8 @@ def test_slope_not_below_base_reported():
 
 def test_first_witt_running_instance():
     _, _, spec = running_instance()
-    fw = first_witt_equation(spec, seed=0)
+    fw = first_witt_equation(
+        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
     p = 3
     assert fw["exponents"] == [p ** 6 - p ** 3, p ** 2]
     assert fw["factored"] == [p ** 3, p ** 3 - 1]
@@ -153,7 +155,8 @@ def test_first_witt_running_instance():
     assert len(fw["samples"]) == 16
     assert all(26 % deg == 0 for _, deg in fw["samples"])
     assert fw["attained"]
-    again = first_witt_equation(spec, seed=0)
+    again = first_witt_equation(
+        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
     assert again["samples"] == fw["samples"]
 
 
@@ -164,7 +167,7 @@ def test_first_witt_degrees_against_factoring():
     for p in (3, 2):
         ring = witt_for(p, 3, 8)
         spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
-        fw = first_witt_equation(spec, seed=0)
+        fw = first_witt_equation(ring.field, 6, 3, Fraction(1, 3), seed=0)
         ext = field_make(p, 9)
         q1 = p ** 3 - 1
         assert len(fw["samples"]) == 16
@@ -182,7 +185,8 @@ def test_first_witt_degree_is_the_least_period_at_p5():
     # repeated multiplication in F_5[x]/(f), f the modulus of F_{5^9}
     ring = witt_for(5, 3, 8)
     spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
-    fw = first_witt_equation(spec, seed=0)
+    fw = first_witt_equation(
+        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
     f, Q = field_modulus(5, 9), 5 ** 9
     e = fw["exponents"][1] * ((Q - 1) // 124) % (Q - 1)
     one = [1] + [0] * 8
@@ -226,7 +230,7 @@ def test_first_witt_anchor_is_the_level_0_point():
             assert spec.strat.layer(0) == {(s, r)}, (pieces, lam)
             assert monodromy_equation(spec).layer(0) == [
                 (s, EqTerm("symbol", 0, coord_name(s, r), h - d - r))]
-            fw = first_witt_equation(spec, seed=0)
+            fw = first_witt_equation(spec.base.ring.field, h, d, lam, seed=0)
             assert fw["symbol"] == coord_name(s, r)
             assert fw["exponents"][1] == p ** (h - d - r)
 
@@ -371,7 +375,7 @@ def test_certificate_legs_small_guard():
     # equation legs certify cheaply; the closure leg honestly declines
     # when the guard cannot fit the required quotient depth
     _, _, spec = running_instance()
-    rep = largeness_certificate(spec, guard=20000)
+    rep = largeness_certificate(spec.np0, spec.lam, 3, guard=20000)
     assert rep["pieces"] == [0, 1, 3]
     by_piece = {leg["piece"]: leg for leg in rep["legs"]}
     assert by_piece[0]["status"] == "certified"
@@ -390,7 +394,7 @@ def test_certificate_rejects_numerator_s_minus_1():
     base = split_display(ring, [(5, 6)])
     spec = deformation(base, Fraction(3, 4))
     with pytest.raises(PreconditionError):
-        largeness_certificate(spec)
+        largeness_certificate(spec.np0, spec.lam, 3)
 
 
 def test_certificate_rejects_small_s():
@@ -398,14 +402,13 @@ def test_certificate_rejects_small_s():
     base = split_display(ring, [(2, 3)])
     spec = deformation(base, Fraction(1, 2))
     with pytest.raises(PreconditionError):
-        largeness_certificate(spec)
+        largeness_certificate(spec.np0, spec.lam, 3)
 
 
 def test_certificate_rejects_slope_not_below():
     # 3/5 passes the numerator screen (3 <= 5-2) but sits above the base
     # slope 1/2, so the strictly-below precondition fires
     _, _, spec = running_instance()
-    bad = spec._replace(lam=Fraction(3, 5))
     with pytest.raises(PreconditionError,
                        match="not strictly below the base slopes"):
-        largeness_certificate(bad)
+        largeness_certificate(spec.np0, Fraction(3, 5), 3)

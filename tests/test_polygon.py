@@ -6,6 +6,7 @@ import pytest
 
 from slopelab.errors import PreconditionError
 from slopelab.polygon import (
+    NewtonPolygon,
     adjoin,
     attainable,
     compare,
@@ -16,6 +17,8 @@ from slopelab.polygon import (
     np_from_points,
     np_make,
     np_merge,
+    strata,
+    stratify,
     symmetric_adjoin,
 )
 
@@ -246,3 +249,43 @@ def test_np_merge():
     a = np_make([(F(1, 2), 2)])
     b = np_make([(0, 1), (1, 1)])
     assert np_merge(a, b) == np_make([(0, 1), (F(1, 2), 2), (1, 1)])
+
+
+def test_strata_reads_np_star_once_per_column(monkeypatch):
+    # random block sums against the per-point definition: (x, y) of the
+    # parallelogram is active iff y >= np(*)(x), and sits at level sy - rx;
+    # strata itself evaluates np(*) at each x in [0, h] exactly once
+    rng = random.Random(3434)
+    blocks = [(F(r, s), s) for s in range(1, 6) for r in range(1, s + 1)
+              if F(r, s).denominator == s]
+    value_at = NewtonPolygon.value_at
+    reads = []
+
+    def counted(self, x):
+        reads.append(self)
+        return value_at(self, x)
+
+    checked = 0
+    while checked < 60:
+        np0 = np_merge(*(np_make([b]) for b in
+                         rng.sample(blocks, rng.randrange(1, 4))))
+        den = rng.randrange(2, 8)
+        lam = F(rng.randrange(1, den), den)
+        try:
+            want = stratify(np0, lam)
+        except PreconditionError:
+            continue
+        h, c = np0.endpoint
+        monkeypatch.setattr(NewtonPolygon, "value_at", counted)
+        del reads[:]
+        st = strata(h - c, c, np0, lam)
+        monkeypatch.undo()
+        assert st == want
+        assert sum(1 for poly in reads if poly == st.np_star) == h + 1
+        s, r = lam.denominator, lam.numerator
+        active = {(x, y) for x, y in st.region
+                  if y >= st.np_star.value_at(x)}
+        assert st.active == active
+        assert {pt: j for j, pts in st.layers.items() for pt in pts} == \
+            {(x, y): s * y - r * x for x, y in active}
+        checked += 1
