@@ -18,7 +18,11 @@ seed = 0 gives the lexicographically least choice.  The count of monic
 irreducibles is computed exactly (Mobius inversion), so the seed wraps around
 deterministically.
 
-`field_modulus` picks that polynomial without building anything else.
+`field_modulus` scans the candidates in that order, tests each by Ben-Or's
+test (`_irreducible`; M. Ben-Or, FOCS 1981) and builds no context but F_p's.
+The test stops at the least degree of a factor, so most reducible candidates
+fall to a root in F_p or to one gcd, where Rabin's criterion first raises x
+to p^s and to p^{s/t} for every prime t | s (Gao and Panario, FoCM 1997).
 
 Every operation is O(1) through exp/log tables for a fixed generator g, built
 once per context in O(q).  Addition uses Zech logarithms Z(k) = log(1 + g^k):
@@ -124,17 +128,20 @@ def polyfold(n: int, modulus, prod: list[int]) -> list[int]:
 
 
 def power(mul, one, a, e: int):
-    """a^e by square-and-multiply over the multiplication mul."""
+    """a^e by square-and-multiply over the multiplication mul.
+
+    The accumulator starts at a^(2^k) for the lowest set bit 2^k of e, so e
+    costs bitlen(e) + popcount(e) - 2 products and a^1 is a itself."""
     if e < 0:
         raise ValueError(f"negative exponent {e}; use inv")
-    acc = one
+    acc = None
     while e:
         if e & 1:
-            acc = mul(acc, a)
+            acc = a if acc is None else mul(acc, a)
         e >>= 1
         if e:
             a = mul(a, a)
-    return acc
+    return one if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +239,34 @@ def poly_compose(K: "FieldSpec", g: list[int], h: list[int],
 def _irreducible(p: int, f: list[int]) -> bool:
     """Monic f of degree s >= 1 over F_p irreducible?
 
-    Standard criterion: x^{p^s} = x mod f, and gcd(x^{p^{s/t}} - x, f) = 1
-    for every prime t dividing s.
+    Ben-Or's test.  f is reducible iff it has an irreducible factor of some
+    degree i <= s/2.  x^{p^i} - x is the product of the monic irreducibles
+    whose degree divides i, so that holds iff gcd(x^{p^i} - x, f) != 1 for
+    some i <= s/2.  The step i = 1 asks instead whether f has a root in F_p
+    (c_0 = 0 is the root 0), by p Horner evaluations.  From i = 2 on,
+    h = x^{p^i} mod f advances by one p-th-power pass per step, and each
+    step takes one gcd.  The first common factor refuses f, so most
+    reducible candidates cost one step.
     """
-    Fp = field_make(p, 1)
     s = len(f) - 1
-    x = [0, 1]
-    gaps = [poly_sub(Fp, poly_frobenius(Fp, x, s // t, f), x)
-            for t in (1, *_factor(s))]
-    return not gaps[0] and all(len(poly_gcd(Fp, g, f)) == 1 for g in gaps[1:])
+    if s >= 2 and any(_value_at(f, a) % p == 0 for a in range(p)):
+        return False
+    Fp = field_make(p, 1)
+    x = h = [0, 1]
+    for i in range(2, s // 2 + 1):
+        # x^{p^i} mod f; i = 1 was the root test, so h starts at x^{p^2}
+        h = poly_frobenius(Fp, h, 2 if i == 2 else 1, f)
+        if len(poly_gcd(Fp, f, poly_sub(Fp, h, x))) > 1:
+            return False
+    return True
+
+
+def _value_at(f: list[int], a: int) -> int:
+    """f(a) over the integers, by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * a + c
+    return v
 
 
 class FieldSpec:
@@ -416,6 +442,13 @@ def field_modulus(p: int, s: int, seed: int = 0) -> tuple[int, ...]:
                 return tuple(f)
             seen += 1
     raise InternalCheckFailed("irreducible count and enumeration disagree")
+
+
+def modulus_scan(p: int, s: int, seed: int = 0) -> int:
+    """About how many candidates `field_modulus(p, s, seed)` tests: it stops
+    at irreducible number seed mod count, and irreducibles of degree s have
+    density about 1/s among the candidates."""
+    return s * (seed % _count_monic_irreducibles(p, s) + 1)
 
 
 @lru_cache(maxsize=None)

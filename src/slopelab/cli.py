@@ -288,11 +288,20 @@ def cmd_deform(args) -> int:
 
 def cmd_certify(args) -> int:
     from fractions import Fraction
+    from .arith.fields import modulus_scan
     from .monodromy.certify import check_slope_shape, largeness_certificate
     from .polygon import np_make, np_merge
     # the slope shape first: the polygon would refuse it less specifically
     check_slope_shape(parse_fraction(args.lam))
     pieces, lam = _parse_deformation(args)
+    # leg 0 scans for the seeded modulus of F_Q, Q = p^(3s)
+    deg = 3 * lam.denominator
+    scan = modulus_scan(args.p, deg, args.seed)
+    if scan > args.guard:
+        raise GuardExceeded(
+            f"leg 0's modulus scan of about 3s * (seed index + 1) = {scan} "
+            f"candidates (irreducibles of degree {deg} over F_{args.p} have "
+            f"density about 1/{deg}) exceeds guard {args.guard}")
     np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in pieces))
     cert = largeness_certificate(np0, lam, args.p, args.guard, args.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]

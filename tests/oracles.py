@@ -184,6 +184,22 @@ def poly_powmod(K, f, e, mod):
     return acc
 
 
+def irreducible_by_trial_division(p, f):
+    """Is the monic f of degree s over F_p irreducible?  f is divided by
+    every monic polynomial of degree 1..s/2, in integers reduced mod p."""
+    s = len(f) - 1
+    for d in range(1, s // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g, rem = list(low) + [1], list(f)
+            for k in range(s, d - 1, -1):
+                c = rem[k] % p
+                for i in range(d + 1):
+                    rem[k - d + i] -= c * g[i]
+            if all(c % p == 0 for c in rem[:d]):
+                return False
+    return True
+
+
 def splitting_degree_by_factoring(K, f):
     """Least m such that f has a root in the degree-m extension of K.
 

@@ -17,6 +17,7 @@ import slopelab.arith.fields as fields
 import slopelab.arith.witt as witt
 import slopelab.display as display
 import slopelab.monodromy.certify as certify
+import slopelab.monodromy.equations as equations
 import slopelab.polygon as polygon
 import slopelab.unitgroup as unitgroup
 from slopelab.arith.fields import FieldSpec, field_make
@@ -349,6 +350,37 @@ def test_strata_region_above_guard_exits_2_before_building_anything(
     assert main([command, "--base", "ss200", "--lambda", "1/3",
                  "--guard", "9999"]) == 2
     assert built == []
+
+
+def test_certify_refuses_a_long_leg_0_modulus_scan_before_building_anything(
+        capsys, monkeypatch):
+    # seed 2,000,000 indexes irreducible 2,000,000 of the 4,483,696 of
+    # degree 9 over F_7, so leg 0 would test about 9 * 2,000,001 candidates
+    built = []
+    for mod in (fields, witt, certify):
+        monkeypatch.setattr(mod, "field_make", lambda *args: built.append(args))
+    monkeypatch.setattr(equations, "field_modulus",
+                        lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main(["certify", "--base", "ss6", "--lambda", "1/3", "--p", "7",
+                 "--seed", "2000000"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: leg 0's modulus scan of about "
+        "3s * (seed index + 1) = 18000009 candidates (irreducibles of degree "
+        "9 over F_7 have density about 1/9) exceeds guard 10000000\n"))
+    # p = 2 has 56 irreducibles of degree 9: seed 55 expects 504 candidates
+    assert main(["certify", "--base", "ss6", "--lambda", "1/3", "--p", "2",
+                 "--seed", "55", "--guard", "503"]) == 2
+    assert built == []
+
+
+def test_certify_admits_a_leg_0_modulus_scan_at_the_guard(capsys):
+    rc, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
+                  "--p", "2", "--seed", "55", "--guard", "504")
+    assert (rc, out) == (3, "pieces {0,1,3} certified, {closure} failed, "
+                            "verdict inconclusive\n")
 
 
 @pytest.mark.parametrize("base", ["ss24", "ss40"])

@@ -1,14 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
+import slopelab.arith.fields as fields
 from slopelab.arith import field_make
-from slopelab.arith.fields import (FieldSpec, _irreducible, field_modulus,
+from slopelab.arith.fields import (FieldSpec, _count_monic_irreducibles,
+                                   _irreducible, base_p_digits, field_modulus,
                                    poly_add, poly_compose, poly_frobenius,
                                    poly_gcd, poly_rem, poly_trim, polymulmod,
                                    power, prime_power)
 
-from oracles import field_digit_add, field_digit_neg, poly_mul, poly_powmod
+from oracles import (field_digit_add, field_digit_neg,
+                     irreducible_by_trial_division, poly_mul, poly_powmod)
 
 
 def test_modulus_is_irreducible_small():
@@ -225,6 +229,21 @@ def test_power_agrees_with_builtin_pow_and_rejects_negative_exponents():
         power(mul, 1, 2, -1)
 
 
+def test_power_makes_bitlen_plus_popcount_minus_two_products():
+    # the accumulator starts at the lowest set bit, so a^1 takes no product
+    # and no call multiplies by one
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % 1009
+    for e, products in {0: 0, 1: 0, 2: 1, 3: 2, 8: 3, 728: 13}.items():
+        calls.clear()
+        assert power(mul, 1, 3, e) == pow(3, e, 1009)
+        assert len(calls) == products, e
+        assert all(1 not in pair for pair in calls)
+
+
 def test_field_modulus_is_the_modulus_of_field_make():
     for p, s in [(2, 1), (2, 4), (3, 3), (5, 2)]:
         for seed in range(4):
@@ -243,6 +262,48 @@ def test_field_modulus_builds_no_tables(monkeypatch):
     f = field_modulus(3, 15, 1)
     assert len(f) == 16 and f[-1] == 1 and _irreducible(3, list(f))
     assert all(s == 1 for _, s in built)
+
+
+def test_irreducible_matches_trial_division():
+    # every monic polynomial of these degrees; the counts also tie the
+    # enumeration to the Mobius count that seeds index into
+    for p, top in [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)]:
+        for s in range(1, top + 1):
+            found = 0
+            for enc in range(p ** s):
+                f = base_p_digits(enc, p, s) + [1]
+                irreducible = _irreducible(p, f)
+                assert irreducible == irreducible_by_trial_division(p, f), f
+                found += irreducible
+            assert found == _count_monic_irreducibles(p, s), (p, s)
+
+
+def test_field_modulus_grid_is_pinned():
+    # every seed below the irreducible count of F_729 (116), of F_{2^9} (56)
+    # and of degree 3 over F_7 (112), and the seeds leg 0 runs at p = 7 and
+    # p = 101; the hash was recorded under the full Rabin criterion
+    grid = ([(3, 6, k) for k in range(116)] + [(2, 9, k) for k in range(56)]
+            + [(7, 3, k) for k in range(112)]
+            + [(7, 9, k) for k in (0, 13, 51)]
+            + [(101, 3, k) for k in (0, 13, 51)])
+    text = "".join(f"{p} {s} {k} {list(field_modulus(p, s, k))}\n"
+                   for p, s, k in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7fd1b7fe5ed4436051276186e8036872ee99dce3519dc8bbf3e3d35ba039c3a0")
+
+
+def test_field_modulus_scan_stops_at_the_first_common_factor(monkeypatch):
+    # seed 100 of F_729 is candidate 638; the full Rabin criterion made 11
+    # p-th-power passes for each, 7,018 in all
+    passes = []
+    frobenius = fields.poly_frobenius
+
+    def spy(K, f, k, mod):
+        passes.append(k)
+        return frobenius(K, f, k, mod)
+    monkeypatch.setattr(fields, "poly_frobenius", spy)
+    assert field_modulus.__wrapped__(3, 6, 100) == (1, 2, 1, 2, 1, 2, 1)
+    assert sum(passes) == 508
 
 
 def test_prime_power_decoding():
