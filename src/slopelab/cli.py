@@ -16,8 +16,8 @@ JSON output is canonical (sorted keys, fixed separators, no timestamps):
 an invocation repeated with the same flags produces identical bytes.
 Polygons are written inline as slope x width segments, e.g. "1/2x6" or
 "1/3x3,2/3x3", or as the JSON form {"segments": [...]}; base displays
-come from the constructors "Hr/s" (one simple block), sums like
-"H1/2+H2/3", and "ssN" (N/2 half-slope blocks).
+come from the constructors "Hr/s" (one simple block, r/s in lowest
+terms), sums like "H1/2+H2/3", and "ssN" (N/2 half-slope blocks).
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ def parse_base(text: str) -> list:
             frac = parse_fraction(part[1:])
             if not 0 < frac <= 1:
                 raise CliParseError(f"block slope {frac} outside (0, 1]")
+            r, _, s = part[1:].partition("/")
+            if s and math.gcd(int(r), int(s)) > 1:
+                raise CliParseError(f"block {part!r}: a simple block needs "
+                                    "r/s in lowest terms")
             pieces.append((frac.numerator, frac.denominator))
         else:
             raise CliParseError(f"base piece {part!r}: expected Hr/s or ssN")
@@ -206,63 +210,53 @@ def _point_set(points) -> str:
 def cmd_np(args) -> int:
     from .polygon import adjoin, attainable, compare, symmetric_adjoin
     if args.action == "compare":
-        a, b = parse_polygon(args.a), parse_polygon(args.b)
-        rel = compare(a, b)
-        _report(args, {"relation": rel, "a": a.to_json(), "b": b.to_json()},
-                rel)
+        rel = compare(args.a, args.b)
+        _report(args, {"relation": rel, "a": args.a.to_json(),
+                       "b": args.b.to_json()}, rel)
+        return 0
+    np0 = args.poly
+    if args.action == "attain":
+        wit = attainable(np0, args.lam)
+        report = {"polygon": np0.to_json(), "slope": str(args.lam),
+                  "attainable": wit is not None,
+                  "witness": wit.to_json() if wit else None}
+        _report(args, report, f'attainable, witness "{wit.witness}"' if wit
+                else "not attainable")
         return 0
     if args.action == "adjoin":
-        np0 = parse_polygon(args.poly)
-        out = adjoin(np0, parse_point(args.point))
-        _report(args, {"input": np0.to_json(),
-                       "point": list(parse_point(args.point)),
-                       "result": out.to_json(), "pretty": str(out)}, str(out))
-        return 0
-    if args.action == "symmetric":
-        np0 = parse_polygon(args.poly)
-        lam = parse_fraction(args.lam)
-        out = symmetric_adjoin(np0, lam)
-        _report(args, {"input": np0.to_json(), "slope": str(lam),
-                       "result": out.to_json(), "pretty": str(out)}, str(out))
-        return 0
-    np0 = parse_polygon(args.poly)
-    lam = parse_fraction(args.lam)
-    wit = attainable(np0, lam)
-    report = {"polygon": np0.to_json(), "slope": str(lam),
-              "attainable": wit is not None,
-              "witness": wit.to_json() if wit else None}
-    text = (f'attainable, witness "{wit.witness}"' if wit else "not attainable")
-    _report(args, report, text)
+        given, out = {"point": list(args.point)}, adjoin(np0, args.point)
+    else:
+        given = {"slope": str(args.lam)}
+        out = symmetric_adjoin(np0, args.lam)
+    _report(args, {"input": np0.to_json(), **given, "result": out.to_json(),
+                   "pretty": str(out)}, str(out))
     return 0
 
 
 # -- deform / certify -----------------------------------------------------
 
 
-def _parse_deformation(args):
-    pieces = parse_base(args.base)
-    lam = parse_fraction(args.lam)
-    if not 0 < lam < 1:
-        raise CliParseError(f"deformation slope {lam} outside (0, 1)")
-    s = lam.denominator
+def _check_deformation(args) -> None:
+    if not 0 < args.lam < 1:
+        raise CliParseError(f"deformation slope {args.lam} outside (0, 1)")
+    s = args.lam.denominator
     check_prime(args.p, args.guard)
     # 2^s > guard already refuses a long s, before p^s is formed
     if s > args.guard.bit_length() or args.p ** s > args.guard:
         raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
-    c = sum(r for r, _ in pieces)
-    check_region(sum(w for _, w in pieces) - c, c, args.guard)
-    return pieces, lam
+    c = sum(r for r, _ in args.base)
+    check_region(sum(w for _, w in args.base) - c, c, args.guard)
 
 
 def cmd_deform(args) -> int:
     from .arith.witt import witt_for
     from .display import deformation, split_display
     from .monodromy.equations import monodromy_equation
-    pieces, lam = _parse_deformation(args)
-    s, c = lam.denominator, sum(r for r, _ in pieces)
+    _check_deformation(args)
+    s, c = args.lam.denominator, sum(r for r, _ in args.base)
     precision = args.precision or max(2 * s + 2, c + 1)    # keeps +-p^c
     ring = witt_for(args.p, s, precision, args.seed)
-    spec = deformation(split_display(ring, pieces), lam)
+    spec = deformation(split_display(ring, args.base), args.lam)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
     # count the coefficients below the monic leading term
@@ -292,18 +286,18 @@ def cmd_certify(args) -> int:
     from .monodromy.certify import check_slope_shape, largeness_certificate
     from .polygon import np_make, np_merge
     # the slope shape first: the polygon would refuse it less specifically
-    check_slope_shape(parse_fraction(args.lam))
-    pieces, lam = _parse_deformation(args)
+    check_slope_shape(args.lam)
+    _check_deformation(args)
     # leg 0 scans for the seeded modulus of F_Q, Q = p^(3s)
-    deg = 3 * lam.denominator
+    deg = 3 * args.lam.denominator
     scan = modulus_scan(args.p, deg, args.seed)
     if scan > args.guard:
         raise GuardExceeded(
             f"leg 0's modulus scan of about 3s * (seed index + 1) = {scan} "
             f"candidates (irreducibles of degree {deg} over F_{args.p} have "
             f"density about 1/{deg}) exceeds guard {args.guard}")
-    np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in pieces))
-    cert = largeness_certificate(np0, lam, args.p, args.guard, args.seed)
+    np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in args.base))
+    cert = largeness_certificate(np0, args.lam, args.p, args.guard, args.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]
     bad = [l["piece"] for l in cert["legs"] if l["status"] != "certified"]
     bits = [f"pieces {{{','.join(map(str, good))}}} certified"]
@@ -321,7 +315,7 @@ def cmd_as(args) -> int:
     from .arith.fields import field_make, prime_power
     from .monodromy.artinschreier import (as_reducible, as_reducible_oracle,
                                           check_subfield)
-    q = parse_field_name(args.field)
+    q = args.field
     if q > args.guard:
         raise GuardExceeded(f"F_{q} exceeds guard {args.guard}")
     ps = prime_power(q)
@@ -374,7 +368,7 @@ def cmd_units(args) -> int:
     K = field_make(p, s, args.seed)
     # only the default is clipped; generation_report refuses explicit
     # pieces outside [0, n), so it runs before the other stages
-    covered = (parse_covered(args.covered) if args.covered is not None
+    covered = (args.covered if args.covered is not None
                else [i for i in (0, 1) if i < n])
     gen = generation_report(K, r, n, covered, guard=args.guard)
 
@@ -432,12 +426,6 @@ def _svg(width: int, height: int, body: list) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def _map(height: int):
-    def to_svg(x, y):
-        return PAD + SCALE * int(x), height - PAD - SCALE * int(y)
-    return to_svg
-
-
 def _polyline(points, stroke: str, dash: str = "") -> str:
     attr = f' stroke-dasharray="{dash}"' if dash else ""
     pts = " ".join(f"{x},{y}" for x, y in points)
@@ -445,54 +433,56 @@ def _polyline(points, stroke: str, dash: str = "") -> str:
             f'stroke-width="2"{attr}/>')
 
 
+def _circle(cx: int, cy: int, fill: str) -> str:
+    return f'<circle cx="{cx}" cy="{cy}" r="4" fill="{fill}"/>'
+
+
 def cmd_plot(args) -> int:
     from fractions import Fraction
     from .polygon import np_make, strata
-    if args.d is not None or args.c is not None or args.lam is not None:
+    region = (args.d, args.c, args.lam) != (None, None, None)
+    if region:
         if None in (args.d, args.c, args.lam):
             raise CliParseError("plot needs all of --d, --c, --lambda")
         d, c = args.d, args.c
         if d < 1 or c < 1:
             raise PreconditionError("block sizes d, c must be positive")
         check_region(d, c, args.guard)
-        h = d + c
-        np0 = (parse_polygon(args.poly) if args.poly
-               else np_make([(Fraction(c, h), h)]))
-        lam = parse_fraction(args.lam)
-        st = strata(d, c, np0, lam)
-        height = 2 * PAD + SCALE * c
-        width = 2 * PAD + SCALE * h
-        to = _map(height)
-        body = [
-            _polyline([to(0, 0), to(h, 0)], "#999"),
-            _polyline([to(0, 0), to(0, c)], "#999"),
+        h, top = d + c, c
+        # one circle line per region point, none wider than this one
+        size = d * c * (len(_circle(PAD + SCALE * h, 2 * PAD + SCALE * c,
+                                    "#ccc")) + 1)
+        if size > args.guard:
+            raise GuardExceeded(f"SVG of d * c = {d * c} circles, up to "
+                                f"{size} bytes, exceeds guard {args.guard}")
+        np0 = args.poly or np_make([(Fraction(c, h), h)])
+        st = strata(d, c, np0, args.lam)
+    elif args.poly:
+        np0 = args.poly
+        h, top = np0.endpoint[0], max(1, int(np0.endpoint[1]))
+    else:
+        raise CliParseError("plot needs --poly or the --d/--c/--lambda region")
+    height = 2 * PAD + SCALE * top
+    width = 2 * PAD + SCALE * h
+
+    def to(x, y):
+        return PAD + SCALE * int(x), height - PAD - SCALE * int(y)
+
+    body = [_polyline([to(0, 0), to(h, 0)], "#999"),
+            _polyline([to(0, 0), to(0, top)], "#999")]
+    if region:
+        body += [
             _polyline([to(*v) for v in
                        ((1, 0), (d, 0), (h - 1, c - 1), (c, c - 1), (1, 0))],
                       "#888", dash="2,2"),
             _polyline([to(*bp) for bp in np0.breakpoints()], "#bbb", dash="6,3"),
             _polyline([to(*bp) for bp in st.np_star.breakpoints()], "#1a6"),
         ]
-        for x, y in sorted(st.region):
-            sx, sy = to(x, y)
-            fill = "#1a6" if (x, y) in st.active else "#ccc"
-            body.append(f'<circle cx="{sx}" cy="{sy}" r="4" fill="{fill}"/>')
-        _emit(args, _svg(width, height, body))
-        return 0
-    if not args.poly:
-        raise CliParseError("plot needs --poly or the --d/--c/--lambda region")
-    np0 = parse_polygon(args.poly)
-    h, e = np0.endpoint
-    height = 2 * PAD + SCALE * max(1, int(e))
-    width = 2 * PAD + SCALE * h
-    to = _map(height)
-    body = [
-        _polyline([to(0, 0), to(h, 0)], "#999"),
-        _polyline([to(0, 0), to(0, max(1, int(e)))], "#999"),
-        _polyline([to(*bp) for bp in np0.breakpoints()], "#1a6"),
-    ]
-    for x, y in np0.breakpoints():
-        sx, sy = to(x, y)
-        body.append(f'<circle cx="{sx}" cy="{sy}" r="4" fill="#1a6"/>')
+        body += [_circle(*to(*pt), "#1a6" if pt in st.active else "#ccc")
+                 for pt in sorted(st.region)]
+    else:
+        body.append(_polyline([to(*bp) for bp in np0.breakpoints()], "#1a6"))
+        body += [_circle(*to(*bp), "#1a6") for bp in np0.breakpoints()]
     _emit(args, _svg(width, height, body))
     return 0
 
@@ -529,30 +519,30 @@ def build_parser() -> argparse.ArgumentParser:
     np_p = sub.add_parser("np")
     np_sub = np_p.add_subparsers(dest="action", required=True)
     cmp_p = np_sub.add_parser("compare", parents=reported)
-    cmp_p.add_argument("a")
-    cmp_p.add_argument("b")
+    cmp_p.add_argument("a", type=parse_polygon)
+    cmp_p.add_argument("b", type=parse_polygon)
     adj_p = np_sub.add_parser("adjoin", parents=reported)
-    adj_p.add_argument("--poly", required=True)
-    adj_p.add_argument("--point", required=True)
-    sym_p = np_sub.add_parser("symmetric", parents=reported)
-    sym_p.add_argument("--poly", required=True)
-    sym_p.add_argument("--lambda", dest="lam", required=True)
-    att_p = np_sub.add_parser("attain", parents=reported)
-    att_p.add_argument("--poly", required=True)
-    att_p.add_argument("--lambda", dest="lam", required=True)
+    adj_p.add_argument("--poly", type=parse_polygon, required=True)
+    adj_p.add_argument("--point", type=parse_point, required=True)
+    for name in ("symmetric", "attain"):
+        pp = np_sub.add_parser(name, parents=reported)
+        pp.add_argument("--poly", type=parse_polygon, required=True)
+        pp.add_argument("--lambda", dest="lam", type=parse_fraction,
+                        required=True)
 
     # deform prints Witt digits; certify's bytes do not depend on their count
     for name, flags in (("deform", [precision]), ("certify", [])):
         pp = sub.add_parser(name, parents=seeded + flags)
-        pp.add_argument("--base", required=True)
-        pp.add_argument("--lambda", dest="lam", required=True)
+        pp.add_argument("--base", type=parse_base, required=True)
+        pp.add_argument("--lambda", dest="lam", type=parse_fraction,
+                        required=True)
         pp.add_argument("--p", type=int, default=3)
 
     as_p = sub.add_parser("as")
     as_sub = as_p.add_subparsers(dest="action", required=True)
     test_p = as_sub.add_parser("test", parents=seeded)
     test_p.add_argument("--q", type=int, required=True)
-    test_p.add_argument("--field", required=True)
+    test_p.add_argument("--field", type=parse_field_name, required=True)
     which = test_p.add_mutually_exclusive_group()
     which.add_argument("--all", action="store_true")
     which.add_argument("--a", type=int, default=None)
@@ -564,13 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--s", type=int, required=True)
     verify_p.add_argument("--r", type=int, default=1)
     verify_p.add_argument("--n", type=int, required=True)
-    verify_p.add_argument("--covered", default=None)
+    verify_p.add_argument("--covered", type=parse_covered, default=None)
 
     plot_p = sub.add_parser("plot", parents=[out, guard])
-    plot_p.add_argument("--poly", default=None)
+    plot_p.add_argument("--poly", type=parse_polygon, default=None)
     plot_p.add_argument("--d", type=int, default=None)
     plot_p.add_argument("--c", type=int, default=None)
-    plot_p.add_argument("--lambda", dest="lam", default=None)
+    plot_p.add_argument("--lambda", dest="lam", type=parse_fraction,
+                        default=None)
     return top
 
 

@@ -15,6 +15,9 @@ then read off additively from the free entries:
     chi = F^h - sum_{x=1}^{h} A_x F^{h-x},
     A_x = sum_{(i,j) in S, j+1-i = x} p^{j-d} a_{ij}^{sigma^{h-(j-d)-d}}.
 
+A base built from isoclinic blocks (`split_display`) has an integer chi,
+so each A_x is placed directly, in one free slot, as an integer mod p^m.
+
 Deforming the free columns d..h-1 by Teichmuller parameters, through the
 T-substitution (A + TC, B + TD; C, D), realizes the universal deformation;
 restricting the parameters to the lattice points on or above an adjoined
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith.twisted import TwistedPoly
-from .arith.witt import WittElt, WittRing
+from .arith.witt import WittRing
 from .errors import PreconditionError
 from .polygon import (NewtonPolygon, Stratification, coord_name,
                       np_from_points, stratify)
@@ -104,64 +107,42 @@ def charpoly_polygon(chi: TwistedPoly) -> NewtonPolygon:
     return np_from_points(pts)
 
 
-def display_from_charpoly(ring: WittRing, d: int,
-                          coeffs: dict[int, WittElt]) -> Display:
-    """Companion-style normal display with prescribed A_x, x in [1, h].
-
-    Places each A_x in a single free slot: x <= d goes to (d+1-x, d) with
-    p-exponent 0, x > d goes to (1, x) with p-exponent x - d, untwisting by
-    sigma so the charpoly formula reproduces A_x on the nose.  Needs
-    ord(A_x) >= x - d, so that each coordinate of A_x divides exactly by
-    p^(x-d); any polygon with slopes at most 1 and ord(A_h) = c satisfies
-    that.
-    """
-    h = max(coeffs)
-    c = h - d
-    if c < 1 or d < 1:
-        raise PreconditionError(f"h = {h} needs 1 <= d <= h - 1")
-    free: dict = {}
-    for x, ax in coeffs.items():
-        if ring.ord(ax) is None:
-            continue
-        if not 1 <= x <= h:
-            raise PreconditionError(f"coefficient index {x} outside [1, {h}]")
-        if x <= d:
-            free[(d + 1 - x, d)] = ring.sigma(ax, -(h - d))
-        else:
-            y = x - d
-            if ring.ord(ax) < y:
-                raise PreconditionError(
-                    f"A_{x} has valuation below {y}, no normal slot fits")
-            py = ring.field.p ** y
-            free[(1, x)] = ring.sigma(tuple(a // py for a in ax), -(h - x))
-    return Display(ring, d, c, free)
-
-
 def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
-    """Normal display whose charpoly is prod_i (F^{s_i} - p^{r_i}).
+    """Normal display whose charpoly is chi = prod_i (F^{s_i} - p^{r_i}).
 
-    The product has central scalar coefficients, so the twisted product
-    order does not matter; the result realizes the direct sum of the
-    slope r_i/s_i building blocks up to isogeny.  The constant term is
-    +-p^c, c = sum r_i, so the ring needs precision above c.
+    chi has integer coefficients, which sigma fixes, so it is multiplied
+    as an integer polynomial and each A_x = -chi_{h-x}, reduced mod p^m,
+    goes into one free slot with nothing to untwist: x <= d at (d+1-x, d)
+    with p-exponent 0, x > d at (1, x) divided by p^(x-d).  The polygon of
+    chi has slopes at most 1 and ends at (h, c), so ord(A_x) >= x - d and
+    the division is exact.  The result realizes the direct sum of the slope
+    r_i/s_i building blocks up to isogeny.  The constant term is +-p^c,
+    c = sum r_i, so the ring needs precision above c.
     """
-    h = sum(s for _, s in pieces)
+    p, h = ring.field.p, sum(s for _, s in pieces)
     c = sum(r for r, _ in pieces)
+    d = h - c
     if ring.m <= c:
         raise PreconditionError(
             f"precision {ring.m} truncates the constant term +-p^{c} to 0; "
             f"needs precision >= {c + 1}")
-    prod = TwistedPoly(ring, {0: ring.one()})
+    if c < 1 or d < 1:
+        raise PreconditionError(f"h = {h} needs 1 <= d <= h - 1")
+    chi = [1]                               # chi[k] multiplies F^k
     for r, s in pieces:
-        factor = TwistedPoly(ring, {
-            s: ring.one(), 0: ring.neg(ring.from_int(ring.field.p ** r))})
-        prod = prod.mul(factor)
-    coeffs = {}
+        chi = [a - p ** r * b for a, b in
+               zip([0] * s + chi, chi + [0] * s)]
+    free = {}
     for x in range(1, h + 1):
-        ax = ring.neg(prod.coeff(h - x))
-        if ax != ring.zero():
-            coeffs[x] = ax
-    return display_from_charpoly(ring, h - c, coeffs)
+        ax = -chi[h - x] % ring.pm
+        if x <= d:
+            free[(d + 1 - x, d)] = ring.from_int(ax)
+        elif ax:
+            if ax % p ** (x - d):
+                raise PreconditionError(
+                    f"A_{x} has valuation below {x - d}, no normal slot fits")
+            free[(1, x)] = ring.from_int(ax // p ** (x - d))
+    return Display(ring, d, c, free)
 
 
 # -- the one-new-slope deformation -----------------------------------------

@@ -196,7 +196,6 @@ def adjoin(np: NewtonPolygon, point: Point) -> NewtonPolygon:
 
 class AttainabilityWitness(NamedTuple):
     lam: Fraction
-    offset: Point          # (s, r) in lowest terms
     insertion: Point       # absolute coordinates of the inserted vertex
     witness: NewtonPolygon
 
@@ -241,7 +240,7 @@ def attainable(np0: NewtonPolygon, lam) -> AttainabilityWitness | None:
             or [sg for sg in nu.segments if sg[0] < lam]
             != [sg for sg in np0.segments if sg[0] < lam]):
         raise InternalCheckFailed(f"{nu} does not adjoin {lam} once to {np0}")
-    return AttainabilityWitness(lam, (s, r), (vx, vy), nu)
+    return AttainabilityWitness(lam, (vx, vy), nu)
 
 
 def is_symmetric(np: NewtonPolygon) -> bool:

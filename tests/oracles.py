@@ -154,6 +154,35 @@ def cayley_hamilton_holds(disp, chi):
     return all(t == ring.zero() for t in out2)
 
 
+def split_display_free(ring, pieces):
+    """The free entries of `display.split_display` by the general route:
+    prod_i (F^{s_i} - p^{r_i}) as a sigma-twisted product over the Witt
+    ring, then each nonzero A_x = -chi_{h-x} in one free slot, untwisted by
+    sigma so that the charpoly formula reproduces it: x <= d at (d+1-x, d),
+    x > d at (1, x) divided coordinate-wise by p^(x-d)."""
+    from slopelab.arith.twisted import TwistedPoly
+    p = ring.field.p
+    h = sum(s for _, s in pieces)
+    d = h - sum(r for r, _ in pieces)
+    prod = TwistedPoly(ring, {0: ring.one()})
+    for r, s in pieces:
+        prod = prod.mul(TwistedPoly(ring, {
+            s: ring.one(), 0: ring.neg(ring.from_int(p ** r))}))
+    free = {}
+    for x in range(1, h + 1):
+        ax = ring.neg(prod.coeff(h - x))
+        if ring.is_zero(ax):
+            continue
+        if x <= d:
+            free[(d + 1 - x, d)] = ring.sigma(ax, -(h - d))
+        else:
+            py = p ** (x - d)
+            if ring.ord(ax) < x - d:
+                raise PreconditionError(f"A_{x} has valuation below {x - d}")
+            free[(1, x)] = ring.sigma(tuple(a // py for a in ax), -(h - x))
+    return free
+
+
 def poly_mul(K, f, g):
     """The dense product of two coefficient lists over K."""
     from slopelab.arith import fields

@@ -813,6 +813,20 @@ def test_plot_polygon_svg_bytes_are_pinned(capsys):
         "786e814f6d35d5bbcab3f123461cf73af715b71488359aab289e387009a8f17f"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--d", "3", "--c", "3", "--lambda", "1/3"],
+     "bcf4bd6b15ecd1d0cdd3c5020c748b6345ed972fe54559320c0f303b0c5ce859"),
+    (["--d", "3", "--c", "3", "--lambda", "1/3", "--poly", "1/2x6"],
+     "bcf4bd6b15ecd1d0cdd3c5020c748b6345ed972fe54559320c0f303b0c5ce859"),
+    (["--d", "5", "--c", "4", "--lambda", "1/5"],
+     "4272f4a82f8f2a3cee6007a796fd5a39593dd4cdabff1dcd6c9d605f44424ca2"),
+], ids=["3x3", "3x3-given-polygon", "5x4"])
+def test_plot_region_svg_bytes_are_pinned(capsys, argv, digest):
+    rc, out = run(capsys, "plot", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_outdir_env_var_resolves_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("SLOPELAB_OUTDIR", str(tmp_path))
     rc = main(["np", "attain", "--poly", "1/2x6", "--lambda", "1/3",
@@ -939,6 +953,111 @@ def _leaf_flags(parser, path=()):
         yield from _leaf_flags(child, path + (name,))
 
 
+# one malformed value per typed flag of every command; the refusals were
+# recorded when each command still parsed its flags in its own body
+_MALFORMED = [
+    (["np", "compare", "bogus", "1/2x6"], 4,
+     "parse error: segment 1 ('bogus'): expected slope x width, like 1/2x6"),
+    (["np", "compare", "1/2x6", "{bad"], 4,
+     "parse error: polygon JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (["np", "compare", "1/2x6", "3/2x2"], 2,
+     "precondition violated: slope 3/2 outside [0,1]"),
+    (["np", "compare", "1/2x6", "no-such-polygon.json"], 4,
+     "parse error: segment 1 ('no-such-polygon.json'): expected slope x "
+     "width, like 1/2x6"),
+    (["np", "adjoin", "--poly", "1/2x6", "--point", "3;1"], 4,
+     "parse error: '3;1' is not a lattice point, expected s,r"),
+    (["np", "adjoin", "--poly", "", "--point", "3,1"], 4,
+     "parse error: empty polygon"),
+    (["np", "adjoin", "--poly", "1/2x6", "--point", "7,1"], 2,
+     "precondition violated: (7, 1) incompatible with endpoint (6, 3)"),
+    (["np", "symmetric", "--poly", "1/2x6", "--lambda", "x"], 4,
+     "parse error: 'x' is not a fraction: Invalid literal for Fraction: 'x'"),
+    (["np", "symmetric", "--poly", "1/2x0", "--lambda", "1/3"], 2,
+     "precondition violated: width 0 must be a positive integer"),
+    (["np", "attain", "--poly", "1/2xx6", "--lambda", "1/3"], 4,
+     "parse error: segment 1 ('1/2xx6'): expected slope x width, like 1/2x6"),
+    (["np", "attain", "--poly", "1/2x6", "--lambda", "2/0"], 4,
+     "parse error: '2/0' is not a fraction: Fraction(2, 0)"),
+    (["np", "attain", "--poly", '{"segments": [{"slope": "1/2"}]}',
+      "--lambda", "1/3"], 4,
+     'parse error: polygon JSON: expected {"segments": [{"slope": "r/s", '
+     '"width": n}, ...]}'),
+    (["deform", "--base", "H1/0", "--lambda", "1/3"], 4,
+     "parse error: '1/0' is not a fraction: Fraction(1, 0)"),
+    (["deform", "--base", "ss3", "--lambda", "1/3"], 4,
+     "parse error: ss height 3 must be even and positive"),
+    (["deform", "--base", "Q3", "--lambda", "1/3"], 4,
+     "parse error: base piece 'Q3': expected Hr/s or ssN"),
+    (["deform", "--base", "ss6", "--lambda", "abc"], 4,
+     "parse error: 'abc' is not a fraction: Invalid literal for Fraction: "
+     "'abc'"),
+    (["deform", "--base", "ss6", "--lambda", "3/2"], 4,
+     "parse error: deformation slope 3/2 outside (0, 1)"),
+    (["deform", "--base", "H3/2", "--lambda", "1/3"], 4,
+     "parse error: block slope 3/2 outside (0, 1]"),
+    (["deform", "--base", "ss6", "--lambda", "1/3", "--precision", "0"], 4,
+     "parse error: --precision 0 must be positive"),
+    (["deform", "--base", "H1/1", "--lambda", "1/3"], 2,
+     "precondition violated: h = 1 needs 1 <= d <= h - 1"),
+    (["certify", "--base", "ss6", "--lambda", "a/b"], 4,
+     "parse error: 'a/b' is not a fraction: Invalid literal for Fraction: "
+     "'a/b'"),
+    (["certify", "--base", "ss6x", "--lambda", "1/3"], 4,
+     "parse error: base piece 'ss6x': expected Hr/s or ssN"),
+    (["certify", "--base", "ss6", "--lambda", "1/2"], 2,
+     "precondition violated: need denominator s >= 3, slope is 1/2"),
+    (["certify", "--base", "H0/1", "--lambda", "1/3"], 4,
+     "parse error: block slope 0 outside (0, 1]"),
+    (["as", "test", "--q", "9", "--field", "G9", "--all"], 4,
+     "parse error: 'G9' is not a field name like F9"),
+    (["as", "test", "--q", "9", "--field", "F1", "--all"], 4,
+     "parse error: field size 1 too small"),
+    (["as", "test", "--q", "3", "--field", "F6", "--all"], 4,
+     "parse error: 6 is not a prime power"),
+    (["units", "verify", "--p", "3", "--s", "3", "--n", "3",
+      "--covered", "1,x"], 4,
+     "parse error: '1,x' is not a comma-separated piece list"),
+    (["units", "verify", "--p", "3", "--s", "3", "--n", "3",
+      "--covered", "5"], 2,
+     "precondition violated: covered pieces must lie in [0, 3)"),
+    (["plot", "--poly", "1/2x"], 4,
+     "parse error: segment 1 ('1/2x'): expected slope x width, like 1/2x6"),
+    (["plot", "--d", "3", "--c", "3", "--lambda", "1/x"], 4,
+     "parse error: '1/x' is not a fraction: Invalid literal for Fraction: "
+     "'1/x'"),
+    (["plot", "--d", "3", "--c", "3", "--lambda", "1/3", "--poly", "zz"], 4,
+     "parse error: segment 1 ('zz'): expected slope x width, like 1/2x6"),
+    (["plot", "--poly", '{"segments": []}'], 4, "parse error: empty polygon"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", _MALFORMED,
+                         ids=[" ".join(argv) for argv, _, _ in _MALFORMED])
+def test_a_malformed_flag_keeps_its_refusal(capsys, argv, code, message):
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"slopelab: {message}\n")
+
+
+def test_a_parse_error_is_named_before_a_precondition(capsys):
+    # two faults: the base cannot be read, and a slope of denominator 2 is
+    # refused by `certify`; the base is parsed with the other flags
+    assert main(["certify", "--base", "Q3", "--lambda", "1/2"]) == 4
+    assert capsys.readouterr() == ("", (
+        "slopelab: parse error: base piece 'Q3': expected Hr/s or ssN\n"))
+
+
+@pytest.mark.parametrize("block", ["H2/4", "H3/3"])
+def test_a_block_not_in_lowest_terms_exits_4(capsys, block):
+    # H2/4 used to be read as H1/2, a height-2 block in a height-4 slot
+    assert main(["deform", "--base", f"{block}+ss2", "--lambda", "1/3"]) == 4
+    assert capsys.readouterr() == ("", (
+        f"slopelab: parse error: block '{block}': a simple block needs r/s "
+        "in lowest terms\n"))
+    assert parse_base("H1/1+H2/3+H4/5") == [(1, 1), (2, 3), (4, 5)]
+
+
 def test_each_command_takes_only_the_flags_it_reads():
     reported = {"-o", "--out", "--format"}
     seeded = reported | {"--seed", "--guard"}
@@ -982,6 +1101,21 @@ def test_plot_region_above_guard_exits_2_before_building_it(capsys,
     assert main(["plot", "--d", "400", "--c", "400", "--lambda", "1/3",
                  "--guard", "159999"]) == 2
     assert built == []
+
+
+def test_plot_region_svg_above_guard_exits_2_before_building_it(capsys,
+                                                                monkeypatch):
+    # 10^6 points pass the point guard 10^7, but their circles would take
+    # up to 50 bytes each
+    built = []
+    monkeypatch.setattr(polygon, "strata", lambda *args: built.append(args))
+    t0 = time.monotonic()
+    assert main(["plot", "--d", "1000", "--c", "1000", "--lambda", "1/3"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert built == []
+    assert capsys.readouterr() == ("", (
+        "slopelab: precondition violated: SVG of d * c = 1000000 circles, up "
+        "to 50000000 bytes, exceeds guard 10000000\n"))
 
 
 def _assert_identical_under_optimize(*args, returncode=0):

@@ -12,14 +12,14 @@ from slopelab.display import (
     charpoly,
     charpoly_polygon,
     deformation,
-    display_from_charpoly,
     split_display,
 )
 from slopelab.errors import PreconditionError
 from slopelab.polygon import (coord_name, np_make, np_merge, parallelogram,
                               strata, stratify)
 
-from oracles import cayley_hamilton_holds, t_substitute_numeric
+from oracles import (cayley_hamilton_holds, split_display_free,
+                     t_substitute_numeric)
 
 F = Fraction
 
@@ -180,21 +180,24 @@ def test_the_display_route_is_the_polygon_route():
     assert 0 < refused < cases
 
 
-def test_display_from_charpoly_round_trip():
-    rng = random.Random(43)
-    W = witt_for(3, 2, 8)
-    h, d = 5, 2
-    coeffs = {}
-    for x in range(1, h):
-        v = max(0, x - d) + rng.randrange(0, 2)
-        coeffs[x] = W.from_digits(
-            [0] * v + [rng.randrange(9) for _ in range(W.m - v)])
-    coeffs[h] = W.from_digits([0] * (h - d) + [rng.randrange(1, 9), 0, 0])
-    coeffs = {x: v for x, v in coeffs.items() if v != W.zero()}
-    disp = display_from_charpoly(W, d, coeffs)
-    chi = charpoly(disp)
-    for x, ax in coeffs.items():
-        assert chi.coeff(h - x) == W.neg(ax)
+def test_split_display_places_the_twisted_product_entry_for_entry():
+    # the integer product, reduced mod p^m before each division, against
+    # the sigma-twisted product and the general untwisting placement; at
+    # precision c + 1 .. c + 3 the reduction truncates the high coefficients
+    rng = random.Random(36)
+    blocks = [(r, s) for s in range(1, 6) for r in range(1, s + 1)
+              if math.gcd(r, s) == 1]
+    cases = 0
+    while cases < 36:
+        pieces = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]
+        c = sum(r for r, _ in pieces)
+        if sum(s for _, s in pieces) - c < 1:
+            continue
+        p = (2, 3, 5)[cases % 3]
+        W = witt_for(p, rng.randrange(1, 4), c + 1 + cases % 3)
+        assert split_display(W, pieces).free == split_display_free(W, pieces), \
+            (p, pieces)
+        cases += 1
 
 
 def test_parallelogram_row_description():
