@@ -263,6 +263,6 @@ def witt_make(field: FieldSpec, m: int) -> WittRing:
     return ring
 
 
-def witt_for(p: int, s: int, m: int, seed: int = 0) -> WittRing:
-    return witt_make(field_make(p, s, seed), m)
+def witt_for(p: int, s: int, m: int) -> WittRing:
+    return witt_make(field_make(p, s), m)
 

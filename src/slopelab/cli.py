@@ -109,17 +109,17 @@ def parse_base(text: str) -> list:
     pieces = []
     for part in text.split("+"):
         part = part.strip()
-        if part.startswith("ss") and part[2:].isdigit():
-            height = int(part[2:])
+        # [0-9], not \d or isdigit(), which take digits of every script
+        if ss := re.fullmatch(r"ss([0-9]+)", part):
+            height = int(ss[1])
             if height <= 0 or height % 2:
                 raise CliParseError(f"ss height {height} must be even and positive")
             pieces.extend([(1, 2)] * (height // 2))
-        elif part.startswith("H"):
+        elif block := re.fullmatch(r"H([0-9]+)/([0-9]+)", part):
             frac = parse_fraction(part[1:])
             if not 0 < frac <= 1:
                 raise CliParseError(f"block slope {frac} outside (0, 1]")
-            r, _, s = part[1:].partition("/")
-            if s and math.gcd(int(r), int(s)) > 1:
+            if math.gcd(*map(int, block.groups())) > 1:
                 raise CliParseError(f"block {part!r}: a simple block needs "
                                     "r/s in lowest terms")
             pieces.append((frac.numerator, frac.denominator))
@@ -154,16 +154,6 @@ def check_region(d: int, c: int, guard: int) -> None:
     if d * c > guard:
         raise GuardExceeded(
             f"region of d * c = {d * c} points exceeds guard {guard}")
-
-
-def parse_precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise CliParseError(f"--precision {text!r} is not an integer")
-    if value < 1:
-        raise CliParseError(f"--precision {value} must be positive")
-    return value
 
 
 def parse_covered(text: str) -> list:
@@ -254,8 +244,9 @@ def cmd_deform(args) -> int:
     from .monodromy.equations import monodromy_equation
     _check_deformation(args)
     s, c = args.lam.denominator, sum(r for r, _ in args.base)
-    precision = args.precision or max(2 * s + 2, c + 1)    # keeps +-p^c
-    ring = witt_for(args.p, s, precision, args.seed)
+    # the base is a sum of blocks over F_p: chi is integral and sigma fixes
+    # Z/p^m, so W_m(F_p) gives the bytes W_m(F_{p^s}) would; m keeps +-p^c
+    ring = witt_for(args.p, 1, max(2 * s + 2, c + 1))
     spec = deformation(split_display(ring, args.base), args.lam)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
@@ -372,8 +363,11 @@ def cmd_units(args) -> int:
                else [i for i in (0, 1) if i < n])
     gen = generation_report(K, r, n, covered, guard=args.guard)
 
+    # one context serves every stage: the commutator at depth n <= s + 1
+    # reads level n + 1, the congruence at depth k level (k + 1)s + 1
+    power_depth = 1 if p >= 3 else 2
+    ctx = order_over(K, r, (power_depth + 1) * s + 2)
     depths = []
-    ctx = order_over(K, r, s + 3)
     pair_budget = 500
     if K.q ** 2 > pair_budget:
         rng = random.Random(args.seed)
@@ -390,14 +384,12 @@ def cmd_units(args) -> int:
                        "pairs": len(pairs)})
     commutator_ok = all(d["full"] == d["expected_full"] for d in depths)
 
-    power_depth = 1 if p >= 3 else 2
-    pctx = order_over(K, r, (power_depth + 1) * s + 2)
-    betas = [pctx.zero(), pctx.one()]
-    power_ok = all(pth_power_check(pctx, alpha, beta, power_depth)
+    betas = [ctx.zero(), ctx.one()]
+    power_ok = all(pth_power_check(ctx, alpha, beta, power_depth)
                    for alpha in K.elements() for beta in betas)
     power = {"depth": power_depth, "alphas": K.q, "ok": power_ok}
     if p == 2:
-        power["depth_one_finding"] = p2_power_report(s, 1, args.seed)
+        power["depth_one_finding"] = p2_power_report(ctx)
 
     ok = commutator_ok and power_ok and gen["generates"]
     report = {"p": p, "s": s, "q": K.q, "lambda": f"{r}/{s}", "n": n,
@@ -508,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = flag("--format", dest="fmt", choices=("json", "text"), default="text")
     seed = flag("--seed", type=int, default=0)
     guard = flag("--guard", type=int, default=10 ** 7)
-    precision = flag("--precision", type=parse_precision, default=None)
     reported = [out, fmt]
     seeded = reported + [seed, guard]
 
@@ -530,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--lambda", dest="lam", type=parse_fraction,
                         required=True)
 
-    # deform prints Witt digits; certify's bytes do not depend on their count
-    for name, flags in (("deform", [precision]), ("certify", [])):
-        pp = sub.add_parser(name, parents=seeded + flags)
+    # deform reads no seeded value: its ring is W_m(F_p)
+    for name, flags in (("deform", reported + [guard]), ("certify", seeded)):
+        pp = sub.add_parser(name, parents=flags)
         pp.add_argument("--base", type=parse_base, required=True)
         pp.add_argument("--lambda", dest="lam", type=parse_fraction,
                         required=True)

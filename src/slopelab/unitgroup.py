@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith.fields import FieldSpec, field_make
+from .arith.fields import FieldSpec
 from .arith.ramified import RamifiedOrder, order_over
 from .errors import GuardExceeded, InternalCheckFailed, PreconditionError
 
@@ -119,21 +119,24 @@ def pth_power_check(ctx: RamifiedOrder, alpha: int, beta, n: int) -> bool:
     return lead is None or lead > level
 
 
-def p2_power_report(s: int, n: int = 1, seed: int = 0) -> dict:
+def p2_power_report(ctx: RamifiedOrder) -> dict:
     """Machine-checked record of how the p-th-power congruence behaves at
-    p = 2: at depth n = 1 the square contributes an extra <alpha>^2 at
-    level 2s, so the observed class is alpha + alpha^2 instead of alpha.
-    The data is reported, not asserted away: `holds` says whether every
-    alpha follows that law, and `failing_alphas` lists the alpha whose
-    class is not alpha.
+    p = 2: at depth one the square contributes an extra <alpha>^2 at
+    level 2s, so the observed class is alpha + alpha^2 instead of alpha,
+    for every slope r/s.  The data is reported, not asserted away: `holds`
+    says whether every alpha follows that law, and `failing_alphas` lists
+    the alpha whose class is not alpha.  Needs p = 2 and N >= 2s + 2.
     """
-    K = field_make(2, s, seed)
-    ctx = order_over(K, 1, (n + 1) * s + 2)
-    level = (n + 1) * s
+    K, s = ctx.field, ctx.s
+    level = 2 * s
+    if K.p != 2:
+        raise PreconditionError(f"the depth-one report needs p = 2, have {K.p}")
+    if ctx.N < level + 2:
+        raise PreconditionError(f"need truncation >= {level + 2}, have {ctx.N}")
     holds, failing = True, []
     for alpha in K.elements():
-        # w - 1 = pi^{(n+1)s}<alpha> + pi^{2ns}<alpha^2>, as 2 = pi^s
-        w = ctx.pow(ctx.add(ctx.one(), ctx.teich_term(n * s, alpha)), 2)
+        # w - 1 = pi^{2s}(<alpha> + <alpha^2>), as 2 = pi^s
+        w = ctx.pow(ctx.add(ctx.one(), ctx.teich_term(s, alpha)), 2)
         observed = graded_class(ctx, w, level)
         holds &= observed == K.add(alpha, K.mul(alpha, alpha))
         if observed != alpha:

@@ -287,11 +287,11 @@ def test_gate_6_power_congruences():
 
     # p = 2 breaks the depth-one congruence: the observed class is
     # alpha + alpha^2, and every nonzero alpha is a counterexample
-    rep = p2_power_report(3, 1)
+    ctx2 = order_over(field_make(2, 3), 1, 8)
+    rep = p2_power_report(ctx2)
     assert rep["holds"]
     assert rep["failing_alphas"] == list(range(1, 8))
     assert rep["level"] == 6
-    ctx2 = order_over(field_make(2, 3), 1, 8)
     assert not pth_power_check(ctx2, 1, ctx2.zero(), 1)
 
 

@@ -139,16 +139,14 @@ def test_deform_json_contract(capsys, tmp_path):
      "9de92148d6bf246a4badd224da945ffc4c3d40d3a5bd85928a59a872607072c0"),
     (("--base", "ss10", "--lambda", "2/5"),
      "931354740db94cba25119e1cd0474b9c6e5b2c0162bec48ad777f551b243aa5e"),
-    (("--base", "ss6", "--lambda", "1/3", "--precision", "9", "--seed", "2"),
-     "1fae1900f0a777230ebaf2600431ffd70940bdaac5b9a29c9adf0ca3af091449"),
     (("--base", "ss14", "--lambda", "2/7"),
      "433bd977fb96fc70ad15617ef24a0b8203e87f99d131341ed6dca81c468b96f5"),
     (("--base", "ss14", "--lambda", "3/7"),
      "037ca810c69dec519cbb03bde42998e2dd089f4353c769f54d8b49ce8989ed50"),
     (("--base", "H2/3+H2/3", "--lambda", "3/5"),
      "e3f61396b563a555aed48a1c31da2c0fb93279a6d51f327ef60621ab424e92a0"),
-], ids=["ss6", "H1/3+ss4", "ss8-p2", "H4/5+H4/5", "ss10", "ss6-prec9-seed2",
-        "ss14-2/7", "ss14-3/7", "H2/3+H2/3"])
+], ids=["ss6", "H1/3+ss4", "ss8-p2", "H4/5+H4/5", "ss10", "ss14-2/7",
+        "ss14-3/7", "H2/3+H2/3"])
 def test_deform_json_bytes_are_pinned(capsys, argv, digest):
     # the strata, the symbolic charpoly and the equation, byte for byte
     rc, out = run(capsys, "deform", *argv, "--format", "json")
@@ -169,31 +167,22 @@ def test_deform_text_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("precision, code, message", [
-    ("-1", 4, "--precision -1 must be positive"),
-    ("0", 4, "--precision 0 must be positive"),
-    ("1", 2, "needs precision >= 4"),
-    ("2", 2, "needs precision >= 4"),
-    ("3", 2, "needs precision >= 4"),
-])
-def test_deform_precision_too_small_is_refused(capsys, precision, code,
-                                               message):
-    # ss6 has constant term -p^3, which vanishes below precision 4; 0 is
-    # refused, not replaced by the default
-    rc = main(["deform", "--base", "ss6", "--lambda", "1/3",
-               "--precision", precision])
-    out, err = capsys.readouterr()
-    assert rc == code and out == ""
-    assert err.startswith("slopelab: ") and message in err
-    assert "Traceback" not in err
+def test_deform_builds_only_the_prime_field(capsys, monkeypatch):
+    # the base is a sum of blocks over F_p, so W_m(F_p) carries every
+    # digit, and F_{5^7} is never built; the digest is the one W_m(F_{5^7})
+    # gave
+    made, make = [], fields.field_make
 
-
-def test_deform_smallest_sufficient_precision_runs(capsys):
-    rc, out = run(capsys, "deform", "--base", "ss6", "--lambda", "1/3",
-                  "--precision", "4")
-    assert rc == 0
-    assert out.splitlines()[0] == \
-        "strata {(2,1),(3,1),(3,2),(4,2)} and 4-term chi"
+    def spy(p, s, seed=0):
+        made.append(s)
+        return make(p, s, seed)
+    monkeypatch.setattr(fields, "field_make", spy)
+    monkeypatch.setattr(witt, "field_make", spy)
+    rc, out = run(capsys, "deform", "--base", "ss14", "--lambda", "2/7",
+                  "--p", "5", "--format", "json")
+    assert rc == 0 and made and set(made) == {1}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f0d8a2c8d3a443c33a6a3c237af7279033f49c57f9c2c1db99bdd32e0c3df6da"
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -677,6 +666,21 @@ def test_units_verify_p2_reports_depth_one_finding(capsys):
     assert finding["failing_alphas"] == list(range(1, 8))
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_units_verify_builds_two_order_contexts(capsys, monkeypatch, p):
+    # one for the commutators, the congruences and the p = 2 report, one
+    # for the generation echelon
+    built, init = [], RamifiedOrder.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(RamifiedOrder, "__init__", counted)
+    assert main(["units", "verify", "--p", p, "--s", "3", "--n", "3"]) == 0
+    assert len(built) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n, message", [
     ("2", "|G/G_n| = 530712 exceeds guard 10"),
     ("10" * 6, "|G/G_n| = 728*729^101010101009 exceeds guard 10"),
@@ -997,8 +1001,21 @@ _MALFORMED = [
      "parse error: deformation slope 3/2 outside (0, 1)"),
     (["deform", "--base", "H3/2", "--lambda", "1/3"], 4,
      "parse error: block slope 3/2 outside (0, 1]"),
-    (["deform", "--base", "ss6", "--lambda", "1/3", "--precision", "0"], 4,
-     "parse error: --precision 0 must be positive"),
+    # only the Hr/s spelling names a block: no decimal, exponent or bare r
+    (["deform", "--base", "H0.5+ss4", "--lambda", "1/3"], 4,
+     "parse error: base piece 'H0.5': expected Hr/s or ssN"),
+    (["deform", "--base", "H1e0+ss4", "--lambda", "1/3"], 4,
+     "parse error: base piece 'H1e0': expected Hr/s or ssN"),
+    (["deform", "--base", "H1+ss4", "--lambda", "1/3"], 4,
+     "parse error: base piece 'H1': expected Hr/s or ssN"),
+    (["deform", "--base", "H-1/2+ss4", "--lambda", "1/3"], 4,
+     "parse error: base piece 'H-1/2': expected Hr/s or ssN"),
+    (["deform", "--base", "H\u0661/\u0663+ss4", "--lambda", "1/3"], 4,
+     "parse error: base piece 'H\u0661/\u0663': expected Hr/s or ssN"),
+    (["deform", "--base", "ss\u0666", "--lambda", "1/3"], 4,
+     "parse error: base piece 'ss\u0666': expected Hr/s or ssN"),
+    (["deform", "--base", "ss\u00b2", "--lambda", "1/3"], 4,
+     "parse error: base piece 'ss\u00b2': expected Hr/s or ssN"),
     (["deform", "--base", "H1/1", "--lambda", "1/3"], 2,
      "precondition violated: h = 1 needs 1 <= d <= h - 1"),
     (["certify", "--base", "ss6", "--lambda", "a/b"], 4,
@@ -1066,7 +1083,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         "np adjoin": reported | {"--poly", "--point"},
         "np symmetric": reported | {"--poly", "--lambda"},
         "np attain": reported | {"--poly", "--lambda"},
-        "deform": seeded | {"--precision", "--base", "--lambda", "--p"},
+        "deform": reported | {"--guard", "--base", "--lambda", "--p"},
         "certify": seeded | {"--base", "--lambda", "--p"},
         "as test": seeded | {"--q", "--field", "--all", "--a"},
         "units verify": seeded | {"--p", "--s", "--r", "--n", "--covered"},
@@ -1079,6 +1096,8 @@ def test_each_command_takes_only_the_flags_it_reads():
     ["np", "compare", "1/2x6", "1/2x6", "--seed", "0"],
     ["as", "test", "--q", "9", "--field", "F81", "--all", "--precision", "5"],
     ["certify", "--base", "ss6", "--lambda", "1/3", "--precision", "9"],
+    ["deform", "--base", "ss6", "--lambda", "1/3", "--seed", "2"],
+    ["deform", "--base", "ss6", "--lambda", "1/3", "--precision", "9"],
     ["plot", "--poly", "1/3x3", "--format", "svg"],
 ])
 def test_a_flag_the_command_does_not_read_exits_4(capsys, argv):

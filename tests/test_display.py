@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from slopelab.arith import witt_for
+from slopelab.arith import field_make, witt_for, witt_make
 from slopelab.arith.twisted import TwistedPoly
 from slopelab.display import (
     DeformationSpec,
@@ -15,6 +15,7 @@ from slopelab.display import (
     split_display,
 )
 from slopelab.errors import PreconditionError
+from slopelab.monodromy.equations import monodromy_equation
 from slopelab.polygon import (coord_name, np_make, np_merge, parallelogram,
                               strata, stratify)
 
@@ -198,6 +199,52 @@ def test_split_display_places_the_twisted_product_entry_for_entry():
         assert split_display(W, pieces).free == split_display_free(W, pieces), \
             (p, pieces)
         cases += 1
+
+
+def test_a_block_sum_deforms_the_same_over_the_prime_field():
+    # chi is integral and sigma fixes Z/p^m, so W_m(F_p) gives the bytes
+    # that W_m(F_{p^s}) gives under each of its moduli; `deform` runs there
+    rng = random.Random(37)
+    blocks = [(r, s) for s in range(1, 6) for r in range(1, s + 1)
+              if math.gcd(r, s) == 1]
+    slopes = [F(r, s) for s in range(3, 6) for r in range(1, s - 1)
+              if math.gcd(r, s) == 1]
+    deformed = 0
+    for cases in range(48):
+        pieces = [rng.choice(blocks) for _ in range(rng.randrange(1, 5))]
+        np0 = np_merge(*(np_make([(F(r, s), s)]) for r, s in pieces))
+        # mostly slopes the strata admit, and a refusal now and then
+        ok = [lam for lam in slopes
+              if not isinstance(_refusal(lambda: stratify(np0, lam)), str)]
+        p, lam = (2, 3, 5)[cases % 3], rng.choice(
+            ok if ok and cases % 4 else slopes)
+        s, c = lam.denominator, sum(r for r, _ in pieces)
+        m = max(2 * s + 2, c + 1)
+
+        def report(W):
+            def build():
+                spec = deformation(split_display(W, pieces), lam)
+                return spec.to_json(), monodromy_equation(spec).to_json()
+            return _refusal(build)
+        over_fp = report(witt_for(p, 1, m))
+        for seed in range(3):
+            assert report(witt_make(field_make(p, s, seed), m)) == over_fp, \
+                (p, pieces, lam, seed)
+        deformed += not isinstance(over_fp, str)
+    assert deformed >= 20
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_split_display_refuses_a_precision_that_drops_the_constant_term(m):
+    # ss6 has constant term -p^3, which vanishes below precision 4
+    with pytest.raises(PreconditionError, match=r"needs precision >= 4$"):
+        split_display(witt_for(3, 1, m), [(1, 2)] * 3)
+
+
+def test_split_display_runs_at_the_smallest_sufficient_precision():
+    spec = deformation(split_display(witt_for(3, 1, 4), [(1, 2)] * 3), F(1, 3))
+    assert spec.strat.active == {(2, 1), (3, 1), (3, 2), (4, 2)}
+    assert len(spec.to_json()["chi"]) - 1 == 4
 
 
 def test_parallelogram_row_description():

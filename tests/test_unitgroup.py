@@ -167,10 +167,24 @@ def test_pth_power_congruence_sampled_q25():
 
 
 def test_p2_depth_one_fails_with_square_correction():
-    rep = p2_power_report(3, 1)
+    rep = p2_power_report(order_over(field_make(2, 3), 1, 8))
     assert rep["holds"]
     assert rep["failing_alphas"] == list(range(1, 8))
     assert rep["level"] == 6
+
+
+def test_p2_report_reads_the_context_it_is_given():
+    # (1 + pi^s<a>)^2 - 1 = pi^(2s)(<a> + <a^2>) at every slope r/s, so
+    # the report does not depend on r or on how far N reaches past 2s + 1
+    K = field_make(2, 5)
+    reports = [p2_power_report(order_over(K, r, N))
+               for r in (1, 2, 3, 4) for N in (12, 17)]
+    assert reports[0]["failing_alphas"] == list(range(1, 32))
+    assert all(rep == reports[0] for rep in reports)
+    with pytest.raises(PreconditionError, match="needs p = 2, have 3"):
+        p2_power_report(order_over(field_make(3, 3), 1, 8))
+    with pytest.raises(PreconditionError, match="need truncation >= 12, have 11"):
+        p2_power_report(order_over(K, 1, 11))
 
 
 def test_p2_deeper_levels_pass():
@@ -208,7 +222,7 @@ def test_unit_group_reads_levels_without_teichmuller_digits(monkeypatch):
         for alpha in K.elements():
             assert pth_power_check(pctx, alpha, pctx.one(), depth)
         if p == 2:
-            assert p2_power_report(s)["holds"]
+            assert p2_power_report(pctx)["holds"]
         assert closure_compiled(K, r, s + 1, [0, 1, s], 10 ** 6) \
             == (K.q - 1) * K.q ** s
     assert expanded == []
