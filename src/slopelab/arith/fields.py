@@ -273,16 +273,16 @@ class FieldSpec:
     """Context for F_{p^s} arithmetic on int-encoded elements."""
 
     __slots__ = (
-        "p", "s", "q", "modulus", "seed",
+        "p", "s", "q", "modulus",
         "_exp", "_log", "_zech", "_log_minus_one", "_gen", "_frob_mult",
     )
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...], seed: int = 0):
+        # seed is unread: the modulus already fixes the field
         self.p = p
         self.s = s
         self.q = p ** s
         self.modulus = modulus  # length s+1, monic, entries in [0, p)
-        self.seed = seed
         self._build_tables()
 
     # -- encoding ----------------------------------------------------------
@@ -444,13 +444,6 @@ def field_modulus(p: int, s: int, seed: int = 0) -> tuple[int, ...]:
     raise InternalCheckFailed("irreducible count and enumeration disagree")
 
 
-def modulus_scan(p: int, s: int, seed: int = 0) -> int:
-    """About how many candidates `field_modulus(p, s, seed)` tests: it stops
-    at irreducible number seed mod count, and irreducibles of degree s have
-    density about 1/s among the candidates."""
-    return s * (seed % _count_monic_irreducibles(p, s) + 1)
-
-
 @lru_cache(maxsize=None)
 def field_make(p: int, s: int, seed: int = 0) -> FieldSpec:
     """Deterministic field context for F_{p^s}, on `field_modulus(p, s, seed)`.
@@ -458,4 +451,4 @@ def field_make(p: int, s: int, seed: int = 0) -> FieldSpec:
     seed selects among the monic irreducible moduli of degree s, in
     lexicographic order of the coefficient tuple; it wraps mod the exact count.
     """
-    return FieldSpec(p, s, field_modulus(p, s, seed), seed)
+    return FieldSpec(p, s, field_modulus(p, s, seed))

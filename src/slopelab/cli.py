@@ -229,11 +229,7 @@ def cmd_np(args) -> int:
 def _check_deformation(args) -> None:
     if not 0 < args.lam < 1:
         raise CliParseError(f"deformation slope {args.lam} outside (0, 1)")
-    s = args.lam.denominator
     check_prime(args.p, args.guard)
-    # 2^s > guard already refuses a long s, before p^s is formed
-    if s > args.guard.bit_length() or args.p ** s > args.guard:
-        raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
     c = sum(r for r, _ in args.base)
     check_region(sum(w for _, w in args.base) - c, c, args.guard)
 
@@ -244,9 +240,15 @@ def cmd_deform(args) -> int:
     from .monodromy.equations import monodromy_equation
     _check_deformation(args)
     s, c = args.lam.denominator, sum(r for r, _ in args.base)
+    h, m = sum(w for _, w in args.base), max(2 * s + 2, c + 1)
+    # the display and chi each hold h Witt vectors of m digits
+    if h * m > args.guard:
+        raise GuardExceeded(
+            f"display of h = {h} Witt vectors at precision m = {m} "
+            f"(h * m = {h * m} digits) exceeds guard {args.guard}")
     # the base is a sum of blocks over F_p: chi is integral and sigma fixes
     # Z/p^m, so W_m(F_p) gives the bytes W_m(F_{p^s}) would; m keeps +-p^c
-    ring = witt_for(args.p, 1, max(2 * s + 2, c + 1))
+    ring = witt_for(args.p, 1, m)
     spec = deformation(split_display(ring, args.base), args.lam)
     eq = monodromy_equation(spec)
     deformed = spec.to_json()
@@ -273,21 +275,16 @@ def cmd_deform(args) -> int:
 
 def cmd_certify(args) -> int:
     from fractions import Fraction
-    from .arith.fields import modulus_scan
     from .monodromy.certify import check_slope_shape, largeness_certificate
     from .polygon import np_make, np_merge
     # the slope shape first: the polygon would refuse it less specifically
     check_slope_shape(args.lam)
     _check_deformation(args)
-    # leg 0 scans for the seeded modulus of F_Q, Q = p^(3s)
-    deg = 3 * args.lam.denominator
-    scan = modulus_scan(args.p, deg, args.seed)
-    if scan > args.guard:
-        raise GuardExceeded(
-            f"leg 0's modulus scan of about 3s * (seed index + 1) = {scan} "
-            f"candidates (irreducibles of degree {deg} over F_{args.p} have "
-            f"density about 1/{deg}) exceeds guard {args.guard}")
-    np0 = np_merge(*(np_make([(Fraction(r, s), s)]) for r, s in args.base))
+    s = args.lam.denominator
+    # 2^s > guard already refuses a long s, before p^s is formed
+    if s > args.guard.bit_length() or args.p ** s > args.guard:
+        raise GuardExceeded(f"q = {args.p}^{s} exceeds guard {args.guard}")
+    np0 = np_merge(*(np_make([(Fraction(r, w), w)]) for r, w in args.base))
     cert = largeness_certificate(np0, args.lam, args.p, args.guard, args.seed)
     good = [l["piece"] for l in cert["legs"] if l["status"] == "certified"]
     bad = [l["piece"] for l in cert["legs"] if l["status"] != "certified"]

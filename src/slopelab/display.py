@@ -118,6 +118,11 @@ def split_display(ring: WittRing, pieces: list[tuple[int, int]]) -> Display:
     the division is exact.  The result realizes the direct sum of the slope
     r_i/s_i building blocks up to isogeny.  The constant term is +-p^c,
     c = sum r_i, so the ring needs precision above c.
+
+    A piece (r, s) is the factor F^s - p^r whether or not r/s is in lowest
+    terms, so [(3, 6)] is F^6 - p^3, not ss6 = [(1, 2)] * 3: the polygon
+    is the same, chi is not.  Only the CLI's Hr/s grammar insists on
+    lowest terms.
     """
     p, h = ring.field.p, sum(s for _, s in pieces)
     c = sum(r for r, _ in pieces)

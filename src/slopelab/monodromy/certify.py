@@ -39,8 +39,8 @@ def check_slope_shape(lam) -> None:
             "needs r <= s-2")
 
 
-def _first_leg(field: FieldSpec, strat: Stratification, seed: int) -> dict:
-    evidence = first_witt_equation(field, strat.d + strat.c, strat.d,
+def _first_leg(p: int, strat: Stratification, seed: int) -> dict:
+    evidence = first_witt_equation(p, strat.d + strat.c, strat.d,
                                    strat.lam, seed=seed)
     # the degree identity, the exponent factorization and the divisibility
     # of every sample hold by construction; docs/certificates.md says why
@@ -110,12 +110,14 @@ def _closure_leg(field: FieldSpec, strat: Stratification, guard: int) -> dict:
 def largeness_certificate(np0: NewtonPolygon, lam, p: int,
                           guard: int = 10 ** 7, seed: int = 0) -> dict:
     """The three-leg report for lam over the base polygon np0, over
-    F_q = field_make(p, s, seed); verdict "large" iff all certify."""
+    F_q = field_make(p, s); verdict "large" iff all certify.  seed draws
+    only leg 0's samples: the other legs read nothing that depends on
+    which modulus presents F_q."""
     strat = stratify(np0, lam)
     check_slope_shape(strat.lam)
     s = strat.lam.denominator
-    field = field_make(p, s, seed)
-    legs = [_first_leg(field, strat, seed)]
+    field = field_make(p, s)
+    legs = [_first_leg(p, strat, seed)]
     for ell in (1, s):
         legs.append(_graded_leg(field, strat, ell, guard))
     legs.append(_closure_leg(field, strat, guard))

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..arith.fields import (FieldSpec, _factor, base_p_digits, field_modulus,
+from ..arith.fields import (_factor, base_p_digits, field_modulus,
                             polymulmod, power)
 from ..errors import InternalCheckFailed, PreconditionError
 from ..polygon import check_below_base, coord_name
@@ -165,9 +165,9 @@ def monodromy_equation(spec: DeformationSpec) -> MonodromyEquation:
 _SAMPLES = 16   # splitting-degree samples drawn by first_witt_equation
 
 
-def first_witt_equation(field: FieldSpec, h: int, d: int, lam: Fraction,
+def first_witt_equation(p: int, h: int, d: int, lam: Fraction,
                         seed: int = 0) -> dict:
-    """Leg 0's evidence over F_q = `field` for a base of height h and
+    """Leg 0's evidence over F_q, q = p^s, for a base of height h and
     dimension d: the level-0 reduction at the anchor u = u(s, r), the one
     level-0 point of the stratum, twisted by sigma^{h-d-r} ("The anchor is
     the point (s, r)" in docs/certificates.md).  It is the Kummer relation
@@ -178,15 +178,16 @@ def first_witt_equation(field: FieldSpec, h: int, d: int, lam: Fraction,
     modulo (q-1)-th powers: every sample must divide p^s - 1 and generic
     ones attain it.  That order is the multiplicative order of
     w = u^{p^{h-d-r} (Q-1)/(q-1)} in F_q^x, computed by square-and-multiply
-    in F_p[x]/(f) on the modulus f of F_Q, so no table of F_Q is built.
+    in F_p[x]/(f) on f = `field_modulus(p, 3s)`, so no table of F_Q is
+    built.  Any modulus presents F_Q up to isomorphism, so the first one
+    serves, and seed draws only the samples.
     """
-    p = field.p
     s, r = lam.denominator, lam.numerator
     q = p ** s
     group_order = q - 1
     rng = random.Random(seed)
     big_q = q ** 3
-    ext_modulus = field_modulus(p, 3 * s, field.seed)
+    ext_modulus = field_modulus(p, 3 * s)
 
     def mul(a, b):
         return polymulmod(p, ext_modulus, a, b)

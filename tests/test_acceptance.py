@@ -311,7 +311,7 @@ def test_gate_7_generation_tower():
 
 def test_gate_8_first_level_splitting_data():
     spec = running_instance()
-    data = first_witt_equation(spec.base.ring.field, spec.base.h,
+    data = first_witt_equation(spec.base.ring.field.p, spec.base.h,
                                spec.base.d, spec.lam, seed=0)
     p, h, s = spec.base.ring.field.p, spec.base.h, spec.lam.denominator
     assert (p, h, s) == (3, 6, 3)

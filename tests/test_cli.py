@@ -26,7 +26,7 @@ from slopelab.arith.witt import WittRing, witt_for
 from slopelab.cli import build_parser, main, parse_base
 from slopelab.errors import SolutionFound
 from slopelab.polygon import np_from_breakpoints, np_make, np_merge
-from slopelab.serialize import np_from_json
+from slopelab.serialize import canonical_dumps, np_from_json
 
 
 def run(capsys, *argv):
@@ -237,12 +237,12 @@ def test_as_over_f256_with_q_256_agrees(capsys):
      "419bbe878803a8efb2a560c2005a2f8dbb52d084392367ef1b59d14ef22625b0"),
     (("--base", "H1/3+ss4", "--lambda", "1/4"), 3,
      "28c4f982c23f3c9cb5bd51539be232099db9bd73259215a917a3056add380be0"),
-    # the graded legs read no seeded value, so the seed moves only leg 0
+    # the seed draws only leg 0's samples
     (("--base", "ss6", "--lambda", "1/3", "--seed", "5"), 0,
-     "7b0f1dd4bf6d5a4ca4d1e948816ab9d6dce0b05a62854f3b998d104482afac7b"),
-    # leg 0 fails: its largest sampled degree is 171 of 342
+     "b2dd56907ca89cf72adca796e2a96844ecd0c5a844f2cd11bbfb5d6686aa4936"),
+    # leg 0 attains 342; the closure fails at the guard
     (("--base", "ss6", "--lambda", "1/3", "--p", "7", "--seed", "51"), 3,
-     "c179ab124ef3dc64df48b17ca6e3e13ec97a305db3b3e763005fc8b26a90a54a"),
+     "2119e9b85eb3bf2526e8a0f97c5d468588e5021125de6e7d707353526e083e50"),
     # h - d - r = 2, so leg 0's exponents are [234, 9]
     (("--base", "H1/1+ss4", "--lambda", "1/3", "--seed", "0"), 0,
      "56057af2b710e3075830e683e1e747ba29acf0f8206d86cc569a54a53eb4dbe1"),
@@ -341,35 +341,101 @@ def test_strata_region_above_guard_exits_2_before_building_anything(
     assert built == []
 
 
-def test_certify_refuses_a_long_leg_0_modulus_scan_before_building_anything(
-        capsys, monkeypatch):
-    # seed 2,000,000 indexes irreducible 2,000,000 of the 4,483,696 of
-    # degree 9 over F_7, so leg 0 would test about 9 * 2,000,001 candidates
-    built = []
-    for mod in (fields, witt, certify):
-        monkeypatch.setattr(mod, "field_make", lambda *args: built.append(args))
-    monkeypatch.setattr(equations, "field_modulus",
-                        lambda *args: built.append(args))
+@pytest.mark.parametrize("p", ["2", "3", "5"])
+def test_certify_seed_moves_only_leg_0(capsys, p):
+    # legs 1, s and the closure read nothing that depends on the modulus
+    # that presents F_q, so every seed gives seed 0's bytes there
+    def rest(seed):
+        _, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
+                     "--p", p, "--seed", seed, "--format", "json")
+        return canonical_dumps(json.loads(out)["legs"][1:])
+    want = rest("0")
+    for seed in ("1", "5", "51", "100"):
+        assert rest(seed) == want, seed
+
+
+def test_certify_builds_only_the_first_moduli(capsys, monkeypatch):
+    # F_q and leg 0's F_Q take modulus index 0 whatever the seed
+    calls, modulus = [], fields.field_modulus.__wrapped__
+
+    def spy(p, s, seed=0):
+        calls.append((p, s, seed))
+        return modulus(p, s, seed)
+    monkeypatch.setattr(fields, "field_modulus", spy)
+    monkeypatch.setattr(equations, "field_modulus", spy)
+    monkeypatch.setattr(certify, "field_make", fields.field_make.__wrapped__)
+    rc, _ = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
+                "--p", "2", "--seed", "5")
+    assert rc == 0
+    assert sorted(set(calls)) == [(2, 3, 0), (2, 9, 0)]
+
+
+def test_certify_large_seed_runs_at_once(capsys):
+    # this seed once indexed modulus 2,000,000 of degree 9 over F_7, a
+    # scan of about 1.8e7 candidates; now it draws only leg 0's samples
     t0 = time.monotonic()
-    assert main(["certify", "--base", "ss6", "--lambda", "1/3", "--p", "7",
-                 "--seed", "2000000"]) == 2
+    rc, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
+                  "--p", "7", "--seed", "2000000")
+    assert time.monotonic() - t0 < 1.0
+    assert rc == 3
+    assert out.endswith("{closure} failed, verdict inconclusive\n")
+
+
+def test_deform_charges_the_prime_field_not_q(capsys, monkeypatch):
+    # deform builds only F_251 and W_8(F_251); certify would build F_{251^3}
+    made, make = [], fields.field_make
+
+    def spy(p, s, seed=0):
+        made.append((p, s))
+        return make(p, s, seed)
+    monkeypatch.setattr(fields, "field_make", spy)
+    monkeypatch.setattr(witt, "field_make", spy)
+    argv = ["--base", "ss6", "--lambda", "1/3", "--p", "251"]
+    t0 = time.monotonic()
+    rc, out = run(capsys, "deform", *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert rc == 0 and set(made) == {(251, 1)}
+    assert out.startswith("strata {(2,1),(3,1),(3,2),(4,2)} and 4-term chi\n")
+    made.clear()
+    assert main(["certify", *argv]) == 2
+    assert made == []
+    assert capsys.readouterr().err == (
+        "slopelab: precondition violated: q = 251^3 exceeds guard 10000000\n")
+
+
+@pytest.mark.parametrize("base, lam, h, m", [
+    ("ss6", "1/1000000", 6, 2000002),
+    ("H1/5000000+H1/2", "1/5000001", 5000002, 10000004),
+])
+def test_deform_witt_digits_above_guard_exit_2_before_building_them(
+        capsys, monkeypatch, base, lam, h, m):
+    # m = max(2s + 2, c + 1) bounds s where q no longer does
+    built = []
+    monkeypatch.setattr(witt, "field_make", lambda *a: built.append(a))
+    t0 = time.monotonic()
+    assert main(["deform", "--base", base, "--lambda", lam]) == 2
     assert time.monotonic() - t0 < 1.0
     assert built == []
     assert capsys.readouterr() == ("", (
-        "slopelab: precondition violated: leg 0's modulus scan of about "
-        "3s * (seed index + 1) = 18000009 candidates (irreducibles of degree "
-        "9 over F_7 have density about 1/9) exceeds guard 10000000\n"))
-    # p = 2 has 56 irreducibles of degree 9: seed 55 expects 504 candidates
-    assert main(["certify", "--base", "ss6", "--lambda", "1/3", "--p", "2",
-                 "--seed", "55", "--guard", "503"]) == 2
-    assert built == []
+        f"slopelab: precondition violated: display of h = {h} Witt vectors "
+        f"at precision m = {m} (h * m = {h * m} digits) exceeds guard "
+        "10000000\n"))
 
 
-def test_certify_admits_a_leg_0_modulus_scan_at_the_guard(capsys):
-    rc, out = run(capsys, "certify", "--base", "ss6", "--lambda", "1/3",
-                  "--p", "2", "--seed", "55", "--guard", "504")
-    assert (rc, out) == (3, "pieces {0,1,3} certified, {closure} failed, "
-                            "verdict inconclusive\n")
+def test_deform_witt_digit_charge_boundary(capsys):
+    # ss6 at 1/3: h = 6, m = 8; a long s below the charge is refused as
+    # unattainable, at once
+    argv = ["deform", "--base", "ss6", "--lambda", "1/3"]
+    assert main([*argv, "--guard", "48"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--guard", "47"]) == 2
+    assert "(h * m = 48 digits) exceeds guard 47" in capsys.readouterr().err
+    t0 = time.monotonic()
+    assert main(["deform", "--base", "ss6", "--lambda", "1/100000"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err == (
+        "slopelab: precondition violated: slope 1/100000 is not attainable "
+        "from (1/2 x6)\n")
 
 
 @pytest.mark.parametrize("base", ["ss24", "ss40"])

@@ -141,6 +141,17 @@ def test_split_display_polygon_matches_sum():
         assert charpoly_polygon(charpoly(disp)) == np_merge(*parts)
 
 
+def test_split_display_piece_not_in_lowest_terms_is_its_own_factor():
+    # (3, 6) is F^6 - p^3 as given, not the block sum ss6 = [(1, 2)] * 3
+    W = witt_for(3, 1, 8)
+    chi_36 = charpoly(split_display(W, [(3, 6)]))
+    chi_ss6 = charpoly(split_display(W, [(1, 2)] * 3))
+    assert str(charpoly_polygon(chi_36)) == "(1/2 x6)"
+    assert charpoly_polygon(chi_36) == charpoly_polygon(chi_ss6)
+    assert chi_36.coeffs.keys() == {6, 0}
+    assert chi_36.coeffs != chi_ss6.coeffs
+
+
 def _refusal(build):
     try:
         return build()

@@ -145,7 +145,7 @@ def test_slope_not_below_base_reported():
 def test_first_witt_running_instance():
     _, _, spec = running_instance()
     fw = first_witt_equation(
-        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
+        spec.base.ring.field.p, spec.base.h, spec.base.d, spec.lam, seed=0)
     p = 3
     assert fw["exponents"] == [p ** 6 - p ** 3, p ** 2]
     assert fw["factored"] == [p ** 3, p ** 3 - 1]
@@ -156,7 +156,7 @@ def test_first_witt_running_instance():
     assert all(26 % deg == 0 for _, deg in fw["samples"])
     assert fw["attained"]
     again = first_witt_equation(
-        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
+        spec.base.ring.field.p, spec.base.h, spec.base.d, spec.lam, seed=0)
     assert again["samples"] == fw["samples"]
 
 
@@ -167,7 +167,7 @@ def test_first_witt_degrees_against_factoring():
     for p in (3, 2):
         ring = witt_for(p, 3, 8)
         spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
-        fw = first_witt_equation(ring.field, 6, 3, Fraction(1, 3), seed=0)
+        fw = first_witt_equation(p, 6, 3, Fraction(1, 3), seed=0)
         ext = field_make(p, 9)
         q1 = p ** 3 - 1
         assert len(fw["samples"]) == 16
@@ -186,7 +186,7 @@ def test_first_witt_degree_is_the_least_period_at_p5():
     ring = witt_for(5, 3, 8)
     spec = deformation(split_display(ring, [(1, 2)] * 3), Fraction(1, 3))
     fw = first_witt_equation(
-        spec.base.ring.field, spec.base.h, spec.base.d, spec.lam, seed=0)
+        spec.base.ring.field.p, spec.base.h, spec.base.d, spec.lam, seed=0)
     f, Q = field_modulus(5, 9), 5 ** 9
     e = fw["exponents"][1] * ((Q - 1) // 124) % (Q - 1)
     one = [1] + [0] * 8
@@ -230,7 +230,7 @@ def test_first_witt_anchor_is_the_level_0_point():
             assert spec.strat.layer(0) == {(s, r)}, (pieces, lam)
             assert monodromy_equation(spec).layer(0) == [
                 (s, EqTerm("symbol", 0, coord_name(s, r), h - d - r))]
-            fw = first_witt_equation(spec.base.ring.field, h, d, lam, seed=0)
+            fw = first_witt_equation(p, h, d, lam, seed=0)
             assert fw["symbol"] == coord_name(s, r)
             assert fw["exponents"][1] == p ** (h - d - r)
 
